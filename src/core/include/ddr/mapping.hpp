@@ -102,6 +102,8 @@ struct DataMapping {
 /// Builds rank `rank`'s mapping from the full layout. Deterministic, no
 /// communication: every rank derives identical global knowledge from
 /// `layout` (the communicator-based setup allgathers layouts first).
+/// Compiles the fused lanes' segment plans; a per-round lane compiles on
+/// first use, or in Redistributor::setup() when a per-round executor runs.
 [[nodiscard]] DataMapping build_mapping(const GlobalLayout& layout, int rank,
                                         std::size_t elem_size);
 

@@ -165,9 +165,14 @@ struct CandidateCost {
   std::int64_t self_bytes = 0;        ///< bytes that never leave the rank
   /// Predicted pool-wide peak of concurrently live staging bytes.
   std::size_t predicted_peak_staging = 0;
-  /// False when a peak_staging_bytes budget is set and this candidate's
-  /// predicted peak exceeds it (the planner then may not choose it).
+  /// False when the planner may not choose this candidate; see
+  /// infeasible_reason.
   bool feasible = true;
+  /// Why the candidate is infeasible, "" when it is feasible: "over budget"
+  /// when a peak_staging_bytes budget is set and the predicted peak exceeds
+  /// it; "no intra-node lanes" for Backend::hybrid when every non-self lane
+  /// crosses nodes, so it would only repeat Backend::collective.
+  const char* infeasible_reason = "";
 };
 
 /// Per-peer-class row of a decision: how many fused lanes fall in the class,

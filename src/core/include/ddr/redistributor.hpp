@@ -96,8 +96,11 @@ struct ResizeOutcome {
 /// Options controlling setup behaviour.
 struct SetupOptions {
   /// Validate the paper's send-side contract (owned chunks mutually
-  /// exclusive and complete). Costs O(total_chunks^2) box intersections at
-  /// setup time; throws ddr-flavoured mpi::Error when violated.
+  /// exclusive and complete). Every rank runs validate_owned() over all
+  /// ranks' owned chunks at setup time: a sort-and-sweep that tests each
+  /// chunk against a few neighbours on a regular tiling, not the
+  /// total_chunks^2/2 pairs of an all-pairs scan. Throws ddr-flavoured
+  /// mpi::Error when violated.
   bool validate_owned_layout = true;
 
   Backend backend = Backend::alltoallw;

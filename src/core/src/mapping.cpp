@@ -179,15 +179,11 @@ DataMapping build_mapping(const GlobalLayout& layout, int rank,
   }
 
   // The mapping is computed once and executed every timestep (§III-C):
-  // compile every lane's segment plan now so no redistribute() call ever
-  // pays the flattening cost.
+  // compile every fused lane's segment plan now so no redistribute() call
+  // ever pays the flattening cost (the planner also reads their quad
+  // counts). Only the per-round executors move the per-round lanes, so
+  // Redistributor::setup() compiles those when one of them runs.
   DDR_TRACE_SPAN(pspan, "ddr.mapping.precompile");
-  for (const RoundPlan& rp : m.rounds) {
-    for (std::size_t q = 0; q < rp.sendtypes.size(); ++q)
-      if (rp.sendcounts[q] > 0) rp.sendtypes[q].precompile();
-    for (std::size_t q = 0; q < rp.recvtypes.size(); ++q)
-      if (rp.recvcounts[q] > 0) rp.recvtypes[q].precompile();
-  }
   for (const PeerLane& l : m.fused_send) l.type.precompile();
   for (const PeerLane& l : m.fused_recv) l.type.precompile();
   return m;

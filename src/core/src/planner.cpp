@@ -365,14 +365,16 @@ PlanDecision Planner::decide(const GlobalLayout& layout, std::size_t elem_size,
     c.intra_node_bytes = a.intra_bytes;
     c.self_bytes = a.self_bytes;
     c.predicted_peak_staging = peak;
-    c.feasible = peak_staging_bytes == 0 ||
-                 peak <= peak_staging_bytes ||
-                 b == Backend::collective;
+    if (peak_staging_bytes != 0 && peak > peak_staging_bytes &&
+        b != Backend::collective)
+      c.infeasible_reason = "over budget";
     // Hybrid's waves enforce the budget like collective's, but with zero
     // intra-node lanes it degenerates to the plain collective sequence —
     // nothing composite is left to win on, so it is marked infeasible and
     // every single-backend golden decision is preserved.
-    if (b == Backend::hybrid) c.feasible = intra_lane_count > 0;
+    if (b == Backend::hybrid)
+      c.infeasible_reason = intra_lane_count > 0 ? "" : "no intra-node lanes";
+    c.feasible = *c.infeasible_reason == '\0';
     d.candidates.push_back(c);
   };
 

@@ -456,61 +456,55 @@ void Redistributor::finish_setup() {
                 ") — use the alltoallw backend for this layout");
   }
 
-  // 8. Prewarm the staging pool with this rank's peak concurrent send set:
-  // every per-round (or per-peer, fused) payload can be in flight at once,
-  // since the p2p backends post all sends before draining any receive.
-  // Receivers reuse the sender-acquired buffers, so once every rank has
-  // planted its own send sizes, steady-state redistribute() calls never
-  // heap-allocate staging storage (the zero-allocation contract the JSON
-  // bench and CI assert).
+  // 8. Compile and prewarm for the executor that runs. Three executors send
+  // per-round messages: alltoallw, per-round point_to_point and, under an
+  // active FaultModel, the reliable per-round path every p2p flavour
+  // degrades to. The others move only the fused lanes, so per-round plans
+  // would go unused and per-round payloads would never be acquired — yet
+  // those payloads would cost every rank, since the communicator's pool and
+  // its best-fit scan are shared.
+  const bool per_round = resolved_backend_ == Backend::alltoallw ||
+                         resolved_backend_ == Backend::point_to_point ||
+                         comm_.fault_injection_active();
+  if (per_round) {
+    DDR_TRACE_SPAN(pspan, "ddr.mapping.precompile");
+    for (const RoundPlan& rp : mapping_.rounds)
+      for (std::size_t q = 0; q < rp.sendtypes.size(); ++q) {
+        if (rp.sendcounts[q] > 0) rp.sendtypes[q].precompile();
+        if (rp.recvcounts[q] > 0) rp.recvtypes[q].precompile();
+      }
+  }
+
+  // Prewarm the staging pool with this rank's peak concurrent send set:
+  // every payload can be in flight at once, since the p2p backends post all
+  // sends before draining any receive, and reserving every lane's full
+  // payload is conservative across any wave schedule. Receivers reuse the
+  // sender-acquired buffers, so once every rank has planted its own send
+  // sizes, steady-state redistribute() calls never heap-allocate staging
+  // storage (the zero-allocation contract the JSON bench and CI assert).
   DDR_TRACE_SPAN(rspan, "ddr.setup.reserve_staging");
   std::vector<std::size_t> send_bytes;
-  const auto self = static_cast<std::size_t>(mapping_.rank);
-  for (const RoundPlan& rp : mapping_.rounds)
-    for (std::size_t q = 0; q < rp.sendcounts.size(); ++q)
-      if (rp.sendcounts[q] > 0 && q != self)
-        send_bytes.push_back(static_cast<std::size_t>(rp.sendcounts[q]) *
-                             rp.sendtypes[q].size());
-  if (resolved_backend_ == Backend::point_to_point_fused ||
-      resolved_backend_ == Backend::point_to_point_pipelined)
+  if (per_round) {
+    const auto self = static_cast<std::size_t>(mapping_.rank);
+    for (const RoundPlan& rp : mapping_.rounds)
+      for (std::size_t q = 0; q < rp.sendcounts.size(); ++q)
+        if (rp.sendcounts[q] > 0 && q != self)
+          send_bytes.push_back(static_cast<std::size_t>(rp.sendcounts[q]) *
+                               rp.sendtypes[q].size());
+  } else {
+    // Intra-node lanes publish an 8-byte owned-buffer pointer instead of a
+    // payload (the ack is zero-byte, poolless) — except under
+    // Backend::collective, whose wave fences do not compose with zero-copy
+    // publication, so it packs intra lanes like inter ones.
     for (std::size_t i = 0; i < mapping_.fused_send.size(); ++i) {
-      // Intra-node lanes never pack a payload — they publish an 8-byte
-      // owned-buffer pointer instead (the ack is zero-byte, poolless).
-      switch (fused_send_class_[i]) {
-        case LaneClass::self:
-          break;
-        case LaneClass::intra:
-          send_bytes.push_back(sizeof(std::uintptr_t));
-          break;
-        case LaneClass::inter:
-          send_bytes.push_back(mapping_.fused_send[i].type.size());
-          break;
-      }
+      const LaneClass cls = fused_send_class_[i];
+      if (cls == LaneClass::self) continue;
+      send_bytes.push_back(cls == LaneClass::intra &&
+                                   resolved_backend_ != Backend::collective
+                               ? sizeof(std::uintptr_t)
+                               : mapping_.fused_send[i].type.size());
     }
-  if (resolved_backend_ == Backend::collective)
-    // Every non-self lane packs a payload here — intra lanes are sent like
-    // inter ones, since zero-copy pointer publication does not compose with
-    // the wave fences.
-    for (std::size_t i = 0; i < mapping_.fused_send.size(); ++i)
-      if (fused_send_class_[i] != LaneClass::self)
-        send_bytes.push_back(mapping_.fused_send[i].type.size());
-  if (resolved_backend_ == Backend::hybrid)
-    // Per-class prewarm: intra lanes publish an 8-byte pointer, only inter
-    // lanes pack wave payloads. Reserving every inter lane's full payload is
-    // conservative across any wave schedule, so steady-state calls stay
-    // heap-allocation-free under the zero-alloc contract.
-    for (std::size_t i = 0; i < mapping_.fused_send.size(); ++i) {
-      switch (fused_send_class_[i]) {
-        case LaneClass::self:
-          break;
-        case LaneClass::intra:
-          send_bytes.push_back(sizeof(std::uintptr_t));
-          break;
-        case LaneClass::inter:
-          send_bytes.push_back(mapping_.fused_send[i].type.size());
-          break;
-      }
-    }
+  }
   comm_.reserve_staging(send_bytes);
 
   p2p_epoch_ = 0;

@@ -1,0 +1,197 @@
+// setup() compiles and prewarms only for the executor that runs. The fused
+// executors (fused, pipelined, collective, hybrid) never send per-round
+// messages, so their setup plants only the fused lane payloads in the
+// staging pool and compiles no per-round plan; alltoallw, per-round
+// point-to-point and every backend under an active FaultModel (which runs
+// the reliable per-round path) still get both. Repeated setups on one
+// communicator leave the steady-state data path allocation-free.
+
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <optional>
+#include <span>
+#include <vector>
+
+#include "ddr/ddr.hpp"
+#include "minimpi/minimpi.hpp"
+#include "simnet/faults.hpp"
+#include "simnet/models.hpp"
+#include "trace/trace.hpp"
+
+namespace {
+
+using ddr::Backend;
+using ddr::Chunk;
+
+constexpr int kRanks = 4;
+
+/// 512 blocks of 2^3 over a 16^3 domain, block b owned by rank b % 4: 128
+/// rounds. Every rank needs one 8x8x16 brick.
+ddr::OwnedLayout blocks_of(int rank) {
+  ddr::OwnedLayout own;
+  for (int b = rank; b < 512; b += kRanks)
+    own.push_back(Chunk::d3(2, 2, 2, b % 8 * 2, b / 8 % 8 * 2, b / 64 * 2));
+  return own;
+}
+
+Chunk brick_of(int rank) {
+  return Chunk::d3(8, 8, 16, rank % 2 * 8, rank / 2 * 8, 0);
+}
+
+/// What one rank's traced setup() reserved and compiled, next to what its
+/// mapping holds.
+struct SetupCounts {
+  int rounds = 0;
+  std::int64_t reserved = 0;        ///< mpi.staging.reserve bytes
+  std::size_t precompiled = 0;      ///< mpi.datatype.precompile instants
+  std::int64_t inter_bytes = 0;     ///< fused send lanes to other nodes
+  std::int64_t intra_bytes = 0;     ///< fused send lanes to same-node peers
+  std::int64_t intra_lanes = 0;
+  std::int64_t round_payloads = 0;  ///< non-self per-round sends
+  std::size_t fused_types = 0;      ///< fused lane types setup compiles
+  std::size_t round_types = 0;      ///< non-empty per-round send + recv types
+};
+
+/// One traced setup() per rank under a two-ranks-per-node link model, so
+/// every rank has self, intra-node and inter-node lanes.
+std::vector<SetupCounts> trace_setup(Backend backend,
+                                     mpi::FaultModel* fault = nullptr) {
+  simnet::LinkParams lp = simnet::cooley_params();
+  lp.ranks_per_node = 2;
+  const simnet::LinkModel net(lp);
+  std::vector<trace::Recorder> recs;
+  recs.reserve(kRanks);
+  for (int r = 0; r < kRanks; ++r) recs.emplace_back(r);
+  std::vector<SetupCounts> out(kRanks);
+  mpi::RunOptions ro;
+  ro.network = &net;
+  ro.fault = fault;
+  mpi::run(
+      kRanks,
+      [&](mpi::Comm& comm) {
+        const int r = comm.rank();
+        const auto ri = static_cast<std::size_t>(r);
+        ddr::Redistributor rd(comm, sizeof(float));
+        rd.trace_sink(&recs[ri]);
+        ddr::SetupOptions opt;
+        opt.backend = backend;
+        rd.setup(blocks_of(r), brick_of(r), opt);
+
+        SetupCounts& c = out[ri];
+        c.rounds = rd.rounds();
+        const auto& ev = recs[ri].events();
+        c.reserved = trace::total_bytes(ev, "mpi.staging.reserve");
+        c.precompiled = trace::count_events(ev, "mpi.datatype.precompile",
+                                            trace::Phase::instant);
+        const ddr::DataMapping m =
+            ddr::build_mapping(rd.global_layout(), r, sizeof(float));
+        for (const ddr::PeerLane& l : m.fused_send) {
+          if (l.peer == r) continue;
+          if (comm.same_node(l.peer)) {
+            c.intra_bytes += l.bytes;
+            ++c.intra_lanes;
+          } else {
+            c.inter_bytes += l.bytes;
+          }
+        }
+        // Fused send and recv lanes, plus the sender-side type setup rebuilds
+        // for each intra-node recv lane to read it zero-copy.
+        c.fused_types = m.fused_send.size() + m.fused_recv.size();
+        for (const ddr::PeerLane& l : m.fused_recv)
+          if (l.peer != r && comm.same_node(l.peer)) ++c.fused_types;
+        for (const ddr::RoundPlan& rp : m.rounds)
+          for (std::size_t q = 0; q < kRanks; ++q) {
+            if (rp.sendcounts[q] > 0) {
+              ++c.round_types;
+              if (q != ri)
+                c.round_payloads +=
+                    static_cast<std::int64_t>(rp.sendtypes[q].size());
+            }
+            if (rp.recvcounts[q] > 0) ++c.round_types;
+          }
+      },
+      ro);
+  return out;
+}
+
+TEST(SetupPrewarm, FusedExecutorsReserveOnlyTheirLanePayloads) {
+  for (const Backend b :
+       {Backend::point_to_point_fused, Backend::point_to_point_pipelined,
+        Backend::collective, Backend::hybrid}) {
+    const std::vector<SetupCounts> counts = trace_setup(b);
+    for (int r = 0; r < kRanks; ++r) {
+      const SetupCounts& c = counts[static_cast<std::size_t>(r)];
+      ASSERT_EQ(c.rounds, 128);
+      ASSERT_EQ(c.intra_lanes, 1) << "rank " << r;
+      // Intra lanes publish an 8-byte pointer, except under collective,
+      // whose wave fences pack them like inter lanes.
+      const std::int64_t lanes =
+          c.inter_bytes + (b == Backend::collective
+                               ? c.intra_bytes
+                               : 8 * c.intra_lanes);
+      EXPECT_EQ(c.reserved, lanes) << ddr::backend_name(b) << " rank " << r;
+      // Only the fused lanes were compiled: no per-round type.
+      EXPECT_EQ(c.precompiled, c.fused_types)
+          << ddr::backend_name(b) << " rank " << r;
+    }
+  }
+}
+
+TEST(SetupPrewarm, PerRoundExecutorsKeepRoundPayloadsAndPlans) {
+  simnet::RandomFaultPlan lossless{simnet::RandomFaultParams{}};
+  struct Case {
+    Backend backend;
+    mpi::FaultModel* fault;
+  };
+  const Case cases[] = {
+      {Backend::alltoallw, nullptr},
+      {Backend::point_to_point, nullptr},
+      {Backend::alltoallw, &lossless},
+      {Backend::point_to_point, &lossless},
+      {Backend::point_to_point_fused, &lossless},
+      {Backend::point_to_point_pipelined, &lossless},
+      {Backend::collective, &lossless},
+      {Backend::hybrid, &lossless},
+  };
+  for (const Case& k : cases) {
+    const std::vector<SetupCounts> counts = trace_setup(k.backend, k.fault);
+    for (int r = 0; r < kRanks; ++r) {
+      const SetupCounts& c = counts[static_cast<std::size_t>(r)];
+      const char* name = ddr::backend_name(k.backend);
+      const char* mode = k.fault != nullptr ? " under faults" : "";
+      EXPECT_EQ(c.reserved, c.round_payloads) << name << mode << " rank " << r;
+      EXPECT_EQ(c.precompiled, c.fused_types + c.round_types)
+          << name << mode << " rank " << r;
+    }
+  }
+}
+
+TEST(SetupPrewarm, RepeatedSetupsKeepSteadyStateAllocationFree) {
+  // A dynamic layout sets up again on the same communicator whenever it
+  // changes; the pool those setups prewarm is shared by every rank.
+  mpi::run(kRanks, [](mpi::Comm& comm) {
+    const int r = comm.rank();
+    ddr::SetupOptions opt;
+    opt.backend = Backend::automatic;
+    std::optional<ddr::Redistributor> rd;
+    for (int i = 0; i < 50; ++i) {
+      rd.emplace(comm, sizeof(float));
+      rd->setup(blocks_of(r), brick_of(r), opt);
+    }
+    std::vector<float> src(rd->owned_bytes() / sizeof(float), 1.0f);
+    std::vector<float> dst(rd->needed_bytes() / sizeof(float));
+    comm.barrier();
+    const mpi::StagingStats s0 = comm.staging_stats();
+    comm.barrier();
+    for (int i = 0; i < 20; ++i)
+      rd->redistribute(std::as_bytes(std::span<const float>(src)),
+                       std::as_writable_bytes(std::span<float>(dst)));
+    comm.barrier();
+    const mpi::StagingStats s1 = comm.staging_stats();
+    EXPECT_GT(s1.acquires, s0.acquires);
+    EXPECT_EQ(s1.heap_allocations, s0.heap_allocations) << "rank " << r;
+  });
+}
+
+}  // namespace

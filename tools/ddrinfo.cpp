@@ -78,6 +78,8 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "ddr/ddr.hpp"
@@ -198,26 +200,31 @@ int run_validate(const ddr::LayoutSpec& spec) {
   }
 
   // Mutual exclusivity: no two owned chunks anywhere may share an element.
-  int overlaps = 0;
-  for (int a = 0; a < layout.nranks(); ++a) {
-    const auto& achunks = layout.owned[static_cast<std::size_t>(a)];
-    for (std::size_t i = 0; i < achunks.size(); ++i) {
-      for (int b = a; b < layout.nranks(); ++b) {
-        const auto& bchunks = layout.owned[static_cast<std::size_t>(b)];
-        for (std::size_t j = (b == a ? i + 1 : 0); j < bchunks.size(); ++j) {
-          const ddr::Box shared =
-              ddr::intersect(achunks[i].box(), bchunks[j].box());
-          if (shared.volume() == 0) continue;
-          ++overlaps;
-          std::printf("overlap: rank %d own #%zu %s and rank %d own #%zu %s "
-                      "share %s (%lld elements)\n",
-                      a, i, achunks[i].describe().c_str(), b, j,
-                      bchunks[j].describe().c_str(), shared.describe().c_str(),
-                      static_cast<long long>(shared.volume()));
-        }
-      }
+  // The library's sweep finds the pairs; they print in rank-major order.
+  std::vector<ddr::Box> boxes;
+  std::vector<std::pair<int, std::size_t>> owner;  // (rank, chunk) per box
+  for (int r = 0; r < layout.nranks(); ++r) {
+    const auto& chunks = layout.owned[static_cast<std::size_t>(r)];
+    for (std::size_t i = 0; i < chunks.size(); ++i) {
+      boxes.push_back(chunks[i].box());
+      owner.emplace_back(r, i);
     }
   }
+  std::vector<std::pair<std::size_t, std::size_t>> pairs;
+  ddr::for_each_overlap(boxes, [&](std::size_t i, std::size_t j) {
+    pairs.emplace_back(i, j);
+  });
+  std::sort(pairs.begin(), pairs.end());
+  for (const auto& [i, j] : pairs) {
+    const ddr::Box shared = ddr::intersect(boxes[i], boxes[j]);
+    std::printf("overlap: rank %d own #%zu %s and rank %d own #%zu %s "
+                "share %s (%lld elements)\n",
+                owner[i].first, owner[i].second, boxes[i].describe().c_str(),
+                owner[j].first, owner[j].second, boxes[j].describe().c_str(),
+                shared.describe().c_str(),
+                static_cast<long long>(shared.volume()));
+  }
+  const auto overlaps = static_cast<int>(pairs.size());
 
   // Completeness: with no overlaps, the owned volumes must sum to exactly
   // the domain volume or some element has no owner.
@@ -543,6 +550,8 @@ int run_plan(const ddr::LayoutSpec& spec, int ranks_per_node,
               "meas peak");
   for (const ddr::CandidateCost& c : d.candidates) {
     const Measured m = measure(c.backend);
+    const std::string note =
+        c.feasible ? "" : std::string("  (") + c.infeasible_reason + ")";
     std::printf("  %c %-24s %9.3f %9.3f %6lld %10lld %10lld %12zu %12llu%s\n",
                 c.backend == d.backend ? '*' : ' ',
                 ddr::backend_name(c.backend), c.predicted_s * 1e3, m.ms,
@@ -550,8 +559,7 @@ int run_plan(const ddr::LayoutSpec& spec, int ranks_per_node,
                 static_cast<long long>(c.inter_node_bytes),
                 static_cast<long long>(c.intra_node_bytes),
                 c.predicted_peak_staging,
-                static_cast<unsigned long long>(m.peak),
-                c.feasible ? "" : "  (over budget)");
+                static_cast<unsigned long long>(m.peak), note.c_str());
   }
   std::printf("\n* = chosen backend. Without a link model the predictions use "
               "calibrated software constants while measurements are host "
