@@ -86,7 +86,7 @@ struct DataMapping {
   std::vector<RoundPlan> rounds;
 
   /// Round-fused lanes (one per peer with any traffic, self included),
-  /// sorted by peer. Used by Backend::point_to_point_fused.
+  /// sorted by peer. Used by Backend::point_to_point_pipelined.
   std::vector<PeerLane> fused_send, fused_recv;
 
   /// Total bytes of the local owned buffer (all chunks concatenated).

@@ -12,9 +12,9 @@
 /// under the installed mpi::NetworkModel, and (when available) the local
 /// mapping's plan_quad_count/plan_segment_count — and emits a PlanDecision:
 /// the backend to run, the parallel-packing thread count, the staging
-/// prewarm size, and the wave schedule of the collective-sequence lowering
-/// under a caller-settable peak-staging budget (the memory-efficient
-/// redistribution axis of Rink et al., arXiv:2112.01075).
+/// prewarm size, and the wave schedule of the fused-lane executor's
+/// inter-node lanes under a caller-settable peak-staging budget (the
+/// memory-efficient redistribution axis of Rink et al., arXiv:2112.01075).
 ///
 /// Everything the decision depends on is GLOBAL knowledge (the allgathered
 /// layout and the run-wide NetworkModel), so every rank derives the
@@ -32,77 +32,56 @@ namespace ddr {
 
 struct DataMapping;
 
-/// How redistribute() moves the data.
+/// How redistribute() moves the data. The values are stable identifiers:
+/// traces record them as the `value` key of the ddr.setup and
+/// ddr.plan.decision events, so numbers of retired backends are not reused.
 enum class Backend {
   /// MPI_Alltoallw with subarray datatypes, one call per round — the
   /// algorithm the paper describes (§III-C).
-  alltoallw,
+  alltoallw = 0,
   /// Direct nonblocking send/recv per non-empty transfer — the paper's
   /// future-work optimization for sparse mappings (§V).
-  point_to_point,
-  /// Point-to-point with every peer's per-round lanes fused into ONE
-  /// struct-typed message, cutting the message count from rounds x peers to
-  /// peers. Under an active FaultModel this mode is gated off: the reliable
-  /// retry protocol re-requests individual (round, peer) transfers, so
-  /// redistribute() falls back to the per-round point-to-point path (see
-  /// Redistributor::effective_backend).
-  point_to_point_fused,
-  /// Pipelined point-to-point: the full per-peer receive window (every
-  /// peer's fused lane, all rounds stitched) is posted before any byte is
-  /// packed, sends stream lane-by-lane through the staging pool, and
-  /// receives complete out-of-order the moment they land (mpi::wait_any) —
-  /// each lane unpacked on arrival rather than in posting order behind a
-  /// wait_all fence — so total latency approaches the max per-peer transfer
-  /// time instead of rounds x round time. Like fused, an active FaultModel
-  /// gates this mode to the reliable per-round path (see
-  /// Redistributor::effective_backend).
-  point_to_point_pipelined,
-  /// Collective-sequence lowering: the fused per-peer lanes are executed as
-  /// a sequence of fenced waves (mpi::Comm::sequenced_exchange), each wave's
-  /// total payload bounded by SetupOptions::peak_staging_bytes, so the
-  /// staging pool's peak live bytes stay under the budget no matter how much
-  /// data the exchange moves. Trades wall time (one barrier per wave) for
-  /// peak staging — the memory-efficient redistribution axis. Broadcast- and
-  /// scatter-shaped exchanges (see CollectiveShape) lower to an
-  /// allgather/scatter wave sequence naturally. Gated to the reliable
-  /// per-round path under an active FaultModel, like the fused flavours.
-  collective,
-  /// Hybrid per-peer-class composition: the fused lane set is partitioned by
-  /// LaneClass under NetworkModel::node_of and each class gets the lowering
-  /// that wins for it — self lanes stay copy_regions zero-copy, intra-node
-  /// lanes go through the ptr-publish zero-copy path (two control messages,
-  /// no packed payload, no staging beyond the pointer), and ONLY the
-  /// inter-node lanes are lowered to a fenced collective wave sequence whose
-  /// per-wave payload respects SetupOptions::peak_staging_bytes. Compared to
-  /// Backend::collective the intra-node bytes never pack, never stage, and
-  /// never count against the budget, so the same budget needs fewer fences.
-  /// Only meaningful under an installed NetworkModel with mixed locality:
-  /// with zero intra-node lanes it degenerates to the collective sequence
-  /// and the planner marks it infeasible. Gated to the reliable per-round
-  /// path under an active FaultModel, like the fused flavours.
-  hybrid,
+  point_to_point = 1,
+  /// The fused-lane executor: every peer's per-round lanes are stitched into
+  /// ONE struct-typed lane, cutting the message count from rounds x peers to
+  /// peers. Each lane gets the lowering its LaneClass admits: the self lane
+  /// is a copy_regions, intra-node lanes are copied zero-copy out of the
+  /// sender's owned buffer through a published pointer, and inter-node lanes
+  /// are pipelined — the full receive window is posted before any byte is
+  /// packed, sends stream lane-by-lane in shifted order, and receives
+  /// complete out-of-order the moment they land (mpi::wait_any), so total
+  /// latency approaches the max per-peer transfer time instead of rounds x
+  /// round time. Under SetupOptions::peak_staging_bytes the inter-node lanes
+  /// run as a sequence of waves (assign_waves over inter_node_lanes), each
+  /// closed by a barrier, so the staging pool's peak stays within the
+  /// budget — the sequenced, memory-bounded exchange of Rink et al.
+  /// (arXiv:2112.01075). Under an active FaultModel this mode is gated to
+  /// the reliable per-round path (see Redistributor::effective_backend):
+  /// the retry protocol re-requests individual (round, peer) transfers.
+  point_to_point_pipelined = 3,
   /// Let ddr::Planner choose: setup() runs the cost model over every
   /// candidate above and redistribute() executes the winner (see
   /// Redistributor::plan() for the decision and per-candidate predictions).
-  automatic,
+  automatic = 6,
 };
 
 /// Locality class of a fused per-peer lane under the installed
-/// mpi::NetworkModel — the partition Backend::hybrid composes lowerings
-/// over (self lanes copy in place, intra-node lanes publish a pointer,
+/// mpi::NetworkModel — the partition the fused-lane executor lowers by
+/// (self lanes copy in place, intra-node lanes publish a pointer,
 /// inter-node lanes pack and pay the link).
 enum class LaneClass { self, intra, inter };
 
-/// Lanes below this many bytes are packed inline on the rank thread even
-/// when a PackExecutor is configured — the thread-handoff overhead costs
-/// more than the pack itself. The SAME constant gates the planner's
-/// parallel-packing decision, so the planner never requests threads the
-/// executor would decline to use.
+/// A rank packs its lanes on the PackExecutor only when one of its
+/// inter-node send lanes has at least this many bytes; below it the
+/// thread-handoff overhead costs more than the pack itself, so the lanes
+/// pack inline on the rank thread even when threads are configured. The
+/// SAME constant gates the planner's parallel-packing decision, so the
+/// planner never requests threads the executor would decline to use.
 inline constexpr std::int64_t kParallelPackThresholdBytes = 32 * 1024;
 
 /// Collective shape detected on the src->dst sharding pair (drives the
-/// explain output and documents which classic collective the wave sequence
-/// of Backend::collective corresponds to).
+/// explain output and documents which classic collective a budgeted wave
+/// sequence corresponds to).
 enum class CollectiveShape {
   /// No special structure; the wave sequence is a generic bounded scatter
   /// sequence over the fused lanes.
@@ -118,38 +97,34 @@ enum class CollectiveShape {
 };
 
 /// One directed non-self lane of the exchange: everything rank `sender`
-/// sends rank `receiver`, all rounds fused (the unit Backend::collective
+/// sends rank `receiver`, all rounds fused (the unit a staging budget
 /// schedules). Derived identically on every rank from the global layout.
-struct CollectiveLane {
+struct ExchangeLane {
   int sender = -1;
   int receiver = -1;
   std::int64_t bytes = 0;  ///< packed payload size of the lane
-  int wave = 0;            ///< fence group assigned by the wave planner
+  int wave = 0;            ///< fence group assigned by assign_waves
 };
 
-/// Enumerates the directed non-self lanes of `layout` in (sender, receiver)
-/// order with their packed payload sizes. Deterministic global knowledge.
-[[nodiscard]] std::vector<CollectiveLane> collective_lanes(
-    const GlobalLayout& layout, std::size_t elem_size);
+/// The directed non-self lanes of `layout` that cross nodes under `net`'s
+/// node map, in (sender, receiver) order with their packed payload sizes —
+/// the lanes the fused-lane executor stages, and so the ones a staging
+/// budget schedules (intra-node lanes move zero-copy). With net == nullptr
+/// every rank is its own node and every non-self lane is returned.
+/// Deterministic global knowledge; `world_ranks` maps communicator ranks to
+/// world ranks as in Planner::decide.
+[[nodiscard]] std::vector<ExchangeLane> inter_node_lanes(
+    const GlobalLayout& layout, std::size_t elem_size,
+    const mpi::NetworkModel* net = nullptr,
+    const std::vector<int>* world_ranks = nullptr);
 
 /// Partitions `lanes` into fenced waves whose per-wave payload total stays
 /// within `peak_staging_bytes` (0 = unlimited -> one wave). The budget is
 /// floored at the largest single lane — a lane is the smallest schedulable
 /// unit, so no budget can push the peak below it. Fills each lane's `wave`
 /// (greedy, in the deterministic lane order) and returns the wave count.
-int assign_collective_waves(std::vector<CollectiveLane>& lanes,
-                            std::size_t peak_staging_bytes);
-
-/// The inter-node subset of collective_lanes() under `net`'s node map — the
-/// lanes Backend::hybrid runs through the fenced wave sequence (its intra
-/// lanes move zero-copy and are not scheduled). With net == nullptr every
-/// rank is its own node and this equals collective_lanes(). Deterministic
-/// global knowledge; `world_ranks` maps communicator ranks to world ranks
-/// as in Planner::decide.
-[[nodiscard]] std::vector<CollectiveLane> hybrid_inter_lanes(
-    const GlobalLayout& layout, std::size_t elem_size,
-    const mpi::NetworkModel* net,
-    const std::vector<int>* world_ranks = nullptr);
+int assign_waves(std::vector<ExchangeLane>& lanes,
+                 std::size_t peak_staging_bytes);
 
 /// One evaluated backend candidate: the predicted cost and footprint the
 /// planner compared (ddrinfo --plan prints these against measured numbers).
@@ -170,16 +145,15 @@ struct CandidateCost {
   bool feasible = true;
   /// Why the candidate is infeasible, "" when it is feasible: "over budget"
   /// when a peak_staging_bytes budget is set and the predicted peak exceeds
-  /// it; "no intra-node lanes" for Backend::hybrid when every non-self lane
-  /// crosses nodes, so it would only repeat Backend::collective.
+  /// it. Backend::point_to_point_pipelined is always feasible: its waves
+  /// honor any budget down to the one-lane floor.
   const char* infeasible_reason = "";
 };
 
 /// Per-peer-class row of a decision: how many fused lanes fall in the class,
-/// the payload bytes they carry, the lowering the hybrid composition gives
+/// the payload bytes they carry, the lowering the fused-lane executor gives
 /// them, and the predicted per-class makespan contribution. Derived from
-/// global aggregates only, so identical on every rank (the cross-rank
-/// agreement contract extends to composite decisions).
+/// global aggregates only, so identical on every rank.
 struct ClassPlan {
   LaneClass cls = LaneClass::self;
   std::int64_t lanes = 0;       ///< fused lanes in this class (self: ranks
@@ -187,7 +161,8 @@ struct ClassPlan {
   std::int64_t bytes = 0;       ///< payload bytes the class carries
   double predicted_s = 0.0;     ///< predicted makespan of this class alone
   const char* lowering = "";    ///< "copy_regions" / "ptr_publish" /
-                                ///< "collective_waves"
+                                ///< "pipelined" (no budget) or
+                                ///< "fenced_waves" (under a budget)
 };
 
 /// The planner's verdict, identical on every rank of the communicator.
@@ -206,16 +181,14 @@ struct PlanDecision {
   double predicted_s = 0.0;
   /// Detected collective shape of the sharding pair.
   CollectiveShape shape = CollectiveShape::none;
-  /// Wave count of the collective-sequence lowering under the budget (1
-  /// when no budget is set).
+  /// Wave count of the fused-lane executor's inter-node lanes under the
+  /// budget (assign_waves over inter_node_lanes; 1 when no budget is set or
+  /// no inter lanes exist). Intra-node lanes move zero-copy and never
+  /// compete for the budget.
   int waves = 1;
-  /// Wave count of Backend::hybrid's inter-node-only wave sequence under
-  /// the same budget (<= waves: the intra lanes it excludes stop competing
-  /// for the budget). 1 when no budget is set or no inter lanes exist.
-  int hybrid_waves = 1;
   /// The self/intra/inter partition of the fused lane set, in that order
-  /// (always 3 entries), with the lowering Backend::hybrid composes per
-  /// class. Populated from global aggregates on every decision.
+  /// (always 3 entries), with the lowering the fused-lane executor gives
+  /// each class. Populated from global aggregates on every decision.
   std::vector<ClassPlan> class_plans;
   /// Stored quads / memcpy segments of this rank's compiled fused lane
   /// plans (0 when decide() ran without a local mapping). Consumed for the

@@ -39,9 +39,9 @@ namespace ddr {
 // intra/inter locality partition of the fused lanes, derived at setup()
 // time from the installed NetworkModel's node mapping via
 // mpi::Comm::same_node) live in ddr/planner.hpp, next to the planner that
-// chooses between backends and composes lowerings per lane class. Without a
-// network model every rank is its own node, so all non-self lanes are inter
-// and behaviour is exactly the flat exchange.
+// chooses between backends and prices the lowering of each lane class.
+// Without a network model every rank is its own node, so all non-self lanes
+// are inter and behaviour is exactly the flat exchange.
 
 /// What rebuild() may do on its own when ranks have died.
 enum class RebuildPolicy {
@@ -124,15 +124,15 @@ struct SetupOptions {
   /// communicator themselves when ranks have died (see RebuildPolicy).
   RebuildPolicy rebuild_policy = RebuildPolicy::manual;
 
-  /// Peak-staging budget in bytes, 0 = unlimited. Consumed three ways:
-  ///  * Backend::collective schedules its fenced waves so no wave's total
-  ///    payload exceeds the budget (floored at the largest single lane —
-  ///    the smallest schedulable unit);
-  ///  * Backend::hybrid does the same, but only over its inter-node lanes
-  ///    (its intra lanes move zero-copy and never stage);
+  /// Peak-staging budget in bytes, 0 = unlimited. Consumed two ways:
+  ///  * Backend::point_to_point_pipelined runs its inter-node lanes as
+  ///    waves, each closed by a barrier, so no wave's total payload exceeds
+  ///    the budget (floored at the largest single lane — the smallest
+  ///    schedulable unit); its intra lanes move zero-copy and stage only
+  ///    their 8-byte published pointers;
   ///  * Backend::automatic treats candidates whose predicted peak staging
-  ///    exceeds the budget as infeasible, falling back to the collective
-  ///    sequence (always feasible) when nothing else fits.
+  ///    exceeds the budget as infeasible, falling back to the waved
+  ///    pipelined executor (always feasible) when nothing else fits.
   std::size_t peak_staging_bytes = 0;
 
   /// Optional execution-plan cache (not owned; one instance PER RANK — see
@@ -274,8 +274,8 @@ class Redistributor {
 
   /// The backend redistribute() actually runs. Differs from the requested
   /// one in two cases: Backend::automatic resolves to the planner's choice
-  /// at setup() time (see plan()), and the fused flavours (fused, pipelined,
-  /// collective, hybrid) under an active FaultModel degrade to
+  /// at setup() time (see plan()), and the fused-lane executor
+  /// (point_to_point_pipelined) under an active FaultModel degrades to
   /// point_to_point (whose reliable per-round retry protocol handles
   /// message loss; fused messages cannot be re-requested per round).
   [[nodiscard]] Backend effective_backend() const;
@@ -304,10 +304,10 @@ class Redistributor {
  private:
   /// The communication-free tail of setup(): layout_ (and options_, comm_,
   /// elem_size_) are already in place; derives mapping_, stats_, the lane
-  /// classes, the tag budget and the staging prewarm. resize_rebalance()
-  /// reuses it to compile the old->new transition layout directly — the
-  /// transition has empty needed sides for retiring members, which the
-  /// public setup() rejects by design.
+  /// classes, the wave tables, the tag budget and the staging prewarm.
+  /// resize_rebalance() reuses it to compile the old->new transition layout
+  /// directly — the transition has empty needed sides for retiring members,
+  /// which the public setup() rejects by design.
   void finish_setup();
 
   /// One plan+transfer attempt of the resize protocol, collective over
@@ -339,23 +339,13 @@ class Redistributor {
                          std::span<std::byte> needed_data) const;
   void execute_p2p(std::span<const std::byte> owned_data,
                    std::span<std::byte> needed_data) const;
-  void execute_p2p_fused(std::span<const std::byte> owned_data,
-                         std::span<std::byte> needed_data) const;
+  /// Backend::point_to_point_pipelined — the one executor of the fused
+  /// lanes: self lane copy_regions, intra lanes the ptr-publish zero-copy
+  /// path, inter lanes pipelined once per wave of send_waves_/recv_waves_.
   void execute_p2p_pipelined(std::span<const std::byte> owned_data,
                              std::span<std::byte> needed_data) const;
   void execute_p2p_reliable(std::span<const std::byte> owned_data,
                             std::span<std::byte> needed_data) const;
-  /// Backend::collective — the fused lanes executed as a fenced wave
-  /// sequence (mpi::Comm::sequenced_exchange) whose per-wave payload stays
-  /// within SetupOptions::peak_staging_bytes.
-  void execute_collective(std::span<const std::byte> owned_data,
-                          std::span<std::byte> needed_data) const;
-  /// Backend::hybrid — per-peer-class composition: self lanes copy_regions,
-  /// intra lanes the ptr-publish zero-copy path, inter lanes a fenced wave
-  /// sequence over ONLY those lanes (waves from the planner's inter-only
-  /// schedule, so intra bytes never count against the staging budget).
-  void execute_hybrid(std::span<const std::byte> owned_data,
-                      std::span<std::byte> needed_data) const;
 
   mpi::Comm comm_;
   std::size_t elem_size_;
@@ -371,22 +361,23 @@ class Redistributor {
   /// every rank — derived only from the allgathered layout and the run-wide
   /// NetworkModel.
   Backend resolved_backend_ = Backend::alltoallw;
-  /// Wave index per fused send / recv lane (parallel to mapping_.fused_send
-  /// / fused_recv) and the wave count, for Backend::collective and
-  /// Backend::hybrid (hybrid schedules only its inter lanes: self lanes
-  /// carry wave -1 on both, and intra lanes carry -1 under hybrid).
-  std::vector<int> coll_send_wave_, coll_recv_wave_;
-  int coll_nwaves_ = 1;
+  /// Lowering table of the fused-lane executor, one entry per wave: the
+  /// indices of the inter-node lanes in mapping_.fused_send (in the shifted
+  /// order they are posted — this rank's successor first, wrapping) and in
+  /// mapping_.fused_recv that move in that wave. One wave without a staging
+  /// budget; under a budget the waves of the global inter-lane schedule,
+  /// so a lane moves in the same wave on its sender and receiver. Empty
+  /// unless the resolved backend is point_to_point_pipelined.
+  std::vector<std::vector<std::size_t>> send_waves_, recv_waves_;
   /// The cache plan_epoch this mapping's decision was resolved under (only
   /// meaningful when options_.plan_cache != nullptr; redistribute() rejects
   /// execution once the cache has been invalidated past it).
   std::uint64_t plan_cache_epoch_ = 0;
   /// Whether parallel packing can pay off on this mapping: true only when
-  /// some inter-node lane clears kParallelPackThresholdBytes. When false,
-  /// the fused/pipelined executors pack inline even if the application
+  /// some inter-node send lane clears kParallelPackThresholdBytes. When
+  /// false, the fused-lane executor packs inline even if the application
   /// configured PackExecutor threads — the thread handoff costs more than
-  /// the pack below the threshold (the fused_parpack2 small-message
-  /// regression in BENCH_redistribute.json).
+  /// the pack below the threshold.
   bool parpack_effective_ = false;
   /// Epoch counter for the reliable p2p protocol: every redistribute() call
   /// gets its own tag window so duplicated or re-sent messages from one call
@@ -422,15 +413,6 @@ class Redistributor {
     std::int64_t bytes = 0;
   };
   std::vector<IntraRecv> intra_recv_;
-
-  /// Handles the intra-node lanes of one fused/pipelined redistribute():
-  /// publishes this rank's owned-buffer pointer to intra peers it sends to,
-  /// then (in receive position) copies each intra sender's lane zero-copy
-  /// and acks it. wait_intra_acks() blocks until every intra receiver has
-  /// finished reading this rank's owned buffer.
-  void publish_intra(std::span<const std::byte> owned_data, int epoch) const;
-  void complete_intra_recvs(std::span<std::byte> needed_data, int epoch) const;
-  void wait_intra_acks(int epoch) const;
 
   /// Parallel-pack scratch (payload per fused send lane), reused across
   /// calls like reqs_.

@@ -64,7 +64,7 @@ struct ResizePlan {
 /// unchanged (kept bytes and per-member quotas don't depend on pool order;
 /// a donor at or above quota never receives, so no donation ever returns
 /// home), but as many of them as the pool allows become intra-node traffic
-/// the hybrid/fused executors move zero-copy. Must be identical on every
+/// the fused-lane executor moves zero-copy. Must be identical on every
 /// caller (derive it from the shared NetworkModel), like the layout itself.
 [[nodiscard]] std::vector<OwnedLayout> propose_resize_layout(
     const std::vector<OwnedLayout>& old_owned, int new_members,

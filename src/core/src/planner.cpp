@@ -15,8 +15,8 @@ namespace {
 // Used when no NetworkModel is installed (the wall-clock bench regime):
 // calibrated against BENCH_redistribute.json on the reference host so the
 // argmin over candidates reproduces the measured winners (plain p2p on
-// low-round small exchanges, the fused flavours when fusion collapses the
-// message count, pipelined over fused when the receive window overlaps).
+// low-round small exchanges, the fused-lane executor when fusion collapses
+// the message count and the receive window overlaps).
 // Absolute values matter less than ratios — the planner compares candidates,
 // it does not forecast wall time.
 
@@ -29,7 +29,7 @@ constexpr double kByteCostS = 4.0e-10;
 constexpr double kLaneStitchS = 4.0e-7;
 /// Per-peer-per-round loop cost of the dense alltoallw walk.
 constexpr double kRoundSyncS = 3.0e-7;
-/// One hop of the dissemination barrier fencing a collective-sequence wave.
+/// One hop of the dissemination barrier closing a budgeted wave.
 constexpr double kBarrierHopS = 1.5e-6;
 /// Plan-walk cost per stored quad (local predicted_s refinement only).
 constexpr double kQuadWalkS = 5.0e-9;
@@ -48,7 +48,7 @@ constexpr std::int64_t kParallelPackMinTotalBytes = std::int64_t{4} << 20;
 struct Aggregates {
   int nranks = 0;
   int rounds = 0;
-  std::vector<CollectiveLane> lanes;  ///< non-self, (sender, receiver) order
+  std::vector<ExchangeLane> lanes;    ///< non-self, (sender, receiver) order
   std::vector<bool> lane_inter;       ///< parallel to lanes
   std::int64_t self_bytes = 0;
   std::int64_t total_bytes = 0;       ///< non-self payload bytes
@@ -192,7 +192,7 @@ CollectiveShape detect_shape(const GlobalLayout& layout,
   int receiver = a.lanes.front().receiver;
   bool one_sender = true;
   bool one_receiver = true;
-  for (const CollectiveLane& l : a.lanes) {
+  for (const ExchangeLane& l : a.lanes) {
     one_sender = one_sender && l.sender == sender;
     one_receiver = one_receiver && l.receiver == receiver;
   }
@@ -209,62 +209,48 @@ const char* backend_name(Backend b) {
       return "alltoallw";
     case Backend::point_to_point:
       return "point_to_point";
-    case Backend::point_to_point_fused:
-      return "point_to_point_fused";
     case Backend::point_to_point_pipelined:
       return "point_to_point_pipelined";
-    case Backend::collective:
-      return "collective";
-    case Backend::hybrid:
-      return "hybrid";
     case Backend::automatic:
       return "automatic";
   }
   return "unknown";
 }
 
-std::vector<CollectiveLane> collective_lanes(const GlobalLayout& layout,
-                                             std::size_t elem_size) {
+std::vector<ExchangeLane> inter_node_lanes(
+    const GlobalLayout& layout, std::size_t elem_size,
+    const mpi::NetworkModel* net, const std::vector<int>* world_ranks) {
   std::map<std::pair<int, int>, std::int64_t> pair_bytes;
   for (const Transfer& t : enumerate_transfers(layout, elem_size)) {
     if (t.sender == t.receiver) continue;
+    if (net != nullptr && net->node_of(to_world(t.sender, world_ranks)) ==
+                              net->node_of(to_world(t.receiver, world_ranks)))
+      continue;
     pair_bytes[{t.sender, t.receiver}] += t.bytes;
   }
-  std::vector<CollectiveLane> lanes;
+  std::vector<ExchangeLane> lanes;
   lanes.reserve(pair_bytes.size());
   for (const auto& [key, bytes] : pair_bytes)
     lanes.push_back({key.first, key.second, bytes, 0});
   return lanes;
 }
 
-std::vector<CollectiveLane> hybrid_inter_lanes(
-    const GlobalLayout& layout, std::size_t elem_size,
-    const mpi::NetworkModel* net, const std::vector<int>* world_ranks) {
-  std::vector<CollectiveLane> lanes = collective_lanes(layout, elem_size);
-  if (net == nullptr) return lanes;  // every rank its own node: all inter
-  std::erase_if(lanes, [&](const CollectiveLane& l) {
-    return net->node_of(to_world(l.sender, world_ranks)) ==
-           net->node_of(to_world(l.receiver, world_ranks));
-  });
-  return lanes;
-}
-
-int assign_collective_waves(std::vector<CollectiveLane>& lanes,
-                            std::size_t peak_staging_bytes) {
+int assign_waves(std::vector<ExchangeLane>& lanes,
+                 std::size_t peak_staging_bytes) {
   if (lanes.empty()) return 1;
   if (peak_staging_bytes == 0) {
-    for (CollectiveLane& l : lanes) l.wave = 0;
+    for (ExchangeLane& l : lanes) l.wave = 0;
     return 1;
   }
   std::int64_t largest = 0;
-  for (const CollectiveLane& l : lanes) largest = std::max(largest, l.bytes);
+  for (const ExchangeLane& l : lanes) largest = std::max(largest, l.bytes);
   // The budget is floored at the largest lane: a lane is packed as one
   // payload, so no schedule can push the peak below it.
   const std::int64_t eff =
       std::max(largest, static_cast<std::int64_t>(peak_staging_bytes));
   int wave = 0;
   std::int64_t acc = 0;
-  for (CollectiveLane& l : lanes) {
+  for (ExchangeLane& l : lanes) {
     if (acc > 0 && acc + l.bytes > eff) {
       ++wave;
       acc = 0;
@@ -287,52 +273,38 @@ PlanDecision Planner::decide(const GlobalLayout& layout, std::size_t elem_size,
   PlanDecision d;
   d.shape = detect_shape(layout, a);
 
-  // Wave schedule of the collective-sequence lowering (also reported when
-  // another backend wins, so --plan can show the budget's effect).
-  std::vector<CollectiveLane> waves_lanes = a.lanes;
-  d.waves = assign_collective_waves(waves_lanes, peak_staging_bytes);
+  // Wave schedule of the fused-lane executor's inter-node lanes under the
+  // budget (also reported when another backend wins, so --plan can show the
+  // budget's effect). Intra lanes move zero-copy and never compete for it.
+  std::vector<ExchangeLane> inter_lanes;
+  std::int64_t intra_lane_count = 0;
+  for (std::size_t i = 0; i < a.lanes.size(); ++i) {
+    if (a.lane_inter[i])
+      inter_lanes.push_back(a.lanes[i]);
+    else
+      ++intra_lane_count;
+  }
+  const auto inter_lane_count = static_cast<std::int64_t>(inter_lanes.size());
+  d.waves = assign_waves(inter_lanes, peak_staging_bytes);
   std::int64_t max_wave_bytes = 0;
   {
     std::vector<std::int64_t> per_wave(static_cast<std::size_t>(d.waves), 0);
-    for (const CollectiveLane& l : waves_lanes)
+    for (const ExchangeLane& l : inter_lanes)
       per_wave[static_cast<std::size_t>(l.wave)] += l.bytes;
     for (const std::int64_t b : per_wave)
       max_wave_bytes = std::max(max_wave_bytes, b);
   }
 
-  // Hybrid's inter-node-only wave schedule: the intra lanes it excludes stop
-  // competing for the budget, so hybrid_waves <= waves.
-  std::vector<CollectiveLane> hybrid_lanes;
-  std::int64_t intra_lane_count = 0;
-  for (std::size_t i = 0; i < a.lanes.size(); ++i) {
-    if (a.lane_inter[i])
-      hybrid_lanes.push_back(a.lanes[i]);
-    else
-      ++intra_lane_count;
-  }
-  const auto inter_lane_count = static_cast<std::int64_t>(hybrid_lanes.size());
-  d.hybrid_waves = assign_collective_waves(hybrid_lanes, peak_staging_bytes);
-  std::int64_t max_hybrid_wave_bytes = 0;
-  {
-    std::vector<std::int64_t> per_wave(
-        static_cast<std::size_t>(d.hybrid_waves), 0);
-    for (const CollectiveLane& l : hybrid_lanes)
-      per_wave[static_cast<std::size_t>(l.wave)] += l.bytes;
-    for (const std::int64_t b : per_wave)
-      max_hybrid_wave_bytes = std::max(max_hybrid_wave_bytes, b);
-  }
-
   // Per-rank cost of the plain per-(round, pair) schedule: p2p and
   // alltoallw move the same pieces; they differ in loop structure only.
   std::vector<double> plain(p, 0.0);
-  std::vector<double> fused_fixed(p, 0.0);
+  std::vector<double> fused_fixed(p, 0.0), intra_cost(p, 0.0);
   std::vector<double> fused_bytes_out(p, 0.0), fused_bytes_in(p, 0.0);
   for (std::size_t i = 0; i < a.lanes.size(); ++i) {
-    const CollectiveLane& l = a.lanes[i];
+    const ExchangeLane& l = a.lanes[i];
     const auto si = static_cast<std::size_t>(l.sender);
     const auto ri = static_cast<std::size_t>(l.receiver);
-    const bool inter = a.lane_inter[i];
-    if (inter) {
+    if (a.lane_inter[i]) {
       fused_fixed[si] += price.send_side(0) + kLaneStitchS;
       fused_fixed[ri] += kLaneStitchS;
       fused_bytes_out[si] += price.send_side(l.bytes) - price.send_side(0);
@@ -342,9 +314,8 @@ PlanDecision Planner::decide(const GlobalLayout& layout, std::size_t elem_size,
       // copy_regions pass, no packed payload.
       const double ctrl = price.send_side(0) + price.recv_side(0, l.sender,
                                                                l.receiver);
-      fused_fixed[si] += ctrl;
-      fused_fixed[ri] += ctrl +
-                         static_cast<double>(l.bytes) * kIntraByteCostS;
+      intra_cost[si] += ctrl;
+      intra_cost[ri] += ctrl + static_cast<double>(l.bytes) * kIntraByteCostS;
     }
   }
   // Plain pieces: every (round, pair) transfer is its own message.
@@ -365,15 +336,11 @@ PlanDecision Planner::decide(const GlobalLayout& layout, std::size_t elem_size,
     c.intra_node_bytes = a.intra_bytes;
     c.self_bytes = a.self_bytes;
     c.predicted_peak_staging = peak;
+    // The fused-lane executor's waves honor any budget down to the one-lane
+    // floor, so it stays the always-feasible fallback.
     if (peak_staging_bytes != 0 && peak > peak_staging_bytes &&
-        b != Backend::collective)
+        b != Backend::point_to_point_pipelined)
       c.infeasible_reason = "over budget";
-    // Hybrid's waves enforce the budget like collective's, but with zero
-    // intra-node lanes it degenerates to the plain collective sequence —
-    // nothing composite is left to win on, so it is marked infeasible and
-    // every single-backend golden decision is preserved.
-    if (b == Backend::hybrid)
-      c.infeasible_reason = intra_lane_count > 0 ? "" : "no intra-node lanes";
     c.feasible = *c.infeasible_reason == '\0';
     d.candidates.push_back(c);
   };
@@ -393,105 +360,46 @@ PlanDecision Planner::decide(const GlobalLayout& layout, std::size_t elem_size,
   add_candidate(Backend::point_to_point, max_of(plain), a.pieces,
                 static_cast<std::size_t>(a.total_bytes));
 
-  // fused: one message per inter-node lane.
-  std::int64_t fused_msgs = 0;
-  std::int64_t fused_peak = 0;
-  for (std::size_t i = 0; i < a.lanes.size(); ++i)
-    if (a.lane_inter[i]) {
-      ++fused_msgs;
-      fused_peak += a.lanes[i].bytes;
-    } else {
-      fused_msgs += 2;  // pointer publish + ack
-      fused_peak += static_cast<std::int64_t>(sizeof(std::uintptr_t));
-    }
-  std::vector<double> fused(p, 0.0);
-  for (std::size_t r = 0; r < p; ++r)
-    fused[r] = fused_fixed[r] + fused_bytes_out[r] + fused_bytes_in[r];
-  add_candidate(Backend::point_to_point_fused, max_of(fused), fused_msgs,
-                static_cast<std::size_t>(fused_peak));
-
-  // pipelined: fused minus the pack/unpack overlap the receive window hides.
-  // Small lanes see no benefit — the per-lane spans dominate — so the credit
-  // is gated on the shared parallel-pack byte threshold. It is also gated on
-  // fusion actually collapsing messages (pieces > lanes): in a single-round
-  // exchange the fused lane set IS the plain message set, the stitched types
-  // buy nothing, and measured medians put plain p2p ahead (bcast3d).
+  // pipelined (the fused-lane executor): one message per inter-node lane,
+  // a pointer publish + ack per intra-node lane, minus the pack/unpack
+  // overlap the receive window hides. Small lanes see no benefit — the
+  // per-lane spans dominate — so the credit is gated on the shared
+  // parallel-pack byte threshold. It is also gated on fusion actually
+  // collapsing messages (pieces > lanes): in a single-round exchange the
+  // fused lane set IS the plain message set, the stitched types buy
+  // nothing, and measured medians put plain p2p ahead (bcast3d). Under a
+  // budget each wave of inter lanes is closed by a barrier, and the peak is
+  // the largest wave instead of every inter lane at once.
+  std::vector<double> inter_cost(p, 0.0);
   {
-    std::vector<double> cost = fused;
+    for (std::size_t r = 0; r < p; ++r)
+      inter_cost[r] = fused_fixed[r] + fused_bytes_out[r] + fused_bytes_in[r];
     if (a.max_lane_bytes >= kParallelPackThresholdBytes &&
         a.pieces > static_cast<std::int64_t>(a.lanes.size()))
       for (std::size_t r = 0; r < p; ++r)
         if (a.lanes_in[r] >= 2)
-          cost[r] -= kPipelineOverlap *
-                     std::min(fused_bytes_out[r], fused_bytes_in[r]);
-    add_candidate(Backend::point_to_point_pipelined, max_of(cost), fused_msgs,
-                  static_cast<std::size_t>(fused_peak));
-  }
-
-  // collective sequence: every non-self lane packed and sent exactly once
-  // (intra lanes included — waves fence the pool, zero-copy does not
-  // compose with them), one barrier per wave.
-  {
-    std::vector<double> cost(p, 0.0);
-    for (const CollectiveLane& l : a.lanes) {
-      const auto si = static_cast<std::size_t>(l.sender);
-      const auto ri = static_cast<std::size_t>(l.receiver);
-      cost[si] += price.send_side(l.bytes) + kLaneStitchS;
-      cost[ri] += price.recv_side(l.bytes, l.sender, l.receiver) +
-                  kLaneStitchS;
+          inter_cost[r] -= kPipelineOverlap *
+                           std::min(fused_bytes_out[r], fused_bytes_in[r]);
+    std::int64_t staged = a.inter_bytes;
+    if (peak_staging_bytes != 0) {
+      const double fence =
+          static_cast<double>(d.waves) *
+          (std::ceil(std::log2(std::max(2, a.nranks))) * 2.0 * kBarrierHopS);
+      for (double& x : inter_cost) x += fence;
+      staged = max_wave_bytes;
     }
-    const double fence =
-        static_cast<double>(d.waves) *
-        (std::ceil(std::log2(std::max(2, a.nranks))) * 2.0 * kBarrierHopS);
-    for (double& x : cost) x += fence;
-    add_candidate(Backend::collective, max_of(cost),
-                  static_cast<std::int64_t>(a.lanes.size()),
-                  static_cast<std::size_t>(max_wave_bytes));
-  }
-
-  // hybrid: per-peer-class composition. Self lanes copy in place, intra
-  // lanes keep the fused flavours' ptr-publish zero-copy path (two control
-  // messages, one copy_regions pass), and only the inter lanes run through
-  // the fenced wave sequence — over hybrid_waves, not waves, because the
-  // intra bytes no longer compete for the budget. The per-class makespans
-  // are kept for class_plans below.
-  std::vector<double> hybrid_intra(p, 0.0), hybrid_inter(p, 0.0);
-  {
-    for (std::size_t i = 0; i < a.lanes.size(); ++i) {
-      const CollectiveLane& l = a.lanes[i];
-      const auto si = static_cast<std::size_t>(l.sender);
-      const auto ri = static_cast<std::size_t>(l.receiver);
-      if (a.lane_inter[i]) {
-        hybrid_inter[si] += price.send_side(l.bytes) + kLaneStitchS;
-        hybrid_inter[ri] += price.recv_side(l.bytes, l.sender, l.receiver) +
-                            kLaneStitchS;
-      } else {
-        const double ctrl = price.send_side(0) + price.recv_side(0, l.sender,
-                                                                 l.receiver);
-        hybrid_intra[si] += ctrl;
-        hybrid_intra[ri] += ctrl +
-                            static_cast<double>(l.bytes) * kIntraByteCostS;
-      }
-    }
-    const double fence =
-        static_cast<double>(d.hybrid_waves) *
-        (std::ceil(std::log2(std::max(2, a.nranks))) * 2.0 * kBarrierHopS);
-    for (double& x : hybrid_inter) x += fence;
     std::vector<double> cost(p, 0.0);
-    for (std::size_t r = 0; r < p; ++r)
-      cost[r] = hybrid_intra[r] + hybrid_inter[r];
-    // Peak: the largest inter wave's staged payloads plus the intra lanes'
-    // published pointers.
+    for (std::size_t r = 0; r < p; ++r) cost[r] = intra_cost[r] + inter_cost[r];
     const std::int64_t peak =
-        max_hybrid_wave_bytes +
+        staged +
         intra_lane_count * static_cast<std::int64_t>(sizeof(std::uintptr_t));
-    add_candidate(Backend::hybrid, max_of(cost),
+    add_candidate(Backend::point_to_point_pipelined, max_of(cost),
                   inter_lane_count + 2 * intra_lane_count,
                   static_cast<std::size_t>(peak));
   }
 
-  // The per-peer-class partition with the lowering hybrid composes per
-  // class — global aggregates only, so identical on every rank.
+  // The per-peer-class partition with the lowering the fused-lane executor
+  // gives each class — global aggregates only, so identical on every rank.
   {
     std::int64_t self_lanes = 0;
     double self_cost = 0.0;
@@ -505,19 +413,19 @@ PlanDecision Planner::decide(const GlobalLayout& layout, std::size_t elem_size,
         {LaneClass::self, self_lanes, a.self_bytes, self_cost,
          "copy_regions"},
         {LaneClass::intra, intra_lane_count, a.intra_bytes,
-         max_of(hybrid_intra), "ptr_publish"},
+         max_of(intra_cost), "ptr_publish"},
         {LaneClass::inter, inter_lane_count, a.inter_bytes,
-         max_of(hybrid_inter), "collective_waves"},
+         max_of(inter_cost),
+         peak_staging_bytes != 0 ? "fenced_waves" : "pipelined"},
     };
   }
 
   // Selection: among budget-feasible candidates, the smallest predicted
   // cost wins; ties (within 0.1%) go to the earlier entry of the preference
   // order, which ranks simpler machinery first.
-  const Backend preference[] = {
-      Backend::point_to_point,       Backend::point_to_point_pipelined,
-      Backend::point_to_point_fused, Backend::hybrid,
-      Backend::alltoallw,            Backend::collective};
+  const Backend preference[] = {Backend::point_to_point,
+                                Backend::point_to_point_pipelined,
+                                Backend::alltoallw};
   const CandidateCost* best = nullptr;
   for (const Backend b : preference) {
     for (const CandidateCost& c : d.candidates) {
@@ -531,11 +439,10 @@ PlanDecision Planner::decide(const GlobalLayout& layout, std::size_t elem_size,
   d.predicted_peak_staging = best->predicted_peak_staging;
   d.staging_prewarm_bytes = best->predicted_peak_staging;
 
-  // Parallel packing: only for the packing backends, only when single lanes
-  // clear the inline threshold AND a rank packs enough total bytes to
+  // Parallel packing: only for the fused-lane executor, only when single
+  // lanes clear the inline threshold AND a rank packs enough total bytes to
   // amortize the executor handoff.
-  if ((d.backend == Backend::point_to_point_fused ||
-       d.backend == Backend::point_to_point_pipelined) &&
+  if (d.backend == Backend::point_to_point_pipelined &&
       a.max_lane_bytes >= kParallelPackThresholdBytes) {
     std::int64_t max_rank_inter = 0;
     for (std::size_t r = 0; r < p; ++r)

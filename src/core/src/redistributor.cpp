@@ -54,24 +54,18 @@ Chunk from_wire(const ChunkWire& w) {
 //   fused data message          : kP2pTagBase + W*(1 + 2R)    + e
 //   intra-node pointer publish  : kP2pTagBase + W*(2 + 2R)    + e
 //   intra-node copy ack         : kP2pTagBase + W*(3 + 2R)    + e
-//   collective wave sequence    : kP2pTagBase + W*(4 + 2R)    + e
 //
-// Highest tag used: kP2pTagBase + W*(5 + 2R) - 1; setup() rejects mappings
+// Highest tag used: kP2pTagBase + W*(4 + 2R) - 1; setup() rejects mappings
 // whose round count would exceed the ceiling. Epochs scope one
 // redistribute() call's traffic: re-sent or duplicated messages of one call
 // can never be mistaken for another call's (the window would have to wrap
 // within W in-flight calls, and each call drains its window before and after
-// use). The fused lane needs only one window regardless of the round count
-// because each peer pair exchanges at most one fused message per epoch; the
-// pipelined backend shares that window — it moves the same one-message-per-
-// peer lanes, differing only in completion order — so neither fused flavour
-// grows the tag budget. Intra-node lanes likewise exchange at most one
-// pointer and one ack per peer pair per epoch, so the two-level exchange
-// costs two windows regardless of the round count. Only inter-node data
-// messages consume the per-round data windows — intra lanes move zero-copy
-// and never touch them. The collective-sequence backend moves the same
-// one-message-per-peer lanes as fused, just fenced into waves, so it too
-// costs one window regardless of the round or wave count.
+// use). The fused lane needs only one window regardless of the round or
+// wave count because each peer pair exchanges at most one fused message per
+// epoch. Intra-node lanes likewise exchange at most one pointer and one ack
+// per peer pair per epoch, so the two-level exchange costs two windows
+// regardless of the round count. Only the per-round executors' data
+// messages consume the per-round data windows.
 
 /// Tag base for the point-to-point backend, chosen high so it cannot collide
 /// with typical application tags.
@@ -94,9 +88,6 @@ int p2p_intra_ptr_tag(int nrounds, int epoch) {
 }
 int p2p_intra_ack_tag(int nrounds, int epoch) {
   return kP2pTagBase + kP2pEpochWindow * (3 + 2 * nrounds) + epoch;
-}
-int p2p_coll_tag(int nrounds, int epoch) {
-  return kP2pTagBase + kP2pEpochWindow * (4 + 2 * nrounds) + epoch;
 }
 
 // --- fail-safe collective error agreement ------------------------------------
@@ -341,11 +332,11 @@ void Redistributor::finish_setup() {
   // backend and wave schedule are protocol-consistent with no extra
   // communication. The local mapping only refines this rank's predicted_s
   // and prewarm size — never the backend choice.
+  std::vector<int> world_ranks(static_cast<std::size_t>(mapping_.nranks));
+  for (int r = 0; r < mapping_.nranks; ++r)
+    world_ranks[static_cast<std::size_t>(r)] = comm_.world_rank(r);
   {
     DDR_TRACE_SPAN(dspan, "ddr.plan.decide");
-    std::vector<int> world_ranks(static_cast<std::size_t>(mapping_.nranks));
-    for (int r = 0; r < mapping_.nranks; ++r)
-      world_ranks[static_cast<std::size_t>(r)] = comm_.world_rank(r);
     // Resolve through the execution-plan cache when one is attached: the
     // decision is a pure function of (layout, elem_size, budget, topology,
     // rank), so a fingerprint hit replays it exactly and skips the global
@@ -389,65 +380,66 @@ void Redistributor::finish_setup() {
          .value = static_cast<std::int64_t>(resolved_backend_)});
   }
 
-  // 6d. Wave schedule for the collective-sequence backends: assign each
-  // scheduled fused lane (send and recv side) its fence group under the
-  // peak-staging budget. Backend::collective schedules every non-self lane;
-  // Backend::hybrid schedules only the inter-node lanes (its intra lanes
-  // move zero-copy outside the sequence, so they neither stage nor count
-  // against the budget — unscheduled lanes keep wave -1). Derived from the
-  // allgathered layout, so the wave a lane carries matches on its sender
-  // and receiver.
+  // 6d. Lowering table of the fused-lane executor: its inter-node lanes
+  // grouped by wave, send lanes in the shifted order they are posted. The
+  // waves come from the global inter-lane schedule under the staging
+  // budget (one wave without one), derived from the allgathered layout, so
+  // a lane moves in the same wave on its sender and receiver. Intra lanes
+  // move zero-copy outside the waves and never count against the budget.
+  send_waves_.clear();
+  recv_waves_.clear();
   parpack_effective_ = false;
-  coll_send_wave_.assign(mapping_.fused_send.size(), -1);
-  coll_recv_wave_.assign(mapping_.fused_recv.size(), -1);
-  coll_nwaves_ = 1;
-  if (resolved_backend_ == Backend::collective ||
-      resolved_backend_ == Backend::hybrid) {
-    std::vector<int> world_ranks(static_cast<std::size_t>(mapping_.nranks));
-    for (int r = 0; r < mapping_.nranks; ++r)
-      world_ranks[static_cast<std::size_t>(r)] = comm_.world_rank(r);
-    std::vector<CollectiveLane> lanes =
-        resolved_backend_ == Backend::hybrid
-            ? hybrid_inter_lanes(layout_, elem_size_, comm_.network_model(),
-                                 &world_ranks)
-            : collective_lanes(layout_, elem_size_);
-    coll_nwaves_ = assign_collective_waves(lanes, options_.peak_staging_bytes);
-    for (const CollectiveLane& l : lanes) {
-      if (l.sender == mapping_.rank)
-        for (std::size_t i = 0; i < mapping_.fused_send.size(); ++i)
-          if (mapping_.fused_send[i].peer == l.receiver)
-            coll_send_wave_[i] = l.wave;
-      if (l.receiver == mapping_.rank)
-        for (std::size_t i = 0; i < mapping_.fused_recv.size(); ++i)
-          if (mapping_.fused_recv[i].peer == l.sender)
-            coll_recv_wave_[i] = l.wave;
+  if (resolved_backend_ == Backend::point_to_point_pipelined) {
+    const auto p = static_cast<std::size_t>(mapping_.nranks);
+    std::vector<int> send_wave(p, 0), recv_wave(p, 0);  // by peer
+    int nwaves = 1;
+    if (options_.peak_staging_bytes > 0) {
+      std::vector<ExchangeLane> lanes = inter_node_lanes(
+          layout_, elem_size_, comm_.network_model(), &world_ranks);
+      nwaves = assign_waves(lanes, options_.peak_staging_bytes);
+      for (const ExchangeLane& l : lanes) {
+        if (l.sender == mapping_.rank)
+          send_wave[static_cast<std::size_t>(l.receiver)] = l.wave;
+        if (l.receiver == mapping_.rank)
+          recv_wave[static_cast<std::size_t>(l.sender)] = l.wave;
+      }
+    }
+    send_waves_.resize(static_cast<std::size_t>(nwaves));
+    recv_waves_.resize(static_cast<std::size_t>(nwaves));
+    // Classic shifted schedule: rank r posts its successor peer's lane
+    // first, wrapping, so no single mailbox is hammered by every sender at
+    // once (fused lanes are sorted by peer).
+    const std::vector<PeerLane>& sends = mapping_.fused_send;
+    std::size_t first = 0;
+    while (first < sends.size() && sends[first].peer <= mapping_.rank) ++first;
+    for (std::size_t n = 0; n < sends.size(); ++n) {
+      const std::size_t i = (first + n) % sends.size();
+      if (fused_send_class_[i] != LaneClass::inter) continue;
+      const auto peer = static_cast<std::size_t>(sends[i].peer);
+      send_waves_[static_cast<std::size_t>(send_wave[peer])].push_back(i);
+      // Parallel packing pays off only when some lane clears the inline
+      // threshold; below it the executor handoff costs more than the pack.
+      if (sends[i].bytes >= kParallelPackThresholdBytes)
+        parpack_effective_ = true;
+    }
+    for (std::size_t i = 0; i < mapping_.fused_recv.size(); ++i) {
+      if (fused_recv_class_[i] != LaneClass::inter) continue;
+      const auto peer = static_cast<std::size_t>(mapping_.fused_recv[i].peer);
+      recv_waves_[static_cast<std::size_t>(recv_wave[peer])].push_back(i);
     }
   }
-  // Whether parallel packing can pay off on this mapping: only when some
-  // inter-node lane clears the inline threshold. Below it the executor
-  // handoff costs more than the pack it offloads (the fused_parpack2
-  // small-message regression), so the fused/pipelined executors stay fully
-  // serial even if the application configured PackExecutor threads.
-  for (std::size_t i = 0; i < mapping_.fused_send.size(); ++i)
-    if (fused_send_class_[i] == LaneClass::inter &&
-        mapping_.fused_send[i].bytes >= kParallelPackThresholdBytes)
-      parpack_effective_ = true;
-  for (std::size_t i = 0; i < mapping_.fused_recv.size(); ++i)
-    if (fused_recv_class_[i] == LaneClass::inter &&
-        mapping_.fused_recv[i].bytes >= kParallelPackThresholdBytes)
-      parpack_effective_ = true;
 
   // 7. Tag-space budget for the p2p backends (see the tag layout comment
   // above): identical on every rank because the round count derives from the
   // allgathered layout and the resolved backend from global knowledge only.
-  // The fused and collective windows are included in the budget for all p2p
-  // flavours, so neither the fused <-> per-round fallback nor the planner's
-  // choice ever changes whether a layout is accepted.
+  // The fused-lane windows are included in the budget for all p2p flavours,
+  // so neither the fused <-> per-round fallback nor the planner's choice
+  // ever changes whether a layout is accepted.
   if (resolved_backend_ != Backend::alltoallw) {
     const auto nrounds = static_cast<std::int64_t>(mapping_.rounds.size());
     const std::int64_t highest =
         kP2pTagBase +
-        static_cast<std::int64_t>(kP2pEpochWindow) * (5 + 2 * nrounds) - 1;
+        static_cast<std::int64_t>(kP2pEpochWindow) * (4 + 2 * nrounds) - 1;
     require(highest < mpi::tag_upper_bound,
             "setup: point-to-point backend needs " + std::to_string(nrounds) +
                 " rounds, whose highest tag " + std::to_string(highest) +
@@ -458,11 +450,11 @@ void Redistributor::finish_setup() {
 
   // 8. Compile and prewarm for the executor that runs. Three executors send
   // per-round messages: alltoallw, per-round point_to_point and, under an
-  // active FaultModel, the reliable per-round path every p2p flavour
-  // degrades to. The others move only the fused lanes, so per-round plans
-  // would go unused and per-round payloads would never be acquired — yet
-  // those payloads would cost every rank, since the communicator's pool and
-  // its best-fit scan are shared.
+  // active FaultModel, the reliable per-round path the fused-lane executor
+  // degrades to. The fused-lane executor moves only the fused lanes, so
+  // per-round plans would go unused and per-round payloads would never be
+  // acquired — yet those payloads would cost every rank, since the
+  // communicator's pool and its best-fit scan are shared.
   const bool per_round = resolved_backend_ == Backend::alltoallw ||
                          resolved_backend_ == Backend::point_to_point ||
                          comm_.fault_injection_active();
@@ -493,14 +485,11 @@ void Redistributor::finish_setup() {
                                rp.sendtypes[q].size());
   } else {
     // Intra-node lanes publish an 8-byte owned-buffer pointer instead of a
-    // payload (the ack is zero-byte, poolless) — except under
-    // Backend::collective, whose wave fences do not compose with zero-copy
-    // publication, so it packs intra lanes like inter ones.
+    // payload (the ack is zero-byte, poolless).
     for (std::size_t i = 0; i < mapping_.fused_send.size(); ++i) {
       const LaneClass cls = fused_send_class_[i];
       if (cls == LaneClass::self) continue;
-      send_bytes.push_back(cls == LaneClass::intra &&
-                                   resolved_backend_ != Backend::collective
+      send_bytes.push_back(cls == LaneClass::intra
                                ? sizeof(std::uintptr_t)
                                : mapping_.fused_send[i].type.size());
     }
@@ -608,7 +597,7 @@ Redistributor::TransferResult Redistributor::resize_transfer(
       // identical old->new transition — no negotiation messages. Under a
       // NetworkModel the proposal is node-aware: donated bytes prefer
       // receivers on the donor's node, so the transfer's moved bytes lean
-      // intra-node (zero-copy under the fused/hybrid executors) without
+      // intra-node (zero-copy under the fused-lane executor) without
       // changing how many bytes move. The node map derives from the shared
       // model + world-rank mapping, so it is identical on every member.
       std::vector<int> member_node;
@@ -824,30 +813,21 @@ void Redistributor::redistribute(std::span<const std::byte> owned_data,
   if (resolved_backend_ == Backend::alltoallw) {
     execute_alltoallw(owned_data, needed_data);
   } else if (comm_.fault_injection_active()) {
-    // All p2p flavours degrade to the reliable per-round protocol here —
+    // Both p2p flavours degrade to the reliable per-round protocol here —
     // fused messages cannot be re-requested per (round, peer), which is the
-    // unit the retry protocol operates on, the pipelined executor's
-    // wait_any drain would spin forever on a dropped message, and the
-    // collective sequence's wave fences assume lossless delivery.
+    // unit the retry protocol operates on, the fused-lane executor's
+    // wait_any drain would spin forever on a dropped message, and its wave
+    // barriers assume lossless delivery.
     execute_p2p_reliable(owned_data, needed_data);
-  } else if (resolved_backend_ == Backend::point_to_point_fused) {
-    execute_p2p_fused(owned_data, needed_data);
   } else if (resolved_backend_ == Backend::point_to_point_pipelined) {
     execute_p2p_pipelined(owned_data, needed_data);
-  } else if (resolved_backend_ == Backend::collective) {
-    execute_collective(owned_data, needed_data);
-  } else if (resolved_backend_ == Backend::hybrid) {
-    execute_hybrid(owned_data, needed_data);
   } else {
     execute_p2p(owned_data, needed_data);
   }
 }
 
 Backend Redistributor::effective_backend() const {
-  if ((resolved_backend_ == Backend::point_to_point_fused ||
-       resolved_backend_ == Backend::point_to_point_pipelined ||
-       resolved_backend_ == Backend::collective ||
-       resolved_backend_ == Backend::hybrid) &&
+  if (resolved_backend_ == Backend::point_to_point_pipelined &&
       comm_.fault_injection_active())
     return Backend::point_to_point;
   return setup_done_ ? resolved_backend_ : options_.backend;
@@ -947,52 +927,6 @@ void Redistributor::execute_p2p(std::span<const std::byte> owned_data,
   reqs_.clear();
 }
 
-void Redistributor::publish_intra(std::span<const std::byte> owned_data,
-                                  int epoch) const {
-  const int nrounds = static_cast<int>(mapping_.rounds.size());
-  const int tag = p2p_intra_ptr_tag(nrounds, epoch);
-  for (std::size_t i = 0; i < mapping_.fused_send.size(); ++i) {
-    if (fused_send_class_[i] != LaneClass::intra) continue;
-    const PeerLane& l = mapping_.fused_send[i];
-    DDR_TRACE_INSTANT("ddr.intra.publish", {.peer = l.peer, .bytes = l.bytes});
-    const auto ptr = reinterpret_cast<std::uintptr_t>(owned_data.data());
-    comm_.send(&ptr, 1, mpi::Datatype::of<std::uintptr_t>(), l.peer, tag);
-  }
-}
-
-void Redistributor::complete_intra_recvs(std::span<std::byte> needed_data,
-                                         int epoch) const {
-  const int nrounds = static_cast<int>(mapping_.rounds.size());
-  const int ptag = p2p_intra_ptr_tag(nrounds, epoch);
-  const int atag = p2p_intra_ack_tag(nrounds, epoch);
-  for (const IntraRecv& ir : intra_recv_) {
-    // The mailbox handoff orders the sender's writes of its owned buffer
-    // before this read (it happens-before the pointer message), and the ack
-    // below orders this copy before anything the sender does after
-    // wait_intra_acks() — that pair is what makes the shared-memory read
-    // race-free.
-    std::uintptr_t ptr = 0;
-    comm_.recv(&ptr, 1, mpi::Datatype::of<std::uintptr_t>(), ir.peer, ptag);
-    {
-      DDR_TRACE_SPAN(cspan, "ddr.intra.copy",
-                     trace::Keys{.peer = ir.peer, .bytes = ir.bytes});
-      mpi::copy_regions(ir.peer_type,
-                        reinterpret_cast<const std::byte*>(ptr) + ir.peer_displ,
-                        1, ir.my_type, needed_data.data() + ir.my_displ, 1);
-    }
-    comm_.send(nullptr, 0, mpi::Datatype::bytes(1), ir.peer, atag);
-  }
-}
-
-void Redistributor::wait_intra_acks(int epoch) const {
-  const int nrounds = static_cast<int>(mapping_.rounds.size());
-  const int atag = p2p_intra_ack_tag(nrounds, epoch);
-  for (std::size_t i = 0; i < mapping_.fused_send.size(); ++i)
-    if (fused_send_class_[i] == LaneClass::intra)
-      comm_.recv(nullptr, 0, mpi::Datatype::bytes(1),
-                 mapping_.fused_send[i].peer, atag);
-}
-
 int Redistributor::fused_lane_count(LaneClass cls) const {
   int n = 0;
   for (const LaneClass c : fused_send_class_)
@@ -1000,423 +934,202 @@ int Redistributor::fused_lane_count(LaneClass cls) const {
   return n;
 }
 
-void Redistributor::execute_p2p_fused(std::span<const std::byte> owned_data,
-                                      std::span<std::byte> needed_data) const {
-  // One message per INTER-NODE peer: each peer's per-round lanes were
-  // stitched into a single struct type at setup time
-  // (DataMapping::fused_send/fused_recv). Intra-node lanes move zero-copy
-  // through shared memory (publish_intra/complete_intra_recvs); the self
-  // lane moves via copy_regions. With pack_threads() > 0 the inter lanes are
-  // packed/unpacked concurrently on the PackExecutor, with clock charging
-  // and mailbox traffic kept on this rank thread.
-  const int nrounds = static_cast<int>(mapping_.rounds.size());
-  const int epoch = static_cast<int>(p2p_epoch_++ % kP2pEpochWindow);
-  const int tag = p2p_fused_tag(nrounds, epoch);
-  // Parallel packing is gated on the mapping actually profiting from it:
-  // when no inter lane clears kParallelPackThresholdBytes, the executor
-  // handoff costs more than the packs it offloads, so the serial path runs
-  // even with PackExecutor threads configured.
-  const bool parallel = comm_.pack_threads() > 0 && parpack_effective_;
-  reqs_.clear();
-  {
-    DDR_TRACE_SPAN(fspan, "ddr.exchange.fused");
-    // Serial path: register interest in every inter lane up front. (The
-    // parallel path instead receives raw payloads below and unpacks them on
-    // the executor.) Fused lanes span every round: message instants carry
-    // round=-1.
-    if (!parallel)
-      for (std::size_t i = 0; i < mapping_.fused_recv.size(); ++i) {
-        if (fused_recv_class_[i] != LaneClass::inter) continue;
-        const PeerLane& l = mapping_.fused_recv[i];
-        DDR_TRACE_INSTANT("ddr.msg.recv", {.peer = l.peer, .bytes = l.bytes});
-        reqs_.push_back(comm_.irecv(needed_data.data() + l.displ, 1, l.type,
-                                    l.peer, tag));
-      }
-    // Publish owned-buffer pointers to intra peers before anything blocks,
-    // so no receiver can wait on a pointer its sender has not yet sent.
-    publish_intra(owned_data, epoch);
-    if (parallel) {
-      // Pack the big inter lanes concurrently into staging, then post from
-      // this thread (posting charges the clock and runs fault fates, which
-      // must stay serialized on the rank thread). Lanes below the inline
-      // threshold are packed right here on the rank thread first — the
-      // executor handoff costs more than such a pack.
-      payloads_.resize(mapping_.fused_send.size());
-      for (std::size_t i = 0; i < mapping_.fused_send.size(); ++i) {
-        if (fused_send_class_[i] != LaneClass::inter ||
-            mapping_.fused_send[i].bytes >= kParallelPackThresholdBytes)
-          continue;
-        const PeerLane& l = mapping_.fused_send[i];
-        payloads_[i] =
-            comm_.pack_to_staging(owned_data.data() + l.displ, 1, l.type);
-      }
-      const std::vector<std::size_t> lanes = comm_.parallel_for_lanes(
-          mapping_.fused_send.size(), [&](std::size_t i) {
-            if (fused_send_class_[i] != LaneClass::inter ||
-                mapping_.fused_send[i].bytes < kParallelPackThresholdBytes)
-              return;
-            const PeerLane& l = mapping_.fused_send[i];
-            payloads_[i] =
-                comm_.pack_to_staging(owned_data.data() + l.displ, 1, l.type);
-          });
-      for (std::size_t w = 0; w < lanes.size(); ++w) {
-        DDR_TRACE_SPAN(pspan, "ddr.pack.parallel",
-                       trace::Keys{.peer = static_cast<int>(w),
-                                   .value = static_cast<std::int64_t>(
-                                       lanes[w])});
-      }
-      for (std::size_t i = 0; i < mapping_.fused_send.size(); ++i) {
-        if (fused_send_class_[i] != LaneClass::inter) continue;
-        const PeerLane& l = mapping_.fused_send[i];
-        DDR_TRACE_INSTANT("ddr.msg.send", {.peer = l.peer, .bytes = l.bytes});
-        comm_.isend_packed(std::move(payloads_[i]), l.peer, tag);
-      }
-    } else {
-      for (std::size_t i = 0; i < mapping_.fused_send.size(); ++i) {
-        if (fused_send_class_[i] != LaneClass::inter) continue;
-        const PeerLane& l = mapping_.fused_send[i];
-        DDR_TRACE_INSTANT("ddr.msg.send", {.peer = l.peer, .bytes = l.bytes});
-        reqs_.push_back(
-            comm_.isend(owned_data.data() + l.displ, 1, l.type, l.peer, tag));
-      }
-    }
-    // Self lane: the fused send and recv types cover the same bytes in the
-    // same (round, needed-index) order, so they map onto each other directly.
-    for (const PeerLane& s : mapping_.fused_send) {
-      if (s.peer != mapping_.rank) continue;
-      for (const PeerLane& r : mapping_.fused_recv)
-        if (r.peer == mapping_.rank)
-          mpi::copy_regions(s.type, owned_data.data() + s.displ, 1, r.type,
-                            needed_data.data() + r.displ, 1);
-    }
-    // Intra lanes: copy straight out of each same-node sender's owned
-    // buffer, then ack so the sender may return.
-    complete_intra_recvs(needed_data, epoch);
-    if (parallel) {
-      // Receive the raw inter payloads (clock charged per message, on this
-      // thread), then unpack them concurrently and return the buffers to the
-      // pool. Everyone posted their sends before blocking here, so draining
-      // in peer order cannot deadlock.
-      payloads_.resize(mapping_.fused_recv.size());
-      try {
-        for (std::size_t i = 0; i < mapping_.fused_recv.size(); ++i) {
-          if (fused_recv_class_[i] != LaneClass::inter) continue;
-          const PeerLane& l = mapping_.fused_recv[i];
-          payloads_[i] = comm_.recv_payload(l.peer, tag);
-          DDR_TRACE_INSTANT("ddr.msg.recv", {.peer = l.peer, .bytes = l.bytes});
-          require(
-              payloads_[i].size() == l.type.size(),
-              "redistribute: fused lane from rank " + std::to_string(l.peer) +
-                  " delivered " + std::to_string(payloads_[i].size()) +
-                  " bytes, expected " + std::to_string(l.type.size()));
-          // Small lanes unpack inline right here — the executor handoff
-          // costs more than such an unpack — and their buffers go back to
-          // the pool immediately.
-          if (l.bytes < kParallelPackThresholdBytes) {
-            l.type.unpack(payloads_[i].data(), 1,
-                          needed_data.data() + l.displ);
-            comm_.release_staging(std::move(payloads_[i]));
-            payloads_[i].clear();
-          }
-        }
-      } catch (...) {
-        // The exchange aborts, but buffers already received must still go
-        // back to the pool instead of stranding in payloads_.
-        for (std::vector<std::byte>& p : payloads_)
-          if (!p.empty()) comm_.release_staging(std::move(p));
-        throw;
-      }
-      const std::vector<std::size_t> lanes = comm_.parallel_for_lanes(
-          mapping_.fused_recv.size(), [&](std::size_t i) {
-            if (fused_recv_class_[i] != LaneClass::inter ||
-                payloads_[i].empty())
-              return;
-            const PeerLane& l = mapping_.fused_recv[i];
-            l.type.unpack(payloads_[i].data(), 1,
-                          needed_data.data() + l.displ);
-          });
-      for (std::size_t w = 0; w < lanes.size(); ++w) {
-        DDR_TRACE_SPAN(uspan, "ddr.pack.parallel",
-                       trace::Keys{.peer = static_cast<int>(w),
-                                   .value = static_cast<std::int64_t>(
-                                       lanes[w])});
-      }
-      for (std::vector<std::byte>& p : payloads_)
-        if (!p.empty()) comm_.release_staging(std::move(p));
-    }
-  }
-  {
-    DDR_TRACE_SPAN(wspan, "ddr.wait_all");
-    mpi::wait_all(reqs_);
-  }
-  wait_intra_acks(epoch);
-  reqs_.clear();
-}
-
 void Redistributor::execute_p2p_pipelined(
     std::span<const std::byte> owned_data,
     std::span<std::byte> needed_data) const {
-  // Pipelined exchange over the fused per-peer lanes: the full receive
-  // window — one lane per sending peer, every round stitched in — is posted
-  // BEFORE any byte is packed, sends then stream lane-by-lane through the
-  // staging pool (exactly the concurrent send set setup() prewarmed), and
-  // receives complete out-of-order with wait_any, each lane unpacked the
-  // moment it lands instead of in posting order behind a wait_all fence.
-  // Total latency approaches the max per-peer transfer time; the lock-step
-  // round barrier the paper's alltoallw implies (§III-C) is gone, and a
-  // slow peer no longer blocks unpacking of the lanes that already arrived.
+  // The fused-lane executor. Each peer's lane — every round stitched in —
+  // moves under the lowering its LaneClass admits: the self lane is a
+  // copy_regions, intra-node lanes are copied zero-copy straight out of the
+  // same-node sender's owned buffer through a published pointer, and
+  // inter-node lanes are pipelined: the receive window is posted BEFORE
+  // any byte is packed, sends then stream lane-by-lane through the staging
+  // pool (exactly the concurrent send set setup() prewarmed), and receives
+  // complete out-of-order with wait_any, each lane unpacked the moment it
+  // lands instead of in posting order behind a wait_all fence. Total latency
+  // approaches the max per-peer transfer time; the lock-step round barrier
+  // the paper's alltoallw implies (§III-C) is gone, and a slow peer no
+  // longer blocks unpacking of the lanes that already arrived.
+  //
+  // The inter lanes run once per wave of the lowering table (one wave
+  // without a staging budget). Under SetupOptions::peak_staging_bytes a
+  // barrier closes each wave: every wave-w payload has been received, and
+  // its staging returned, before any rank packs a wave-(w+1) byte, so the
+  // pool's live bytes never exceed the largest wave plus the intra lanes'
+  // published pointers.
+  //
+  // Deadlock freedom: sends and pointer publications are buffered-eager
+  // (they never block), and every rank publishes its intra pointers and
+  // posts its wave-0 sends before its first blocking call, so the intra
+  // copies (wave 0) and every wave's receives are satisfied by messages
+  // already in flight; a wave's barrier is reached by each rank once its
+  // own receives of that wave are complete, which depends only on sends
+  // its peers post before they block in the same wave. The intra acks are
+  // drained after the last wave — the owned buffer is const here, so the
+  // sender's memory is stable for the whole call.
   const int nrounds = static_cast<int>(mapping_.rounds.size());
   const int epoch = static_cast<int>(p2p_epoch_++ % kP2pEpochWindow);
   const int tag = p2p_fused_tag(nrounds, epoch);
-  // Same gate as the fused executor: parallel packing only when some inter
-  // lane clears the inline threshold (see parpack_effective_).
+  const int ptr_tag = p2p_intra_ptr_tag(nrounds, epoch);
+  const int ack_tag = p2p_intra_ack_tag(nrounds, epoch);
+  // Parallel packing only when some inter lane clears the inline threshold
+  // (see parpack_effective_).
   const bool parallel = comm_.pack_threads() > 0 && parpack_effective_;
-  reqs_.clear();
-  recv_meta_.clear();
+  const bool fenced = options_.peak_staging_bytes > 0;
+  const std::vector<PeerLane>& sends = mapping_.fused_send;
+  if (parallel) payloads_.resize(sends.size());
 
-  // Phase 1: post the full INTER-NODE receive window (intra lanes complete
-  // zero-copy through shared memory instead — see complete_intra_recvs).
-  // The number of outstanding receives (the pipeline depth) is recorded as
-  // an instant. Fused lanes span every round, so their message instants
-  // carry round=-1.
-  {
-    DDR_TRACE_SPAN(pspan, "ddr.pipeline.post");
-    for (std::size_t i = 0; i < mapping_.fused_recv.size(); ++i) {
-      if (fused_recv_class_[i] != LaneClass::inter) continue;
-      const PeerLane& l = mapping_.fused_recv[i];
-      recv_meta_.push_back({-1, l.peer, l.bytes});
-      reqs_.push_back(
-          comm_.irecv(needed_data.data() + l.displ, 1, l.type, l.peer, tag));
+  for (std::size_t w = 0; w < send_waves_.size(); ++w) {
+    reqs_.clear();
+    recv_meta_.clear();
+    // Phase 1: post this wave's inter-node receive window. The number of
+    // outstanding receives (the pipeline depth) is recorded as an instant.
+    // Fused lanes span every round, so their message instants carry
+    // round=-1.
+    {
+      DDR_TRACE_SPAN(pspan, "ddr.pipeline.post");
+      for (const std::size_t i : recv_waves_[w]) {
+        const PeerLane& l = mapping_.fused_recv[i];
+        recv_meta_.push_back({-1, l.peer, l.bytes});
+        reqs_.push_back(comm_.irecv(needed_data.data() + l.displ, 1, l.type,
+                                    l.peer, tag));
+      }
+      DDR_TRACE_INSTANT("ddr.pipeline.depth",
+                        {.value = static_cast<std::int64_t>(reqs_.size())});
     }
-    DDR_TRACE_INSTANT("ddr.pipeline.depth",
-                      {.value = static_cast<std::int64_t>(reqs_.size())});
-  }
-  // Owned-buffer pointers go to intra peers before anything blocks, so no
-  // receiver can wait on a pointer its sender has not yet sent.
-  publish_intra(owned_data, epoch);
-  std::size_t nrecv_left = reqs_.size();
-  const std::span<mpi::Request> recvs(reqs_.data(), reqs_.size());
+    // Owned-buffer pointers go to intra peers before anything blocks, so no
+    // receiver can wait on a pointer its sender has not yet sent.
+    if (w == 0) {
+      const auto ptr = reinterpret_cast<std::uintptr_t>(owned_data.data());
+      for (std::size_t i = 0; i < sends.size(); ++i) {
+        if (fused_send_class_[i] != LaneClass::intra) continue;
+        DDR_TRACE_INSTANT("ddr.intra.publish",
+                          {.peer = sends[i].peer, .bytes = sends[i].bytes});
+        comm_.send(&ptr, 1, mpi::Datatype::of<std::uintptr_t>(),
+                   sends[i].peer, ptr_tag);
+      }
+    }
+    std::size_t nrecv_left = reqs_.size();
+    const std::span<mpi::Request> recvs(reqs_.data(), reqs_.size());
 
-  // Completes every receive that has already landed, without blocking.
-  // wait_any-style completion invalidates the request, so each lane is
-  // counted exactly once; the recv instant is emitted at COMPLETION time,
-  // which is what makes out-of-order arrival visible in the Chrome trace.
-  auto drain_ready = [&] {
-    for (std::size_t i = 0; i < recvs.size() && nrecv_left > 0; ++i) {
-      if (!recvs[i].valid()) continue;
-      if (recvs[i].test()) {
+    // Completes every receive that has already landed, without blocking.
+    // wait_any-style completion invalidates the request, so each lane is
+    // counted exactly once; the recv instant is emitted at COMPLETION time,
+    // which is what makes out-of-order arrival visible in the Chrome trace.
+    auto drain_ready = [&] {
+      for (std::size_t i = 0; i < recvs.size() && nrecv_left > 0; ++i) {
+        if (!recvs[i].valid()) continue;
+        if (recvs[i].test()) {
+          --nrecv_left;
+          DDR_TRACE_INSTANT("ddr.msg.recv", {.peer = recv_meta_[i].peer,
+                                             .bytes = recv_meta_[i].bytes});
+        }
+      }
+    };
+
+    // Phase 2: stream this wave's sends one lane at a time in the shifted
+    // order of the lowering table, so the first receives land while later
+    // lanes are still packing. Each pack span covers one peer's pack +
+    // post; between lanes, whatever landed meanwhile is drained and
+    // unpacked — overlap, not a barrier: nothing here waits. With
+    // pack_threads() > 0 the wave's lanes are packed concurrently up front
+    // on the PackExecutor; the shifted schedule then just posts the
+    // prepacked payloads (posting charges the clock, which stays on this
+    // thread).
+    const std::vector<std::size_t>& wave = send_waves_[w];
+    if (parallel) {
+      DDR_TRACE_SPAN(kspan, "ddr.pack.parallel",
+                     trace::Keys{.value = static_cast<std::int64_t>(
+                                     wave.size())});
+      const std::vector<std::size_t> counts =
+          comm_.parallel_for_lanes(wave.size(), [&](std::size_t k) {
+            const PeerLane& l = sends[wave[k]];
+            payloads_[wave[k]] =
+                comm_.pack_to_staging(owned_data.data() + l.displ, 1, l.type);
+          });
+      for (std::size_t slot = 0; slot < counts.size(); ++slot)
+        DDR_TRACE_INSTANT("ddr.pack.worker",
+                          {.peer = static_cast<int>(slot),
+                           .value = static_cast<std::int64_t>(counts[slot])});
+    }
+    for (const std::size_t i : wave) {
+      const PeerLane& l = sends[i];
+      {
+        DDR_TRACE_SPAN(kspan, "ddr.pipeline.pack", trace::Keys{.peer = l.peer});
+        DDR_TRACE_INSTANT("ddr.msg.send", {.peer = l.peer, .bytes = l.bytes});
+        // Sends are buffered-eager: the request is born complete, so only
+        // the receive window in reqs_ ever needs waiting on.
+        if (parallel)
+          comm_.isend_packed(std::move(payloads_[i]), l.peer, tag);
+        else
+          comm_.isend(owned_data.data() + l.displ, 1, l.type, l.peer, tag);
+      }
+      drain_ready();
+    }
+    if (w == 0) {
+      // Self lane: the fused send and recv types cover the same bytes in
+      // the same (round, needed-index) order, so they map onto each other
+      // directly.
+      for (const PeerLane& s : sends) {
+        if (s.peer != mapping_.rank) continue;
+        for (const PeerLane& r : mapping_.fused_recv)
+          if (r.peer == mapping_.rank)
+            mpi::copy_regions(s.type, owned_data.data() + s.displ, 1, r.type,
+                              needed_data.data() + r.displ, 1);
+      }
+      // Intra lanes: copy straight out of each same-node sender's owned
+      // buffer, then ack so the sender may return. The mailbox handoff
+      // orders the sender's writes of its owned buffer before this read (they
+      // happen-before the pointer message), and the ack orders this copy
+      // before anything the sender does after draining its acks — that
+      // pair is what makes the shared-memory read race-free.
+      for (const IntraRecv& ir : intra_recv_) {
+        std::uintptr_t ptr = 0;
+        comm_.recv(&ptr, 1, mpi::Datatype::of<std::uintptr_t>(), ir.peer,
+                   ptr_tag);
+        {
+          DDR_TRACE_SPAN(ispan, "ddr.intra.copy",
+                         trace::Keys{.peer = ir.peer, .bytes = ir.bytes});
+          mpi::copy_regions(
+              ir.peer_type,
+              reinterpret_cast<const std::byte*>(ptr) + ir.peer_displ, 1,
+              ir.my_type, needed_data.data() + ir.my_displ, 1);
+        }
+        comm_.send(nullptr, 0, mpi::Datatype::bytes(1), ir.peer, ack_tag);
+      }
+    }
+
+    // Phase 3: complete the remaining receives strictly in arrival order.
+    // While several are outstanding, wait_any picks whichever lands first;
+    // once a single lane is left there is no order to choose, so it
+    // completes with a blocking wait() — a condition-variable sleep instead
+    // of a test() poll that would contend on the mailbox the sender is
+    // delivering into.
+    {
+      DDR_TRACE_SPAN(cspan, "ddr.pipeline.complete");
+      while (nrecv_left > 1) {
+        const auto [i, st] = mpi::wait_any(recvs);
         --nrecv_left;
         DDR_TRACE_INSTANT("ddr.msg.recv", {.peer = recv_meta_[i].peer,
                                            .bytes = recv_meta_[i].bytes});
       }
+      if (nrecv_left == 1)
+        for (std::size_t i = 0; i < recvs.size(); ++i) {
+          if (!recvs[i].valid()) continue;
+          recvs[i].wait();
+          DDR_TRACE_INSTANT("ddr.msg.recv", {.peer = recv_meta_[i].peer,
+                                             .bytes = recv_meta_[i].bytes});
+          break;
+        }
     }
-  };
-
-  // Phase 2: stream the sends one lane at a time, in the classic shifted
-  // schedule — rank r packs its successor peer's lane first, wrapping — so
-  // no single rank's mailbox is hammered by every sender at once and the
-  // first receives land while later lanes are still packing. Each pack span
-  // covers one peer's pack + post; between lanes, whatever landed meanwhile
-  // is drained and unpacked — overlap, not a barrier: nothing here waits.
-  // With pack_threads() > 0 the lanes are packed concurrently up front on
-  // the PackExecutor; the shifted schedule then just posts the prepacked
-  // payloads (posting charges the clock, which stays on this thread).
-  const std::vector<PeerLane>& lanes = mapping_.fused_send;
-  if (parallel) {
-    payloads_.resize(lanes.size());
-    // Lanes below the inline threshold pack on the rank thread; only the
-    // big ones are worth the executor handoff (see parpack_effective_).
-    for (std::size_t i = 0; i < lanes.size(); ++i) {
-      if (fused_send_class_[i] != LaneClass::inter ||
-          lanes[i].bytes >= kParallelPackThresholdBytes)
-        continue;
-      payloads_[i] = comm_.pack_to_staging(owned_data.data() + lanes[i].displ,
-                                           1, lanes[i].type);
-    }
-    const std::vector<std::size_t> counts = comm_.parallel_for_lanes(
-        lanes.size(), [&](std::size_t i) {
-          if (fused_send_class_[i] != LaneClass::inter ||
-              lanes[i].bytes < kParallelPackThresholdBytes)
-            return;
-          const PeerLane& l = lanes[i];
-          payloads_[i] =
-              comm_.pack_to_staging(owned_data.data() + l.displ, 1, l.type);
-        });
-    for (std::size_t w = 0; w < counts.size(); ++w) {
-      DDR_TRACE_SPAN(pkspan, "ddr.pack.parallel",
-                     trace::Keys{.peer = static_cast<int>(w),
-                                 .value = static_cast<std::int64_t>(
-                                     counts[w])});
-    }
+    if (fenced) comm_.barrier();
   }
-  std::size_t first = 0;
-  while (first < lanes.size() && lanes[first].peer <= mapping_.rank) ++first;
-  for (std::size_t n = 0; n < lanes.size(); ++n) {
-    const std::size_t idx = (first + n) % lanes.size();
-    if (fused_send_class_[idx] != LaneClass::inter) continue;
-    const PeerLane& l = lanes[idx];
-    {
-      DDR_TRACE_SPAN(kspan, "ddr.pipeline.pack", trace::Keys{.peer = l.peer});
-      DDR_TRACE_INSTANT("ddr.msg.send", {.peer = l.peer, .bytes = l.bytes});
-      // Sends are buffered-eager: the request is born complete, so only the
-      // receive window in reqs_ ever needs waiting on.
-      if (parallel)
-        comm_.isend_packed(std::move(payloads_[idx]), l.peer, tag);
-      else
-        comm_.isend(owned_data.data() + l.displ, 1, l.type, l.peer, tag);
-    }
-    drain_ready();
-  }
-  // Self lane: the fused send and recv types cover the same bytes in the
-  // same (round, needed-index) order, so they map onto each other directly.
-  for (const PeerLane& s : mapping_.fused_send) {
-    if (s.peer != mapping_.rank) continue;
-    for (const PeerLane& r : mapping_.fused_recv)
-      if (r.peer == mapping_.rank)
-        mpi::copy_regions(s.type, owned_data.data() + s.displ, 1, r.type,
-                          needed_data.data() + r.displ, 1);
-  }
-  // Intra lanes: copy straight out of each same-node sender's owned buffer,
-  // then ack so the sender may return.
-  complete_intra_recvs(needed_data, epoch);
-
-  // Phase 3: complete the remaining receives strictly in arrival order.
-  // While several are outstanding, wait_any picks whichever lands first;
-  // once a single lane is left there is no order to choose, so it completes
-  // with a blocking wait() — a condition-variable sleep instead of a test()
-  // poll that would contend on the mailbox the sender is delivering into.
-  {
-    DDR_TRACE_SPAN(cspan, "ddr.pipeline.complete");
-    while (nrecv_left > 1) {
-      const auto [i, st] = mpi::wait_any(recvs);
-      --nrecv_left;
-      DDR_TRACE_INSTANT("ddr.msg.recv", {.peer = recv_meta_[i].peer,
-                                         .bytes = recv_meta_[i].bytes});
-    }
-    if (nrecv_left == 1)
-      for (std::size_t i = 0; i < recvs.size(); ++i) {
-        if (!recvs[i].valid()) continue;
-        recvs[i].wait();
-        DDR_TRACE_INSTANT("ddr.msg.recv", {.peer = recv_meta_[i].peer,
-                                           .bytes = recv_meta_[i].bytes});
-        break;
-      }
-  }
-  wait_intra_acks(epoch);
+  // Every intra receiver has finished reading this rank's owned buffer.
+  for (std::size_t i = 0; i < sends.size(); ++i)
+    if (fused_send_class_[i] == LaneClass::intra)
+      comm_.recv(nullptr, 0, mpi::Datatype::bytes(1), sends[i].peer,
+                 ack_tag);
   reqs_.clear();
   recv_meta_.clear();
-}
-
-void Redistributor::execute_collective(std::span<const std::byte> owned_data,
-                                       std::span<std::byte> needed_data) const {
-  // Collective-sequence lowering: the fused per-peer lanes run as a fenced
-  // wave sequence (mpi::Comm::sequenced_exchange). Within a wave every lane
-  // is packed, sent, received, unpacked and its staging returned before the
-  // closing barrier, so the pool's live bytes never exceed one wave's total
-  // payload — the peak_staging_bytes budget finish_setup() scheduled the
-  // waves under. Broadcast-shaped exchanges (identical needed layouts)
-  // thereby execute as an allgather sequence, single-source ones as a
-  // scatter sequence (see PlanDecision::shape). Intra-node lanes are packed
-  // and sent like inter lanes: zero-copy pointer publication does not
-  // compose with the wave fences, and bounded staging is the point here.
-  const int nrounds = static_cast<int>(mapping_.rounds.size());
-  const int epoch = static_cast<int>(p2p_epoch_++ % kP2pEpochWindow);
-  const int tag = p2p_coll_tag(nrounds, epoch);
-  DDR_TRACE_SPAN(espan, "ddr.exchange.collective",
-                 trace::Keys{.value = coll_nwaves_});
-  std::vector<mpi::PackedSendLane> sends;
-  std::vector<mpi::PackedRecvLane> recvs;
-  sends.reserve(mapping_.fused_send.size());
-  recvs.reserve(mapping_.fused_recv.size());
-  for (std::size_t i = 0; i < mapping_.fused_send.size(); ++i) {
-    const PeerLane& l = mapping_.fused_send[i];
-    if (l.peer == mapping_.rank) continue;
-    DDR_TRACE_INSTANT("ddr.msg.send", {.peer = l.peer, .bytes = l.bytes});
-    sends.push_back(
-        {l.peer, owned_data.data() + l.displ, &l.type, coll_send_wave_[i]});
-  }
-  for (std::size_t i = 0; i < mapping_.fused_recv.size(); ++i) {
-    const PeerLane& l = mapping_.fused_recv[i];
-    if (l.peer == mapping_.rank) continue;
-    DDR_TRACE_INSTANT("ddr.msg.recv", {.peer = l.peer, .bytes = l.bytes});
-    recvs.push_back({l.peer, needed_data.data() + l.displ, &l.type,
-                     coll_recv_wave_[i], l.type.size()});
-  }
-  // Self lane: copy_regions, outside the wave sequence (no staging).
-  for (const PeerLane& s : mapping_.fused_send) {
-    if (s.peer != mapping_.rank) continue;
-    for (const PeerLane& r : mapping_.fused_recv)
-      if (r.peer == mapping_.rank)
-        mpi::copy_regions(s.type, owned_data.data() + s.displ, 1, r.type,
-                          needed_data.data() + r.displ, 1);
-  }
-  comm_.sequenced_exchange(sends, recvs, coll_nwaves_, tag);
-}
-
-void Redistributor::execute_hybrid(std::span<const std::byte> owned_data,
-                                   std::span<std::byte> needed_data) const {
-  // Hybrid per-peer-class composition: each fused lane runs under the
-  // cheapest lowering its locality admits. The self lane is a direct
-  // copy_regions (no messages, no staging); intra-node lanes ride the fused
-  // path's zero-copy pointer-publication protocol (the receiver copies
-  // straight out of the sender's owned buffer — those bytes never touch the
-  // staging pool, so they don't count against peak_staging_bytes); only the
-  // inter-node lanes are lowered to the fenced collective wave sequence
-  // finish_setup() scheduled under the budget (coll_*_wave_ holds -1 for
-  // non-inter lanes; coll_nwaves_ covers the inter set alone).
-  //
-  // Deadlock freedom: pointer publication is buffered-eager (a uintptr_t
-  // send never blocks), so every rank publishes before anyone blocks in
-  // complete_intra_recvs; the intra copies complete before the wave
-  // sequence's first barrier, and the acks are drained after the sequence —
-  // the sender's owned buffer is stable for the whole exchange (it is const
-  // here), so deferring the acks past the fences is safe and keeps the
-  // intra protocol entirely outside the wave synchronization.
-  const int nrounds = static_cast<int>(mapping_.rounds.size());
-  const int epoch = static_cast<int>(p2p_epoch_++ % kP2pEpochWindow);
-  const int tag = p2p_coll_tag(nrounds, epoch);
-  DDR_TRACE_SPAN(espan, "ddr.exchange.hybrid",
-                 trace::Keys{.value = coll_nwaves_});
-  publish_intra(owned_data, epoch);
-  {
-    DDR_TRACE_SPAN(sspan, "ddr.hybrid.self", trace::Keys{.peer = mapping_.rank});
-    for (const PeerLane& s : mapping_.fused_send) {
-      if (s.peer != mapping_.rank) continue;
-      for (const PeerLane& r : mapping_.fused_recv)
-        if (r.peer == mapping_.rank)
-          mpi::copy_regions(s.type, owned_data.data() + s.displ, 1, r.type,
-                            needed_data.data() + r.displ, 1);
-    }
-  }
-  {
-    DDR_TRACE_SPAN(ispan, "ddr.hybrid.intra",
-                   trace::Keys{.value = fused_lane_count(LaneClass::intra)});
-    complete_intra_recvs(needed_data, epoch);
-  }
-  {
-    DDR_TRACE_SPAN(xspan, "ddr.hybrid.inter",
-                   trace::Keys{.value = coll_nwaves_});
-    std::vector<mpi::PackedSendLane> sends;
-    std::vector<mpi::PackedRecvLane> recvs;
-    sends.reserve(mapping_.fused_send.size());
-    recvs.reserve(mapping_.fused_recv.size());
-    for (std::size_t i = 0; i < mapping_.fused_send.size(); ++i) {
-      if (fused_send_class_[i] != LaneClass::inter) continue;
-      const PeerLane& l = mapping_.fused_send[i];
-      DDR_TRACE_INSTANT("ddr.msg.send", {.peer = l.peer, .bytes = l.bytes});
-      sends.push_back(
-          {l.peer, owned_data.data() + l.displ, &l.type, coll_send_wave_[i]});
-    }
-    for (std::size_t i = 0; i < mapping_.fused_recv.size(); ++i) {
-      if (fused_recv_class_[i] != LaneClass::inter) continue;
-      const PeerLane& l = mapping_.fused_recv[i];
-      DDR_TRACE_INSTANT("ddr.msg.recv", {.peer = l.peer, .bytes = l.bytes});
-      recvs.push_back({l.peer, needed_data.data() + l.displ, &l.type,
-                       coll_recv_wave_[i], l.type.size()});
-    }
-    comm_.sequenced_exchange(sends, recvs, coll_nwaves_, tag);
-  }
-  wait_intra_acks(epoch);
 }
 
 void Redistributor::execute_p2p_reliable(

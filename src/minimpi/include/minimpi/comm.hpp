@@ -99,32 +99,12 @@ struct StagingStats {
   /// High-water mark of live_bytes over the communicator's lifetime. This is
   /// the exchange's true concurrent staging footprint — the quantity a
   /// peak-staging budget (ddr::SetupOptions::peak_staging_bytes) bounds and
-  /// the number benches report per backend. Monotone: snapshot it before and
-  /// after an operation to attribute a peak. Prewarmed buffers
+  /// the number benches report per backend. Monotone until
+  /// Comm::reset_staging_peak() restarts it, which is how a peak is
+  /// attributed to one operation. Prewarmed buffers
   /// (Comm::reserve_staging) are planted in the free list without ever being
   /// live, so they do not inflate it.
   std::uint64_t peak_live_bytes = 0;
-};
-
-/// One send lane of Comm::sequenced_exchange: `1` element of `*type` at
-/// `base`, packed into one staging payload and sent to `peer` during fence
-/// group `wave`.
-struct PackedSendLane {
-  int peer = -1;
-  const void* base = nullptr;
-  const Datatype* type = nullptr;
-  int wave = 0;
-};
-
-/// One receive lane of Comm::sequenced_exchange: one packed payload of
-/// exactly `bytes` from `peer`, unpacked as `1` element of `*type` at `base`
-/// during fence group `wave`.
-struct PackedRecvLane {
-  int peer = -1;
-  void* base = nullptr;
-  const Datatype* type = nullptr;
-  int wave = 0;
-  std::size_t bytes = 0;
 };
 
 /// Waits for every request; returns their statuses in order.
@@ -262,11 +242,11 @@ class Comm {
   [[nodiscard]] Comm dup() const;
 
   // --- parallel lane packing ----------------------------------------------
-  // Opt-in helpers for libraries that pack/unpack many independent lanes
-  // (DDR's fused and pipelined backends). Packing is pure memory work, so it
-  // can fan out to a per-rank PackExecutor thread pool; everything that
-  // touches the simulation (virtual-clock charging, fault fates, mailbox
-  // posts) stays on the rank thread via isend_packed/recv_payload.
+  // Opt-in helpers for libraries that pack many independent lanes (DDR's
+  // fused-lane executor). Packing is pure memory work, so it can fan
+  // out to a per-rank PackExecutor thread pool; everything that touches the
+  // simulation (virtual-clock charging, fault fates, mailbox posts) stays on
+  // the rank thread via isend_packed.
 
   /// Sets the PackExecutor size used by parallel_for_lanes: `n` pool threads
   /// work alongside the calling rank thread. 0 (the default) runs lanes
@@ -287,7 +267,7 @@ class Comm {
 
   /// Packs `count` elements of `type` from `buf` into a staging buffer from
   /// the communicator pool. Thread-safe (PackExecutor workers call it); pair
-  /// with isend_packed on the rank thread or release_staging.
+  /// with isend_packed on the rank thread.
   [[nodiscard]] std::vector<std::byte> pack_to_staging(
       const void* buf, std::size_t count, const Datatype& type) const;
 
@@ -296,35 +276,6 @@ class Comm {
   /// from the owning rank thread, never from a PackExecutor worker.
   Request isend_packed(std::vector<std::byte> payload, int dest,
                        int tag) const;
-
-  /// Blocking receive of one matching message's raw packed payload (no
-  /// unpack). Lets callers defer unpacking — e.g. to PackExecutor workers —
-  /// and release the buffer back to the pool afterwards. Must be called from
-  /// the owning rank thread.
-  [[nodiscard]] std::vector<std::byte> recv_payload(int source, int tag) const;
-
-  /// Returns a staging buffer (from pack_to_staging/recv_payload) to the
-  /// communicator pool. Thread-safe.
-  void release_staging(std::vector<std::byte>&& buf) const;
-
-  /// Collective. Executes a whole packed exchange as a sequence of fenced
-  /// waves built from the existing primitives (pack_to_staging, isend_packed,
-  /// recv_payload, barrier) — the memory-efficient lowering DDR's
-  /// Backend::collective uses. Lanes carry a `wave` index in [0, nwaves);
-  /// wave w packs and posts every send lane of that wave, then drains and
-  /// unpacks every receive lane of that wave, then fences the communicator
-  /// with a barrier. The fence proves every wave-w payload has been released
-  /// before any wave-(w+1) payload is packed, so the staging pool's live
-  /// bytes never exceed the largest single wave (plus whatever the caller
-  /// already holds) regardless of the exchange's total volume.
-  ///
-  /// Wave assignment must be identical on every rank (it is derived from
-  /// globally shared knowledge in DDR) and a lane's wave must match on its
-  /// sender and receiver. Throws ErrorClass::truncate-flavoured Error when a
-  /// received payload's size differs from the lane's declared bytes.
-  void sequenced_exchange(std::span<const PackedSendLane> sends,
-                          std::span<const PackedRecvLane> recvs, int nwaves,
-                          int tag) const;
 
   // --- topology -------------------------------------------------------------
 
@@ -393,6 +344,13 @@ class Comm {
 
   /// Snapshot of this communicator's staging-buffer pool counters.
   [[nodiscard]] StagingStats staging_stats() const;
+
+  /// Restarts the pool's high-water mark at the bytes live right now, so a
+  /// later staging_stats().peak_live_bytes is the peak of what ran since.
+  /// Attributes a peak to one operation even when earlier traffic (a
+  /// setup's metadata allgathers) peaked higher. Not collective: quiesce
+  /// the communicator (e.g. a barrier) around the call.
+  void reset_staging_peak() const;
 
   /// Total messages posted in this run so far (whole world, both channels).
   /// Diff across an operation to count the messages it posted.

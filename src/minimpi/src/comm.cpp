@@ -1465,6 +1465,14 @@ StagingStats Comm::staging_stats() const {
       static_cast<std::uint64_t>(std::max<std::int64_t>(0, peak))};
 }
 
+void Comm::reset_staging_peak() const {
+  require(valid(), ErrorClass::invalid_comm,
+          "reset_staging_peak: invalid communicator");
+  impl_->staging.peak_live_bytes.store(
+      impl_->staging.live_bytes.load(std::memory_order_relaxed),
+      std::memory_order_relaxed);
+}
+
 std::uint64_t Comm::messages_posted() const {
   require(valid(), ErrorClass::invalid_comm,
           "messages_posted: invalid communicator");
@@ -1550,69 +1558,10 @@ Request Comm::isend_packed(std::vector<std::byte> payload, int dest,
   return r;
 }
 
-std::vector<std::byte> Comm::recv_payload(int source, int tag) const {
-  require(valid(), ErrorClass::invalid_comm,
-          "recv_payload: invalid communicator");
-  if (source != any_source) check_rank(*impl_, source, "recv_payload");
-  require((tag >= 0 && tag < tag_upper_bound) || tag == any_tag,
-          ErrorClass::invalid_tag,
-          "recv_payload: tag must be in [0, tag_upper_bound) or any_tag");
-  Mailbox& box = *impl_->user_box[static_cast<std::size_t>(rank_)];
-  const int my_world = impl_->group[static_cast<std::size_t>(rank_)];
-  fault_checkpoint(*impl_->world, my_world);
-  Message msg = take(box, *impl_->world, my_world, source, tag);
-  charge_recv(*impl_, rank_, msg);
-  return std::move(msg.payload);
-}
-
-void Comm::release_staging(std::vector<std::byte>&& buf) const {
-  require(valid(), ErrorClass::invalid_comm,
-          "release_staging: invalid communicator");
-  impl_->staging.release(std::move(buf));
-}
-
 const NetworkModel* Comm::network_model() const {
   require(valid(), ErrorClass::invalid_comm,
           "network_model: invalid communicator");
   return impl_->world->network;
-}
-
-void Comm::sequenced_exchange(std::span<const PackedSendLane> sends,
-                              std::span<const PackedRecvLane> recvs,
-                              int nwaves, int tag) const {
-  require(valid(), ErrorClass::invalid_comm,
-          "sequenced_exchange: invalid communicator");
-  require(nwaves >= 1, ErrorClass::invalid_argument,
-          "sequenced_exchange: need at least one wave");
-  for (int w = 0; w < nwaves; ++w) {
-    DDR_TRACE_SPAN(wspan, "mpi.seq.wave", trace::Keys{.round = w});
-    // Post every send of this wave first (buffered-eager, never blocks),
-    // then drain the wave's receives: every peer's sends are already in
-    // flight by the time anyone blocks, so draining in input order cannot
-    // deadlock. Each payload is released the moment it is unpacked — the
-    // barrier below then proves the whole wave's staging is back in the pool
-    // before the next wave packs a byte.
-    for (const PackedSendLane& l : sends) {
-      if (l.wave != w) continue;
-      isend_packed(pack_to_staging(l.base, 1, *l.type), l.peer, tag);
-    }
-    for (const PackedRecvLane& l : recvs) {
-      if (l.wave != w) continue;
-      std::vector<std::byte> payload = recv_payload(l.peer, tag);
-      if (payload.size() != l.bytes) {
-        const std::size_t got = payload.size();
-        release_staging(std::move(payload));
-        require(false, ErrorClass::truncate,
-                "sequenced_exchange: lane from rank " +
-                    std::to_string(l.peer) + " delivered " +
-                    std::to_string(got) + " bytes, expected " +
-                    std::to_string(l.bytes));
-      }
-      l.type->unpack(payload.data(), 1, static_cast<std::byte*>(l.base));
-      release_staging(std::move(payload));
-    }
-    barrier();
-  }
 }
 
 bool Comm::same_node(int rank_in_comm) const {

@@ -130,9 +130,9 @@ struct BufferPool {
   std::atomic<std::uint64_t> acquires{0};
   std::atomic<std::uint64_t> heap_allocs{0};
   /// Bytes currently handed out (acquired, not yet released) and the
-  /// high-water mark of that quantity. The peak is what the collective-
-  /// sequence backend's peak_staging_bytes budget bounds and what benches
-  /// report as the exchange's true staging footprint.
+  /// high-water mark of that quantity. The peak is what a
+  /// peak_staging_bytes budget on DDR's fused-lane executor bounds and what
+  /// benches report as the exchange's true staging footprint.
   std::atomic<std::int64_t> live_bytes{0};
   std::atomic<std::int64_t> peak_live_bytes{0};
 

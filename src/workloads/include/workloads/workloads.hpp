@@ -4,8 +4,8 @@
 /// Redistribution workload generators (ROADMAP item 5): the two families
 /// from related work that stress redistribution hardest, built as layout
 /// generators over the ordinary SetupDataMapping machinery so every backend,
-/// the planner, the collective-sequence lowering, and the resize protocol
-/// can be exercised on them.
+/// the planner, the budgeted wave sequence, and the resize protocol can be
+/// exercised on them.
 ///
 ///  * PencilTranspose — the slab/pencil layout triple of distributed 3-D
 ///    FFTs (Dalcin et al., "Fast parallel multidimensional FFT using

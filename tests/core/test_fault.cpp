@@ -119,63 +119,15 @@ TEST(FaultTolerance, P2pCompletesUnderCombinedDropAndDuplication) {
                              /*repetitions=*/2);
 }
 
-TEST(FaultTolerance, FusedP2pIsGatedOffUnderActiveFaultModel) {
-  // The fused backend's one-message-per-peer lanes cannot be re-requested
-  // per (round, peer), which is the unit of the reliable retry protocol — so
-  // under an active FaultModel, fused must degrade to the per-round
-  // point-to-point path (and still deliver the oracle bytes through it).
-  simnet::RandomFaultParams p;
-  p.drop_rate = 0.10;
-  p.seed = 4321;
-  simnet::RandomFaultPlan plan(p);
-  mpi::RunOptions ropts;
-  ropts.fault = &plan;
-  mpi::run(
-      4,
-      [&](mpi::Comm& comm) {
-        const int rank = comm.rank();
-        Redistributor r(comm, sizeof(float));
-        const ddr::OwnedLayout own{Chunk::d2(8, 1, 0, rank),
-                                   Chunk::d2(8, 1, 0, rank + 4)};
-        const Chunk need = Chunk::d2(4, 4, 4 * (rank % 2), 4 * (rank / 2));
-        ddr::SetupOptions opts;
-        opts.backend = Backend::point_to_point_fused;
-        r.setup(own, need, opts);
-        // The gate: fused was requested, but the fault model forces the
-        // per-round backend whose retry protocol handles the losses.
-        EXPECT_EQ(r.effective_backend(), Backend::point_to_point);
-
-        std::vector<float> own_data;
-        for (const auto& c : own) {
-          const auto v = fill_chunk(c);
-          own_data.insert(own_data.end(), v.begin(), v.end());
-        }
-        std::vector<float> need_data(static_cast<std::size_t>(need.volume()),
-                                     -1);
-        r.redistribute(bytes_of(own_data), bytes_of(need_data));
-        expect_oracle(need_data, need);
-      },
-      ropts);
-}
-
-TEST(FaultTolerance, FusedP2pStaysFusedWithoutFaultModel) {
-  mpi::run(2, [](mpi::Comm& comm) {
-    Redistributor r(comm, sizeof(float));
-    ddr::SetupOptions opts;
-    opts.backend = Backend::point_to_point_fused;
-    r.setup({Chunk::d1(4, 4 * comm.rank())}, Chunk::d1(4, 4 * comm.rank()),
-            opts);
-    EXPECT_EQ(r.effective_backend(), Backend::point_to_point_fused);
-  });
-}
-
 TEST(FaultTolerance, PipelinedP2pIsGatedOffUnderActiveFaultModel) {
   // The pipelined executor's wait_any drain would spin forever on a dropped
   // message (nothing ever completes the orphaned receive), so under an
   // active FaultModel it must degrade to the reliable per-round path — and
   // still deliver the oracle bytes through it. Delay injection reorders
   // messages between rounds, which the up-front receive window must also
-  // survive via the fallback.
+  // survive via the fallback. A staging budget changes nothing here: the
+  // wave barriers assume lossless delivery too, so the waved executor
+  // degrades the same way.
   simnet::RandomFaultParams p;
   p.drop_rate = 0.10;
   p.delay_rate = 0.30;
@@ -188,29 +140,32 @@ TEST(FaultTolerance, PipelinedP2pIsGatedOffUnderActiveFaultModel) {
       4,
       [&](mpi::Comm& comm) {
         const int rank = comm.rank();
-        Redistributor r(comm, sizeof(float));
         const ddr::OwnedLayout own{Chunk::d2(8, 1, 0, rank),
                                    Chunk::d2(8, 1, 0, rank + 4)};
         const Chunk need = Chunk::d2(4, 4, 4 * (rank % 2), 4 * (rank / 2));
-        ddr::SetupOptions opts;
-        opts.backend = Backend::point_to_point_pipelined;
-        r.setup(own, need, opts);
-        // The gate: pipelined was requested, but the fault model forces the
-        // per-round backend whose retry protocol handles loss and reorder.
-        EXPECT_EQ(r.effective_backend(), Backend::point_to_point);
-
         std::vector<float> own_data;
         for (const auto& c : own) {
           const auto v = fill_chunk(c);
           own_data.insert(own_data.end(), v.begin(), v.end());
         }
-        // Two repetitions exercise the per-call epoch scoping on the
-        // fallback path (a retry of call N must never satisfy call N+1).
-        for (int rep = 0; rep < 2; ++rep) {
-          std::vector<float> need_data(static_cast<std::size_t>(need.volume()),
-                                       -1);
-          r.redistribute(bytes_of(own_data), bytes_of(need_data));
-          expect_oracle(need_data, need);
+        for (const std::size_t budget : {std::size_t{0}, std::size_t{64}}) {
+          Redistributor r(comm, sizeof(float));
+          ddr::SetupOptions opts;
+          opts.backend = Backend::point_to_point_pipelined;
+          opts.peak_staging_bytes = budget;
+          r.setup(own, need, opts);
+          // The gate: pipelined was requested, but the fault model forces
+          // the per-round backend whose retry protocol handles loss and
+          // reorder.
+          EXPECT_EQ(r.effective_backend(), Backend::point_to_point);
+          // Two repetitions exercise the per-call epoch scoping on the
+          // fallback path (a retry of call N must never satisfy call N+1).
+          for (int rep = 0; rep < 2; ++rep) {
+            std::vector<float> need_data(
+                static_cast<std::size_t>(need.volume()), -1);
+            r.redistribute(bytes_of(own_data), bytes_of(need_data));
+            expect_oracle(need_data, need);
+          }
         }
       },
       ropts);

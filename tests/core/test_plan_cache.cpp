@@ -59,12 +59,12 @@ TEST(PlanCacheStats, LookupAndStoreCount) {
   EXPECT_EQ(cache.lookup(42), nullptr);
   EXPECT_EQ(cache.stats().misses, 1u);
   ddr::PlanDecision d;
-  d.backend = Backend::collective;
+  d.backend = Backend::point_to_point_pipelined;
   cache.store(42, d);
   EXPECT_EQ(cache.stats().entries, 1u);
   const ddr::PlanDecision* hit = cache.lookup(42);
   ASSERT_NE(hit, nullptr);
-  EXPECT_EQ(hit->backend, Backend::collective);
+  EXPECT_EQ(hit->backend, Backend::point_to_point_pipelined);
   EXPECT_EQ(cache.stats().hits, 1u);
   cache.invalidate();
   EXPECT_EQ(cache.epoch(), 1u);

@@ -1,15 +1,18 @@
 // ddr::Planner tests: golden PlanDecision pins for the bench fixtures (the
-// planner must reproduce the measured winners), the collective-sequence wave
-// scheduler, the budget-forced collective lowering, and property tests that
-// the lowered allgather/scatter wave sequence is byte-identical to plain
-// point-to-point on random layouts while keeping the staging pool's peak
-// under the requested budget.
+// planner must reproduce the measured winners), the wave scheduler of the
+// fused-lane executor's inter-node lanes, the budget-forced wave sequence,
+// and property tests that every lowering — flat and two-ranks-per-node
+// topology, with and without a staging budget, serial and parallel packing
+// — is byte-identical to the paper's alltoallw path on random layouts while
+// keeping the staging pool's peak under the requested budget.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <random>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "ddr/ddr.hpp"
@@ -31,7 +34,7 @@ using ddr_test::random_subbox;
 
 // The JSON bench's strided3d case: 4 ranks, 64^3 floats, 8 interleaved
 // z-slabs per rank, gathered into 2x2x1 bricks — 96 plain messages vs 12
-// fused 64 KB lanes. Measured: pipelined < fused < p2p.
+// fused 64 KB lanes. Measured: pipelined < p2p.
 ddr::GlobalLayout strided3d_layout() {
   const int side = 64, nranks = 4, slabs = 8;
   ddr::GlobalLayout layout;
@@ -81,18 +84,14 @@ TEST(PlannerGolden, Strided3dPicksPipelined) {
   EXPECT_EQ(d.shape, ddr::CollectiveShape::none);
   EXPECT_EQ(d.waves, 1);
   // 192 KB of inter bytes per rank is far below the 4 MB parallel-pack
-  // floor: threads would cost more than they save (the fused_parpack2
+  // floor: threads would cost more than they save (the parallel-pack
   // regression the bench measured).
   EXPECT_EQ(d.pack_threads, 0);
-  ASSERT_EQ(d.candidates.size(), 6u);
+  ASSERT_EQ(d.candidates.size(), 3u);
   for (const ddr::CandidateCost& c : d.candidates) {
-    // Without a NetworkModel every peer is a different node: hybrid has no
-    // intra lanes to exploit and is marked infeasible; every other backend
-    // stays feasible and the decision is identical to the pre-hybrid one.
-    if (c.backend == Backend::hybrid)
-      EXPECT_FALSE(c.feasible);
-    else
-      EXPECT_TRUE(c.feasible) << ddr::backend_name(c.backend);
+    // Without a budget nothing is over budget; without a NetworkModel every
+    // peer is a different node, so every non-self byte is inter-node.
+    EXPECT_TRUE(c.feasible) << ddr::backend_name(c.backend);
     EXPECT_EQ(c.inter_node_bytes, 786432) << ddr::backend_name(c.backend);
     EXPECT_EQ(c.intra_node_bytes, 0) << ddr::backend_name(c.backend);
   }
@@ -175,37 +174,37 @@ TEST(PlannerGolden, LinkModelSplitsIntraNodeBytes) {
 }
 
 TEST(PlannerWaves, BudgetPartitionsLanes) {
-  std::vector<ddr::CollectiveLane> lanes = {
+  std::vector<ddr::ExchangeLane> lanes = {
       {0, 1, 100, 0}, {0, 2, 100, 0}, {0, 3, 100, 0}};
   // No budget: one wave.
-  EXPECT_EQ(ddr::assign_collective_waves(lanes, 0), 1);
-  for (const ddr::CollectiveLane& l : lanes) EXPECT_EQ(l.wave, 0);
+  EXPECT_EQ(ddr::assign_waves(lanes, 0), 1);
+  for (const ddr::ExchangeLane& l : lanes) EXPECT_EQ(l.wave, 0);
   // 150 B fits one 100 B lane per wave.
-  EXPECT_EQ(ddr::assign_collective_waves(lanes, 150), 3);
+  EXPECT_EQ(ddr::assign_waves(lanes, 150), 3);
   EXPECT_EQ(lanes[0].wave, 0);
   EXPECT_EQ(lanes[1].wave, 1);
   EXPECT_EQ(lanes[2].wave, 2);
   // 200 B fits two.
-  EXPECT_EQ(ddr::assign_collective_waves(lanes, 200), 2);
+  EXPECT_EQ(ddr::assign_waves(lanes, 200), 2);
   // A budget below the largest lane is floored at the largest lane: every
   // lane still gets scheduled, one per wave.
-  EXPECT_EQ(ddr::assign_collective_waves(lanes, 1), 3);
+  EXPECT_EQ(ddr::assign_waves(lanes, 1), 3);
   // Every wave's payload stays within max(budget, largest lane).
   std::mt19937 rng(515151);
   for (int trial = 0; trial < 20; ++trial) {
-    std::vector<ddr::CollectiveLane> rnd;
+    std::vector<ddr::ExchangeLane> rnd;
     const int n = 1 + static_cast<int>(rng() % 12);
     for (int i = 0; i < n; ++i)
       rnd.push_back({0, i + 1, 1 + static_cast<std::int64_t>(rng() % 5000), 0});
     const std::size_t budget = 1 + rng() % 8000;
     std::int64_t largest = 0;
-    for (const ddr::CollectiveLane& l : rnd)
+    for (const ddr::ExchangeLane& l : rnd)
       largest = std::max(largest, l.bytes);
     const std::int64_t eff =
         std::max(largest, static_cast<std::int64_t>(budget));
-    const int waves = ddr::assign_collective_waves(rnd, budget);
+    const int waves = ddr::assign_waves(rnd, budget);
     std::vector<std::int64_t> per_wave(static_cast<std::size_t>(waves), 0);
-    for (const ddr::CollectiveLane& l : rnd) {
+    for (const ddr::ExchangeLane& l : rnd) {
       ASSERT_GE(l.wave, 0);
       ASSERT_LT(l.wave, waves);
       per_wave[static_cast<std::size_t>(l.wave)] += l.bytes;
@@ -215,67 +214,99 @@ TEST(PlannerWaves, BudgetPartitionsLanes) {
 }
 
 TEST(PlannerBudget, TightBudgetForcesCollective) {
-  // 200000 B is below every fused-pool candidate's 786432 B peak, so only
-  // the wave-fenced collective sequence stays feasible and must be chosen,
-  // with its waves sized to the budget.
+  // 200000 B is below the 786432 B every inter lane stages at once, so only
+  // the collective (wave-sequenced) lowering stays feasible: the fused-lane
+  // executor with its inter lanes fenced into 4 waves of <= 196608 B.
   const ddr::PlanDecision d =
       ddr::Planner::decide(strided3d_layout(), sizeof(float), nullptr, 200000);
-  EXPECT_EQ(d.backend, Backend::collective);
+  EXPECT_EQ(d.backend, Backend::point_to_point_pipelined);
   EXPECT_EQ(d.waves, 4);
   EXPECT_LE(d.predicted_peak_staging, 200000u);
   for (const ddr::CandidateCost& c : d.candidates) {
-    if (c.backend == Backend::collective || c.backend == Backend::alltoallw)
-      EXPECT_TRUE(c.feasible) << ddr::backend_name(c.backend);
+    if (c.backend == Backend::point_to_point)
+      EXPECT_STREQ(c.infeasible_reason, "over budget");
     else
-      EXPECT_FALSE(c.feasible) << ddr::backend_name(c.backend);
+      EXPECT_TRUE(c.feasible) << ddr::backend_name(c.backend);
   }
 }
 
-// Runs one redistribute() for `backend` over `layout` with oracle-filled
-// owned data, returns every rank's needed buffer concatenated (for
-// byte-identity checks) and the staging pool's peak via *peak_out.
-std::vector<std::vector<std::byte>> run_backend(
-    const ddr::GlobalLayout& layout, Backend backend, std::size_t budget,
-    std::uint64_t* peak_out = nullptr) {
-  const int nranks = layout.nranks();
-  std::vector<std::vector<std::byte>> out(static_cast<std::size_t>(nranks));
+/// One redistribute() over a layout: every rank's needed buffer (for
+/// byte-identity checks), every rank's plan().waves, and the staging pool's
+/// peak over the exchange alone. The peak is restarted after setup, whose
+/// metadata allgathers would otherwise dominate small layouts, and the
+/// precondition agreement is off: its allreduce's 8-byte control messages
+/// are not exchange staging.
+struct RunResult {
+  std::vector<std::vector<std::byte>> out;
+  std::vector<int> waves;
   std::uint64_t peak = 0;
-  mpi::run(nranks, [&](mpi::Comm& comm) {
-    const auto rank = static_cast<std::size_t>(comm.rank());
-    ddr::Redistributor rd(comm, sizeof(float));
-    ddr::SetupOptions opts;
-    opts.backend = backend;
-    opts.peak_staging_bytes = budget;
-    rd.setup(layout.owned[rank], layout.needed[rank], opts);
+};
 
-    std::vector<float> own_data;
-    for (const auto& c : layout.owned[rank]) {
-      const auto v = fill_chunk(c);
-      own_data.insert(own_data.end(), v.begin(), v.end());
-    }
-    out[rank].resize(rd.needed_bytes());
-    rd.redistribute(std::as_bytes(std::span<const float>(own_data)),
-                    std::span<std::byte>(out[rank]));
-    comm.barrier();
-    if (rank == 0) peak = comm.staging_stats().peak_live_bytes;
-  });
-  if (peak_out != nullptr) *peak_out = peak;
-  return out;
+RunResult run_backend(const ddr::GlobalLayout& layout, Backend backend,
+                std::size_t budget, const mpi::NetworkModel* net = nullptr,
+                int pack_threads = 0) {
+  const int nranks = layout.nranks();
+  RunResult run;
+  run.out.resize(static_cast<std::size_t>(nranks));
+  run.waves.resize(static_cast<std::size_t>(nranks));
+  mpi::RunOptions ropts;
+  ropts.network = net;
+  mpi::run(
+      nranks,
+      [&](mpi::Comm& comm) {
+        const auto rank = static_cast<std::size_t>(comm.rank());
+        comm.set_pack_threads(pack_threads);
+        ddr::Redistributor rd(comm, sizeof(float));
+        ddr::SetupOptions opts;
+        opts.backend = backend;
+        opts.peak_staging_bytes = budget;
+        opts.collective_error_agreement = false;
+        rd.setup(layout.owned[rank], layout.needed[rank], opts);
+        run.waves[rank] = rd.plan().waves;
+
+        std::vector<float> own_data;
+        for (const auto& c : layout.owned[rank]) {
+          const auto v = fill_chunk(c);
+          own_data.insert(own_data.end(), v.begin(), v.end());
+        }
+        run.out[rank].resize(rd.needed_bytes());
+        comm.barrier();
+        if (rank == 0) comm.reset_staging_peak();
+        comm.barrier();
+        rd.redistribute(std::as_bytes(std::span<const float>(own_data)),
+                        std::span<std::byte>(run.out[rank]));
+        comm.barrier();
+        if (rank == 0) run.peak = comm.staging_stats().peak_live_bytes;
+      },
+      ropts);
+  return run;
 }
 
 TEST(PlannerProperty, CollectiveByteIdenticalToP2pUnderBudget) {
-  // On random layouts, the wave-fenced collective lowering must deliver
-  // exactly the bytes plain point-to-point delivers, and the pool's peak
-  // live bytes must respect max(budget, largest lane) plus control-message
-  // slack.
+  // Every lowering of the fused-lane executor on seeded random layouts:
+  // flat and two-ranks-per-node topology, no budget / the one-lane floor /
+  // a mid budget, inline and parallel packing (waves with parallel packing
+  // pack one wave at a time). Each must deliver exactly the bytes the
+  // paper's alltoallw path delivers, agree on plan().waves across ranks,
+  // and — under a budget — keep the pool's peak within the largest wave
+  // (at most max(budget, largest inter lane)) plus the 8-byte pointers the
+  // intra lanes publish.
+  simnet::LinkParams cp = simnet::cooley_params();
+  cp.ranks_per_node = 2;
+  const simnet::LinkModel cooley(cp);
   std::mt19937 rng(818181);
+  bool saw_parallel_lane = false;
   for (int trial = 0; trial < 6; ++trial) {
     const int nranks = 3 + static_cast<int>(rng() % 4);
     Box domain;
     domain.ndims = 2 + trial % 2;
+    // Sized so some inter lanes clear kParallelPackThresholdBytes and the
+    // parallel packing path actually runs.
+    const int base = domain.ndims == 2 ? 192 : 40;
     for (int k = 0; k < domain.ndims; ++k) {
       domain.lo[static_cast<std::size_t>(k)] = 0;
-      domain.hi[static_cast<std::size_t>(k)] = 8 + static_cast<int>(rng() % 16);
+      domain.hi[static_cast<std::size_t>(k)] =
+          base + static_cast<int>(rng() % static_cast<unsigned>(base));
     }
     const auto boxes = random_partition(domain, nranks * 2, rng);
     ddr::GlobalLayout layout;
@@ -286,57 +317,83 @@ TEST(PlannerProperty, CollectiveByteIdenticalToP2pUnderBudget) {
     for (int r = 0; r < nranks; ++r)
       layout.needed.push_back({box_to_chunk(random_subbox(domain, rng))});
 
-    std::vector<ddr::CollectiveLane> lanes =
-        ddr::collective_lanes(layout, sizeof(float));
-    std::int64_t total = 0, largest = 0;
-    for (const ddr::CollectiveLane& l : lanes) {
-      total += l.bytes;
-      largest = std::max(largest, l.bytes);
-    }
-    // A budget around a third of the traffic forces several waves.
-    const auto budget = static_cast<std::size_t>(std::max<std::int64_t>(
-        1, total / 3));
-    const std::int64_t eff =
-        std::max(largest, static_cast<std::int64_t>(budget));
-
-    const auto want = run_backend(layout, Backend::point_to_point, 0);
-    std::uint64_t peak = 0;
-    const auto got = run_backend(layout, Backend::collective, budget, &peak);
-    ASSERT_EQ(got.size(), want.size());
-    for (std::size_t r = 0; r < got.size(); ++r) {
-      ASSERT_EQ(got[r].size(), want[r].size()) << "rank " << r;
-      EXPECT_EQ(std::memcmp(got[r].data(), want[r].data(), got[r].size()), 0)
-          << "trial " << trial << " rank " << r;
-    }
-    if (!lanes.empty()) {
-      EXPECT_LE(peak, static_cast<std::uint64_t>(eff) + 4096)
-          << "trial " << trial << " budget " << budget;
+    const auto want = run_backend(layout, Backend::alltoallw, 0).out;
+    for (const mpi::NetworkModel* net :
+         {static_cast<const mpi::NetworkModel*>(nullptr),
+          static_cast<const mpi::NetworkModel*>(&cooley)}) {
+      std::vector<ddr::ExchangeLane> inter =
+          ddr::inter_node_lanes(layout, sizeof(float), net);
+      std::int64_t inter_bytes = 0, largest = 0;
+      for (const ddr::ExchangeLane& l : inter) {
+        inter_bytes += l.bytes;
+        largest = std::max(largest, l.bytes);
+      }
+      saw_parallel_lane =
+          saw_parallel_lane || largest >= ddr::kParallelPackThresholdBytes;
+      const std::int64_t intra_lanes =
+          static_cast<std::int64_t>(
+              ddr::inter_node_lanes(layout, sizeof(float)).size()) -
+          static_cast<std::int64_t>(inter.size());
+      // 1 B floors at the largest inter lane (one lane per wave); half the
+      // inter traffic packs several lanes into each of a few waves.
+      for (const std::size_t budget :
+           {std::size_t{0}, std::size_t{1},
+            static_cast<std::size_t>(std::max<std::int64_t>(
+                1, inter_bytes / 2))}) {
+        for (const int threads : {0, 2}) {
+          const std::string where =
+              "trial " + std::to_string(trial) + (net ? " cooley" : " flat") +
+              " budget " + std::to_string(budget) + " threads " +
+              std::to_string(threads);
+          const RunResult got = run_backend(
+              layout, Backend::point_to_point_pipelined, budget, net, threads);
+          ASSERT_EQ(got.out.size(), want.size()) << where;
+          for (std::size_t r = 0; r < got.out.size(); ++r) {
+            ASSERT_EQ(got.out[r].size(), want[r].size()) << where;
+            EXPECT_EQ(std::memcmp(got.out[r].data(), want[r].data(),
+                                  got.out[r].size()),
+                      0)
+                << where << " rank " << r;
+          }
+          for (const int w : got.waves) EXPECT_EQ(w, got.waves[0]) << where;
+          std::vector<ddr::ExchangeLane> sched = inter;
+          EXPECT_EQ(got.waves[0], ddr::assign_waves(sched, budget)) << where;
+          if (budget != 0) {
+            const std::int64_t bound =
+                std::max(largest, static_cast<std::int64_t>(budget)) +
+                8 * intra_lanes;
+            EXPECT_LE(got.peak, static_cast<std::uint64_t>(bound)) << where;
+          }
+        }
+      }
     }
   }
+  EXPECT_TRUE(saw_parallel_lane)
+      << "no layout had a lane large enough to pack in parallel";
 }
 
 TEST(PlannerProperty, AllgatherLoweringCutsPeakStagingAtEqualBytes) {
   // The acceptance case: a broadcast-shaped exchange moves the same bytes
-  // under fused p2p and under the collective sequence, but the budgeted
-  // wave fences keep the pool's concurrent footprint at a fraction of the
-  // fused all-at-once peak.
+  // with and without a budget, but the budgeted wave fences keep the pool's
+  // concurrent footprint at a fraction of the all-at-once peak.
   const ddr::GlobalLayout layout = bcast3d_layout(32);
   const ddr::PlanDecision d =
       ddr::Planner::decide(layout, sizeof(float), nullptr, 0);
   EXPECT_EQ(d.shape, ddr::CollectiveShape::allgather);
 
-  // 12 lanes x 32 KB: fused stages all 384 KB at once; a 64 KB budget
+  // 12 lanes x 32 KB: unbudgeted, all 384 KB stage at once; a 64 KB budget
   // fences the sequence into waves of two lanes.
   const std::size_t budget = 64 * 1024;
-  std::uint64_t peak_fused = 0, peak_coll = 0;
-  const auto a =
-      run_backend(layout, Backend::point_to_point_fused, 0, &peak_fused);
-  const auto b = run_backend(layout, Backend::collective, budget, &peak_coll);
-  for (std::size_t r = 0; r < a.size(); ++r)
-    EXPECT_EQ(std::memcmp(a[r].data(), b[r].data(), a[r].size()), 0);
-  EXPECT_LE(peak_coll, budget + 4096);
-  EXPECT_LT(peak_coll * 2, peak_fused)
-      << "collective lowering should at least halve the staging peak here";
+  const RunResult a = run_backend(layout, Backend::point_to_point_pipelined, 0);
+  const RunResult b =
+      run_backend(layout, Backend::point_to_point_pipelined, budget);
+  for (std::size_t r = 0; r < a.out.size(); ++r)
+    EXPECT_EQ(
+        std::memcmp(a.out[r].data(), b.out[r].data(), a.out[r].size()), 0);
+  EXPECT_EQ(b.waves[0], 6);
+  EXPECT_LE(b.peak, budget);
+  EXPECT_LT(b.peak * 2, a.peak)
+      << "the budgeted waves should at least halve the staging peak here";
 }
 
 TEST(PlannerProperty, AutomaticMatchesOracleAndExposesPlan) {
@@ -369,7 +426,7 @@ TEST(PlannerProperty, AutomaticMatchesOracleAndExposesPlan) {
       rd.setup(owned[rank], needed[rank], opts);
       EXPECT_EQ(rd.effective_backend(), rd.plan().backend);
       EXPECT_NE(rd.plan().backend, Backend::automatic);
-      EXPECT_EQ(rd.plan().candidates.size(), 6u);
+      EXPECT_EQ(rd.plan().candidates.size(), 3u);
 
       std::vector<float> own_data;
       for (const auto& c : owned[rank]) {
@@ -401,84 +458,26 @@ TEST(PlannerProperty, AutomaticMatchesOracleAndExposesPlan) {
   }
 }
 
-// run_backend under a NetworkModel: same contract, but the rank threads run
-// with `net` installed so same_node()/node_of() see a multi-rank-per-node
-// topology (what the hybrid composition needs to have intra lanes at all).
-std::vector<std::vector<std::byte>> run_backend_net(
-    const ddr::GlobalLayout& layout, Backend backend, std::size_t budget,
-    const mpi::NetworkModel* net, std::uint64_t* peak_out = nullptr) {
-  const int nranks = layout.nranks();
-  std::vector<std::vector<std::byte>> out(static_cast<std::size_t>(nranks));
-  std::uint64_t peak = 0;
-  mpi::RunOptions ropts;
-  ropts.network = net;
-  mpi::run(
-      nranks,
-      [&](mpi::Comm& comm) {
-        const auto rank = static_cast<std::size_t>(comm.rank());
-        ddr::Redistributor rd(comm, sizeof(float));
-        ddr::SetupOptions opts;
-        opts.backend = backend;
-        opts.peak_staging_bytes = budget;
-        rd.setup(layout.owned[rank], layout.needed[rank], opts);
-
-        std::vector<float> own_data;
-        for (const auto& c : layout.owned[rank]) {
-          const auto v = fill_chunk(c);
-          own_data.insert(own_data.end(), v.begin(), v.end());
-        }
-        out[rank].resize(rd.needed_bytes());
-        rd.redistribute(std::as_bytes(std::span<const float>(own_data)),
-                        std::span<std::byte>(out[rank]));
-        comm.barrier();
-        if (rank == 0) peak = comm.staging_stats().peak_live_bytes;
-      },
-      ropts);
-  if (peak_out != nullptr) *peak_out = peak;
-  return out;
-}
-
-TEST(PlannerHybrid, InfeasibleWithoutTopology) {
-  // No NetworkModel -> every non-self peer is a different node -> the hybrid
-  // composition has nothing to compose and must be priced infeasible, so no
-  // flat-topology decision ever changes because hybrid exists.
-  for (const ddr::GlobalLayout& layout :
-       {strided3d_layout(), rows2d_layout(), bcast3d_layout(32)}) {
-    const ddr::PlanDecision d =
-        ddr::Planner::decide(layout, sizeof(float), nullptr, 0);
-    bool saw_hybrid = false;
-    for (const ddr::CandidateCost& c : d.candidates)
-      if (c.backend == Backend::hybrid) {
-        saw_hybrid = true;
-        EXPECT_FALSE(c.feasible);
-      }
-    EXPECT_TRUE(saw_hybrid);
-    EXPECT_NE(d.backend, Backend::hybrid);
-    // The per-class partition is still reported: everything lands in self
-    // or inter, intra stays empty.
-    ASSERT_EQ(d.class_plans.size(), 3u);
-    EXPECT_EQ(d.class_plans[1].cls, ddr::LaneClass::intra);
-    EXPECT_EQ(d.class_plans[1].lanes, 0);
-    EXPECT_EQ(d.class_plans[1].bytes, 0);
-  }
-}
-
-TEST(PlannerHybrid, CompositeDecisionUnderTwoRanksPerNode) {
-  // Two ranks per node on strided3d: the fused lane set splits across all
-  // three classes and the decision must expose a consistent composite —
-  // class rows in self/intra/inter order, bytes partitioning the total
-  // payload, the documented lowering per class, and an inter-only wave
-  // count no larger than the all-lane collective one.
+simnet::LinkModel two_per_node_cooley() {
   simnet::LinkParams p = simnet::cooley_params();
   p.ranks_per_node = 2;
-  const simnet::LinkModel model(p);
+  return simnet::LinkModel(p);
+}
+
+TEST(PlannerWaves, ClassPlansUnderTwoRanksPerNode) {
+  // Two ranks per node on strided3d: the fused lane set splits across all
+  // three classes and the decision must expose a consistent partition —
+  // class rows in self/intra/inter order, bytes partitioning the total
+  // payload, the lowering per class, and a wave count over the inter lanes
+  // alone (the intra lanes move zero-copy and never compete for the budget).
+  const simnet::LinkModel model = two_per_node_cooley();
   const ddr::PlanDecision d = ddr::Planner::decide(
       strided3d_layout(), sizeof(float), &model, 200000);
-  const ddr::CandidateCost* hybrid = nullptr;
+  const ddr::CandidateCost* pipelined = nullptr;
   for (const ddr::CandidateCost& c : d.candidates)
-    if (c.backend == Backend::hybrid) hybrid = &c;
-  ASSERT_NE(hybrid, nullptr);
-  EXPECT_TRUE(hybrid->feasible);
+    if (c.backend == Backend::point_to_point_pipelined) pipelined = &c;
+  ASSERT_NE(pipelined, nullptr);
+  EXPECT_TRUE(pipelined->feasible);
 
   ASSERT_EQ(d.class_plans.size(), 3u);
   EXPECT_EQ(d.class_plans[0].cls, ddr::LaneClass::self);
@@ -486,9 +485,9 @@ TEST(PlannerHybrid, CompositeDecisionUnderTwoRanksPerNode) {
   EXPECT_EQ(d.class_plans[2].cls, ddr::LaneClass::inter);
   EXPECT_STREQ(d.class_plans[0].lowering, "copy_regions");
   EXPECT_STREQ(d.class_plans[1].lowering, "ptr_publish");
-  EXPECT_STREQ(d.class_plans[2].lowering, "collective_waves");
-  EXPECT_GT(d.class_plans[1].lanes, 0);
-  EXPECT_GT(d.class_plans[2].lanes, 0);
+  EXPECT_STREQ(d.class_plans[2].lowering, "fenced_waves");
+  EXPECT_EQ(d.class_plans[1].lanes, 4);
+  EXPECT_EQ(d.class_plans[2].lanes, 8);
   // Each rank's gathered brick covers its own interleaved slabs too: 64 KB
   // of self traffic per rank, 256 KB across the communicator. Self + intra
   // + inter partition the full 64^3 float payload.
@@ -498,70 +497,69 @@ TEST(PlannerHybrid, CompositeDecisionUnderTwoRanksPerNode) {
             1048576);
   // The intra/inter rows partition the non-self payload exactly as the
   // candidate table's locality split does.
-  EXPECT_EQ(d.class_plans[1].bytes, hybrid->intra_node_bytes);
-  EXPECT_EQ(d.class_plans[2].bytes, hybrid->inter_node_bytes);
-  EXPECT_GE(d.hybrid_waves, 1);
-  EXPECT_LE(d.hybrid_waves, d.waves);
+  EXPECT_EQ(d.class_plans[1].bytes, pipelined->intra_node_bytes);
+  EXPECT_EQ(d.class_plans[2].bytes, pipelined->inter_node_bytes);
+  // 8 inter lanes of 64 KB, three per 200000 B wave.
+  EXPECT_EQ(d.waves, 3);
+
+  // Without a NetworkModel every non-self peer is another node: the intra
+  // row stays empty, and without a budget the inter lanes are one
+  // pipelined wave.
+  const ddr::PlanDecision flat =
+      ddr::Planner::decide(strided3d_layout(), sizeof(float), nullptr, 0);
+  ASSERT_EQ(flat.class_plans.size(), 3u);
+  EXPECT_EQ(flat.class_plans[1].lanes, 0);
+  EXPECT_EQ(flat.class_plans[1].bytes, 0);
+  EXPECT_STREQ(flat.class_plans[2].lowering, "pipelined");
+  EXPECT_EQ(flat.waves, 1);
 }
 
-TEST(PlannerHybrid, AutomaticUnderBudgetPicksHybrid) {
-  // The selection story: under a staging budget that rules out the
-  // fused-pool backends, mixed locality makes hybrid beat the all-lane
-  // collective sequence — its intra bytes move zero-copy (no pack, no
-  // staging, no budget pressure), so it needs fewer fence waves and prices
-  // below collective. This is the case the mixed-locality bench gates.
-  simnet::LinkParams p = simnet::cooley_params();
-  p.ranks_per_node = 2;
-  const simnet::LinkModel model(p);
+TEST(PlannerWaves, AutomaticUnderBudgetPicksWavedPipelined) {
+  // Under a staging budget that rules out staging every inter lane at
+  // once, automatic picks the fused-lane executor with its inter lanes in
+  // waves; the intra lanes' bytes never stage, so the predicted peak is the
+  // largest wave plus one published pointer per intra lane.
+  const simnet::LinkModel model = two_per_node_cooley();
   const ddr::PlanDecision d = ddr::Planner::decide(
       strided3d_layout(), sizeof(float), &model, 200000);
-  EXPECT_EQ(d.backend, Backend::hybrid);
-  double hybrid_s = 0.0, coll_s = 0.0;
-  for (const ddr::CandidateCost& c : d.candidates) {
-    if (c.backend == Backend::hybrid) hybrid_s = c.predicted_s;
-    if (c.backend == Backend::collective) coll_s = c.predicted_s;
-  }
-  EXPECT_LT(hybrid_s, coll_s);
+  EXPECT_EQ(d.backend, Backend::point_to_point_pipelined);
+  EXPECT_EQ(d.waves, 3);
+  EXPECT_EQ(d.predicted_peak_staging, 3u * 65536u + 4u * 8u);
 }
 
-TEST(PlannerHybrid, ByteIdenticalToFusedOnBenchCases) {
-  // The correctness contract: forced hybrid delivers exactly the bytes the
-  // fused path delivers on every bench-fixture layout, over a simulated
-  // two-ranks-per-node topology, with and without a multi-wave budget.
-  simnet::LinkParams p = simnet::cooley_params();
-  p.ranks_per_node = 2;
-  const simnet::LinkModel model(p);
+TEST(PlannerWaves, ByteIdenticalOnBenchCasesUnderTwoRanksPerNode) {
+  // Every bench-fixture layout over a simulated two-ranks-per-node topology,
+  // with and without a multi-wave budget: the fused-lane executor delivers
+  // exactly the alltoallw bytes, and only the inter lanes stage — the
+  // budget plus the published pointers bound the pool even though the
+  // intra bytes exceed the budget.
+  const simnet::LinkModel model = two_per_node_cooley();
   for (const ddr::GlobalLayout& layout :
        {strided3d_layout(), rows2d_layout(), bcast3d_layout(32)}) {
-    const auto want =
-        run_backend_net(layout, Backend::point_to_point_fused, 0, &model);
+    const auto want = run_backend(layout, Backend::alltoallw, 0, &model).out;
     for (const std::size_t budget : {std::size_t{0}, std::size_t{65536}}) {
-      std::uint64_t peak = 0;
-      const auto got =
-          run_backend_net(layout, Backend::hybrid, budget, &model, &peak);
-      ASSERT_EQ(got.size(), want.size());
-      for (std::size_t r = 0; r < got.size(); ++r) {
-        ASSERT_EQ(got[r].size(), want[r].size()) << "rank " << r;
-        EXPECT_EQ(std::memcmp(got[r].data(), want[r].data(), got[r].size()),
+      const RunResult got = run_backend(
+          layout, Backend::point_to_point_pipelined, budget, &model);
+      ASSERT_EQ(got.out.size(), want.size());
+      for (std::size_t r = 0; r < got.out.size(); ++r) {
+        ASSERT_EQ(got.out[r].size(), want[r].size()) << "rank " << r;
+        EXPECT_EQ(std::memcmp(got.out[r].data(), want[r].data(),
+                              got.out[r].size()),
                   0)
             << "budget " << budget << " rank " << r;
       }
       if (budget != 0) {
-        // Only the inter lanes stage; the budget plus pointer-message slack
-        // bounds the pool even though the intra bytes exceed it.
-        EXPECT_LE(peak, budget + 4096) << "budget " << budget;
+        EXPECT_LE(got.peak, budget + 4u * 8u) << "budget " << budget;
       }
     }
   }
 }
 
-TEST(PlannerHybrid, CrossRankCompositeAgreement) {
-  // Protocol consistency for the composite decision: every rank must
-  // resolve the identical backend, wave counts and per-class partition —
-  // a divergent composite would deadlock the mixed execution paths.
-  simnet::LinkParams p = simnet::cooley_params();
-  p.ranks_per_node = 2;
-  const simnet::LinkModel model(p);
+TEST(PlannerWaves, CrossRankAgreementUnderTwoRanksPerNode) {
+  // Protocol consistency: every rank must resolve the identical backend,
+  // wave count and per-class partition — a divergent wave schedule would
+  // deadlock the fenced execution.
+  const simnet::LinkModel model = two_per_node_cooley();
   const ddr::GlobalLayout layout = strided3d_layout();
   const int nranks = layout.nranks();
   std::vector<ddr::PlanDecision> plans(static_cast<std::size_t>(nranks));
@@ -585,7 +583,6 @@ TEST(PlannerHybrid, CrossRankCompositeAgreement) {
     const auto& b = plans[static_cast<std::size_t>(r)];
     EXPECT_EQ(a.backend, b.backend) << "rank " << r;
     EXPECT_EQ(a.waves, b.waves) << "rank " << r;
-    EXPECT_EQ(a.hybrid_waves, b.hybrid_waves) << "rank " << r;
     ASSERT_EQ(a.class_plans.size(), b.class_plans.size());
     for (std::size_t i = 0; i < a.class_plans.size(); ++i) {
       EXPECT_EQ(a.class_plans[i].lanes, b.class_plans[i].lanes);
@@ -600,16 +597,17 @@ TEST(PlannerHybrid, CrossRankCompositeAgreement) {
 TEST(PlannerProperty, AutomaticAgreesAcrossRanksOnStrided3d) {
   // The protocol-consistency invariant: every rank must resolve automatic
   // to the same backend and the same wave schedule (here under a budget
-  // that forces the collective sequence), and the exchange must complete —
-  // a rank-divergent decision would deadlock or corrupt data.
+  // that forces the wave sequence), and the exchange must complete — a
+  // rank-divergent decision would deadlock or corrupt data.
   const ddr::GlobalLayout layout = strided3d_layout();
-  const auto want = run_backend(layout, Backend::point_to_point, 0);
-  std::uint64_t peak = 0;
-  const auto got = run_backend(layout, Backend::automatic, 200000, &peak);
-  for (std::size_t r = 0; r < got.size(); ++r)
-    EXPECT_EQ(std::memcmp(got[r].data(), want[r].data(), got[r].size()), 0)
+  const auto want = run_backend(layout, Backend::point_to_point, 0).out;
+  const RunResult got = run_backend(layout, Backend::automatic, 200000);
+  for (std::size_t r = 0; r < got.out.size(); ++r)
+    EXPECT_EQ(
+        std::memcmp(got.out[r].data(), want[r].data(), got.out[r].size()), 0)
         << "rank " << r;
-  EXPECT_LE(peak, 200000u + 4096u);
+  for (const int w : got.waves) EXPECT_EQ(w, 4);
+  EXPECT_LE(got.peak, 200000u);
 }
 
 }  // namespace

@@ -191,7 +191,7 @@ TEST(PropertyInvariants, TracedBytesConserveDomain) {
   // Self lanes must never surface as message instants — only as zero-copy
   // region-copy spans.
   const Backend backends[] = {Backend::alltoallw, Backend::point_to_point,
-                              Backend::point_to_point_fused};
+                              Backend::point_to_point_pipelined};
   std::mt19937 rng(9090);
   for (int trial = 0; trial < 6; ++trial) {
     const int nranks = 3 + static_cast<int>(rng() % 4);

@@ -167,7 +167,7 @@ TEST_P(Backends, UnevenChunkCountsPadRounds) {
 INSTANTIATE_TEST_SUITE_P(AllBackends, Backends,
                          ::testing::Values(Backend::alltoallw,
                                            Backend::point_to_point,
-                                           Backend::point_to_point_fused),
+                                           Backend::point_to_point_pipelined),
                          [](const auto& info) {
                            switch (info.param) {
                              case Backend::alltoallw:
@@ -175,7 +175,7 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, Backends,
                              case Backend::point_to_point:
                                return "p2p";
                              default:
-                               return "p2p_fused";
+                               return "p2p_pipelined";
                            }
                          });
 
@@ -202,7 +202,7 @@ TEST(Redistributor, BackendsProduceIdenticalResults) {
     {
       Redistributor r(comm, sizeof(float));
       ddr::SetupOptions opts;
-      opts.backend = Backend::point_to_point_fused;
+      opts.backend = Backend::point_to_point_pipelined;
       r.setup(own, need, opts);
       r.redistribute(bytes_of(own_data), bytes_of(via_fused));
     }
@@ -212,9 +212,10 @@ TEST(Redistributor, BackendsProduceIdenticalResults) {
 }
 
 TEST(Redistributor, FusedBackendPostsOneMessagePerPeerPair) {
-  // The whole point of fusion: message count drops from rounds x peers to
-  // peers. 4 ranks each own 4 round-robin chunks (4 rounds) and every rank
-  // needs the whole domain, so every peer pair has traffic in every round.
+  // The whole point of fusion: the fused-lane backend (pipelined) cuts the
+  // message count from rounds x peers to peers. 4 ranks each own 4
+  // round-robin chunks (4 rounds) and every rank needs the whole domain, so
+  // every peer pair has traffic in every round.
   constexpr int kGoTag = 7, kDoneTag = 8;
   mpi::run(4, [](mpi::Comm& comm) {
     const int rank = comm.rank();
@@ -269,7 +270,8 @@ TEST(Redistributor, FusedBackendPostsOneMessagePerPeerPair) {
     };
 
     const std::uint64_t plain = count_messages(Backend::point_to_point);
-    const std::uint64_t fused = count_messages(Backend::point_to_point_fused);
+    const std::uint64_t fused =
+        count_messages(Backend::point_to_point_pipelined);
     if (rank == 0) {
       // Window contents: 3 go + data + 3 done. Data: every rank sends to its
       // 3 peers once per round (4 rounds) in the plain backend, once total

@@ -1,10 +1,11 @@
-// setup() compiles and prewarms only for the executor that runs. The fused
-// executors (fused, pipelined, collective, hybrid) never send per-round
-// messages, so their setup plants only the fused lane payloads in the
-// staging pool and compiles no per-round plan; alltoallw, per-round
-// point-to-point and every backend under an active FaultModel (which runs
-// the reliable per-round path) still get both. Repeated setups on one
-// communicator leave the steady-state data path allocation-free.
+// setup() compiles and prewarms only for the executor that runs. The
+// fused-lane executor (point_to_point_pipelined, with or without a staging
+// budget) never sends per-round messages, so its setup plants only the
+// fused lane payloads in the staging pool and compiles no per-round plan;
+// alltoallw, per-round point-to-point and every backend under an active
+// FaultModel (which runs the reliable per-round path) still get both.
+// Repeated setups on one communicator leave the steady-state data path
+// allocation-free.
 
 #include <gtest/gtest.h>
 
@@ -56,7 +57,8 @@ struct SetupCounts {
 /// One traced setup() per rank under a two-ranks-per-node link model, so
 /// every rank has self, intra-node and inter-node lanes.
 std::vector<SetupCounts> trace_setup(Backend backend,
-                                     mpi::FaultModel* fault = nullptr) {
+                                     mpi::FaultModel* fault = nullptr,
+                                     std::size_t budget = 0) {
   simnet::LinkParams lp = simnet::cooley_params();
   lp.ranks_per_node = 2;
   const simnet::LinkModel net(lp);
@@ -76,6 +78,7 @@ std::vector<SetupCounts> trace_setup(Backend backend,
         rd.trace_sink(&recs[ri]);
         ddr::SetupOptions opt;
         opt.backend = backend;
+        opt.peak_staging_bytes = budget;
         rd.setup(blocks_of(r), brick_of(r), opt);
 
         SetupCounts& c = out[ri];
@@ -116,24 +119,22 @@ std::vector<SetupCounts> trace_setup(Backend backend,
 }
 
 TEST(SetupPrewarm, FusedExecutorsReserveOnlyTheirLanePayloads) {
-  for (const Backend b :
-       {Backend::point_to_point_fused, Backend::point_to_point_pipelined,
-        Backend::collective, Backend::hybrid}) {
-    const std::vector<SetupCounts> counts = trace_setup(b);
+  // With and without a budget that splits the inter lanes into waves: the
+  // prewarm covers every lane's payload, which is conservative across any
+  // wave schedule.
+  for (const std::size_t budget : {std::size_t{0}, std::size_t{4096}}) {
+    const std::vector<SetupCounts> counts =
+        trace_setup(Backend::point_to_point_pipelined, nullptr, budget);
     for (int r = 0; r < kRanks; ++r) {
       const SetupCounts& c = counts[static_cast<std::size_t>(r)];
       ASSERT_EQ(c.rounds, 128);
       ASSERT_EQ(c.intra_lanes, 1) << "rank " << r;
-      // Intra lanes publish an 8-byte pointer, except under collective,
-      // whose wave fences pack them like inter lanes.
-      const std::int64_t lanes =
-          c.inter_bytes + (b == Backend::collective
-                               ? c.intra_bytes
-                               : 8 * c.intra_lanes);
-      EXPECT_EQ(c.reserved, lanes) << ddr::backend_name(b) << " rank " << r;
+      // Intra lanes publish an 8-byte pointer instead of a payload.
+      EXPECT_EQ(c.reserved, c.inter_bytes + 8 * c.intra_lanes)
+          << "budget " << budget << " rank " << r;
       // Only the fused lanes were compiled: no per-round type.
       EXPECT_EQ(c.precompiled, c.fused_types)
-          << ddr::backend_name(b) << " rank " << r;
+          << "budget " << budget << " rank " << r;
     }
   }
 }
@@ -149,10 +150,7 @@ TEST(SetupPrewarm, PerRoundExecutorsKeepRoundPayloadsAndPlans) {
       {Backend::point_to_point, nullptr},
       {Backend::alltoallw, &lossless},
       {Backend::point_to_point, &lossless},
-      {Backend::point_to_point_fused, &lossless},
       {Backend::point_to_point_pipelined, &lossless},
-      {Backend::collective, &lossless},
-      {Backend::hybrid, &lossless},
   };
   for (const Case& k : cases) {
     const std::vector<SetupCounts> counts = trace_setup(k.backend, k.fault);

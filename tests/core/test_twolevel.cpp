@@ -1,9 +1,10 @@
 // Topology-aware two-level exchange and parallel lane packing: with a
-// simnet::LinkModel installed (consecutive ranks share a node), the fused
-// and pipelined backends must classify lanes self/intra/inter, move the
-// intra-node lanes zero-copy through shared memory, and still produce
-// bit-identical results — with or without the PackExecutor packing lanes
-// concurrently, and under any forced pack kernel. The 20x loops run under
+// simnet::LinkModel installed (consecutive ranks share a node), the
+// fused-lane executor (point_to_point_pipelined) must classify lanes
+// self/intra/inter, move the intra-node lanes zero-copy through shared
+// memory, and still produce bit-identical results — with or without the
+// PackExecutor packing lanes concurrently, and under any forced pack
+// kernel. The 20x loops run under
 // TSan in CI, which is what proves the pointer-publish/ack protocol and the
 // executor handoff race-free.
 
@@ -128,17 +129,11 @@ TEST_P(TwoLevelBackends, ParallelPackPlusTopologyStress20x) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Exchange, TwoLevelBackends,
-                         ::testing::Values(
-                             Backend::point_to_point_fused,
-                             Backend::point_to_point_pipelined),
-                         [](const auto& info) {
-                           return info.param == Backend::point_to_point_fused
-                                      ? "fused"
-                                      : "pipelined";
-                         });
+                         ::testing::Values(Backend::point_to_point_pipelined),
+                         [](const auto&) { return "pipelined"; });
 
 // The per-round backends never see intra lanes (classification only drives
-// fused/pipelined), but must stay correct under a topology model.
+// the fused-lane executor), but must stay correct under a topology model.
 TEST(TwoLevel, PerRoundBackendsUnaffectedByTopology) {
   const simnet::LinkModel model(two_per_node());
   mpi::RunOptions opts;
@@ -166,7 +161,7 @@ TEST(TwoLevel, ForcedScalarMatchesAutodetect) {
                                      Chunk::d2(8, 1, 0, rank + 4)};
           const Chunk need = Chunk::d2(4, 4, 4 * (rank % 2), 4 * (rank / 2));
           ddr::SetupOptions sopts;
-          sopts.backend = Backend::point_to_point_fused;
+          sopts.backend = Backend::point_to_point_pipelined;
           r.setup(own, need, sopts);
           std::vector<float> own_data;
           for (const auto& c : own) {

@@ -11,6 +11,7 @@
 #include <map>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ddr/ddr.hpp"
@@ -120,8 +121,10 @@ ddr::Chunk strided3d_needed(int rank) {
 }
 
 /// Like run_e1 but on the strided3d layout (the pipelined backend's bench
-/// case, 8 rounds deep).
-TracedRun run_strided3d(ddr::Backend backend) {
+/// case, 8 rounds deep), optionally packing with PackExecutor threads and
+/// under a staging budget.
+TracedRun run_strided3d(ddr::Backend backend, int pack_threads = 0,
+                        std::size_t budget = 0) {
   TracedRun out;
   std::vector<trace::Recorder> recs;
   recs.reserve(kRanks);
@@ -130,11 +133,13 @@ TracedRun run_strided3d(ddr::Backend backend) {
 
   mpi::run(kRanks, [&](mpi::Comm& comm) {
     const int r = comm.rank();
+    comm.set_pack_threads(pack_threads);
     ddr::Redistributor rd(comm, sizeof(float));
     rd.trace_sink(&recs[static_cast<std::size_t>(r)]);
     ddr::SetupOptions opt;
     opt.backend = backend;
     opt.collective_error_agreement = false;
+    opt.peak_staging_bytes = budget;
     rd.setup(strided3d_owned(r), strided3d_needed(r), opt);
     recs[static_cast<std::size_t>(r)].clear();
     if (r == 0) rounds = rd.rounds();
@@ -194,12 +199,15 @@ TEST(TraceGolden, P2pRoundSpansMatchSchedule) {
 }
 
 TEST(TraceGolden, FusedEmitsOnePerPeerLane) {
-  const TracedRun run = run_e1(ddr::Backend::point_to_point_fused);
+  // The fused-lane executor (point_to_point_pipelined) moves each peer's
+  // rounds as one lane: one send and one receive instant per peer lane.
+  const TracedRun run = run_e1(ddr::Backend::point_to_point_pipelined);
   for (int r = 0; r < kRanks; ++r) {
     const auto& ev = run.events[static_cast<std::size_t>(r)];
-    EXPECT_EQ(
-        trace::count_events(ev, "ddr.exchange.fused", trace::Phase::begin),
-        1u);
+    EXPECT_EQ(trace::count_events(ev, "ddr.msg.send", trace::Phase::instant),
+              3u);
+    EXPECT_EQ(trace::count_events(ev, "ddr.msg.recv", trace::Phase::instant),
+              3u);
     EXPECT_EQ(trace::count_events(ev, "ddr.round", trace::Phase::begin), 0u);
     // Fused message instants carry no round (the lane spans every round).
     for (const trace::Event& e : ev)
@@ -212,9 +220,10 @@ TEST(TraceGolden, FusedEmitsOnePerPeerLane) {
 }
 
 TEST(TraceGolden, StructureDeterministicAcrossRuns) {
+  // The per-round backends only: the fused-lane executor completes
+  // receives in arrival order, which depends on thread scheduling.
   for (const ddr::Backend b :
-       {ddr::Backend::alltoallw, ddr::Backend::point_to_point,
-        ddr::Backend::point_to_point_fused}) {
+       {ddr::Backend::alltoallw, ddr::Backend::point_to_point}) {
     const TracedRun a = run_e1(b);
     const TracedRun c = run_e1(b);
     for (int r = 0; r < kRanks; ++r)
@@ -309,4 +318,45 @@ TEST(TraceGolden, PipelinedStrided3dConservesBytesOutOfOrder) {
                 recvd[static_cast<std::size_t>(q)].at(r))
           << "bytes " << r << " -> " << q;
     }
+}
+
+TEST(TraceGolden, ParallelPackSpanPerWaveCoversInterLanes) {
+  // With PackExecutor threads, each wave packs its inter lanes inside one
+  // ddr.pack.parallel span whose value is the lanes it packed, and the
+  // per-worker ddr.pack.worker instants split that count. Across the waves
+  // the spans cover every inter-node send lane of the rank exactly once
+  // (strided3d: 3 lanes of 64 KiB, above the inline threshold). Without a
+  // budget that is one wave; 200000 B splits the 12 lanes into 4 waves.
+  for (const auto& [budget, waves] :
+       {std::pair<std::size_t, std::size_t>{0, 1}, {200000, 4}}) {
+    const TracedRun run =
+        run_strided3d(ddr::Backend::point_to_point_pipelined, 2, budget);
+    for (int r = 0; r < kRanks; ++r) {
+      const auto& ev = run.events[static_cast<std::size_t>(r)];
+      EXPECT_EQ(
+          trace::count_events(ev, "ddr.pack.parallel", trace::Phase::begin),
+          waves)
+          << "budget " << budget << " rank " << r;
+      std::int64_t packed = 0, by_workers = 0;
+      for (std::size_t i = 0; i < ev.size(); ++i) {
+        const std::string name = ev[i].name;
+        if (name == "ddr.pack.worker") by_workers += ev[i].keys.value;
+        if (name != "ddr.pack.parallel" || ev[i].phase != trace::Phase::begin)
+          continue;
+        packed += ev[i].keys.value;
+        // The pack runs inside the span.
+        for (std::size_t j = i + 1; j < ev.size(); ++j)
+          if (std::string(ev[j].name) == "ddr.pack.parallel") {
+            EXPECT_EQ(ev[j].phase, trace::Phase::end);
+            if (ev[i].keys.value > 0) {
+              EXPECT_GT(ev[j].ts_us, ev[i].ts_us);
+            }
+            break;
+          }
+      }
+      EXPECT_EQ(packed, 3) << "budget " << budget << " rank " << r;
+      EXPECT_EQ(by_workers, 3) << "budget " << budget << " rank " << r;
+      EXPECT_EQ(trace::total_bytes(ev, "ddr.msg.send"), 196608);
+    }
+  }
 }

@@ -35,6 +35,7 @@ struct Scenario {
   unsigned seed;
 };
 
+// "fused" names the fused-lane executor, Backend::point_to_point_pipelined.
 std::string scenario_name(const ::testing::TestParamInfo<Scenario>& info) {
   const char* b = info.param.backend == Backend::alltoallw       ? "w"
                   : info.param.backend == Backend::point_to_point ? "p2p"
@@ -135,13 +136,13 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, TracedBytes,
     ::testing::Values(Scenario{1, 4, Backend::alltoallw, 501},
                       Scenario{1, 5, Backend::point_to_point, 502},
-                      Scenario{1, 3, Backend::point_to_point_fused, 503},
+                      Scenario{1, 3, Backend::point_to_point_pipelined, 503},
                       Scenario{2, 4, Backend::alltoallw, 601},
                       Scenario{2, 6, Backend::point_to_point, 602},
-                      Scenario{2, 5, Backend::point_to_point_fused, 603},
+                      Scenario{2, 5, Backend::point_to_point_pipelined, 603},
                       Scenario{3, 4, Backend::alltoallw, 701},
                       Scenario{3, 5, Backend::point_to_point, 702},
-                      Scenario{3, 6, Backend::point_to_point_fused, 703}),
+                      Scenario{3, 6, Backend::point_to_point_pipelined, 703}),
     scenario_name);
 
 }  // namespace

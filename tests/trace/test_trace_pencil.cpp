@@ -103,8 +103,10 @@ TEST(TracePencil, StepBytesMatchAnalyticAccounting) {
 }
 
 TEST(TracePencil, StructureDeterministicAcrossRuns) {
+  // The per-round backends only: the fused-lane executor completes
+  // receives in arrival order, which depends on thread scheduling.
   for (const ddr::Backend b :
-       {ddr::Backend::alltoallw, ddr::Backend::point_to_point_fused}) {
+       {ddr::Backend::alltoallw, ddr::Backend::point_to_point}) {
     const TracedStep a = run_step(b);
     const TracedStep c = run_step(b);
     for (int r = 0; r < kRanks; ++r)

@@ -1,7 +1,7 @@
 // Pencil-transpose workload properties: a forward + inverse FFT transpose
 // chain must be byte-identical to the initial slab buffer on randomized grid
 // sizes and rank counts, on EVERY backend (including the planner's automatic
-// mode and the wave-fenced collective lowering under a tight staging
+// mode and the fused-lane executor's fenced waves under a tight staging
 // budget), under a simnet topology; and the generator's closed-form
 // accounting must agree exactly with the geometric mapping machinery.
 
@@ -160,25 +160,19 @@ INSTANTIATE_TEST_SUITE_P(
         // Every backend on 4 ranks (square process grid)...
         Scenario{4, Backend::alltoallw, false, 11u},
         Scenario{4, Backend::point_to_point, false, 12u},
-        Scenario{4, Backend::point_to_point_fused, false, 13u},
         Scenario{4, Backend::point_to_point_pipelined, false, 14u},
-        Scenario{4, Backend::collective, false, 15u},
         Scenario{4, Backend::automatic, false, 16u},
-        // ...the planner and the budgeted collective across rank counts,
-        // including prime (1 x P grid) and non-square (2 x 3) shapes.
+        // ...the planner and the budgeted fused-lane executor across rank
+        // counts, including prime (1 x P grid) and non-square (2 x 3)
+        // shapes. Cooley's two ranks per node gives every chain transposes
+        // with self, intra AND inter lanes; the budget forces multi-wave
+        // inter sequences next to the zero-copy intra lanes.
         Scenario{2, Backend::automatic, false, 21u},
-        Scenario{3, Backend::collective, true, 22u},
+        Scenario{3, Backend::point_to_point_pipelined, true, 22u},
         Scenario{3, Backend::automatic, false, 23u},
-        Scenario{6, Backend::collective, true, 24u},
+        Scenario{6, Backend::point_to_point_pipelined, true, 24u},
         Scenario{6, Backend::automatic, false, 25u},
-        Scenario{4, Backend::collective, true, 26u},
-        // The hybrid per-peer-class composition: cooley's two ranks per
-        // node gives every chain transposes with self, intra AND inter
-        // lanes; with and without a budget that forces multi-wave inter
-        // sequences.
-        Scenario{4, Backend::hybrid, false, 17u},
-        Scenario{4, Backend::hybrid, true, 27u},
-        Scenario{6, Backend::hybrid, true, 28u}),
+        Scenario{4, Backend::point_to_point_pipelined, true, 26u}),
     scenario_name);
 
 TEST(PencilPlanCache, SharedCacheHitsAcrossInstances) {

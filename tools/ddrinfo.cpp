@@ -16,8 +16,8 @@
 //     --cost      compile every rank's transfer plans and print per-rank
 //                 message counts, payload bytes, compiled plan segment and
 //                 run-compressed quad totals for the plain per-round p2p
-//                 backend and the fused per-peer backend side by side, plus
-//                 the pipelined backend's per-rank receive-window depth,
+//                 backend and the pipelined backend's fused per-peer lanes
+//                 side by side, plus its per-rank receive-window depth,
 //                 each fused lane's locality class (self/intra/inter), the
 //                 pack kernel runtime dispatch selected on this host, and
 //                 the planner's per-candidate self/intra/inter byte split
@@ -25,7 +25,8 @@
 //                 the two views reconcile by construction)
 //     --plan      run the cost-model planner (ddr::Planner) over the layout
 //                 and print its decision — chosen backend, collective shape,
-//                 pack threads, wave schedule — plus a per-candidate table of
+//                 pack threads, wave count, and the per-class lowering the
+//                 fused-lane executor runs — plus a per-candidate table of
 //                 predicted vs MEASURED cost: each candidate backend is
 //                 actually executed under the threaded runtime and its
 //                 median wall-clock (or virtual makespan when a link model
@@ -34,7 +35,7 @@
 //     --budget BYTES
 //                 peak-staging budget handed to the planner and to every
 //                 measured run (SetupOptions::peak_staging_bytes): bounds
-//                 the collective-sequence wave payloads and marks
+//                 the pipelined backend's wave payloads and marks
 //                 over-budget candidates infeasible
 //     --ranks-per-node N
 //                 node topology for the --cost locality classes and the
@@ -46,7 +47,7 @@
 //                 simnet::LinkModel drives both the planner and the
 //                 measured runs' virtual clocks.
 //     --trace F   actually run one redistribute() per backend (alltoallw,
-//                 p2p, fused, pipelined) under the threaded runtime with
+//                 p2p, pipelined) under the threaded runtime with
 //                 tracing on, write the merged Chrome-trace JSON to F (load
 //                 it at https://ui.perfetto.dev), and print per-backend
 //                 message and byte totals (comparable to --cost)
@@ -273,7 +274,8 @@ int run_validate(const ddr::LayoutSpec& spec) {
 
 /// Compiles every rank's transfer plans (exactly what Redistributor::setup
 /// builds) and prints what one redistribute() call costs each rank under the
-/// plain per-round p2p backend versus the fused per-peer backend: messages
+/// plain per-round p2p backend versus the pipelined backend's fused per-peer
+/// lanes: messages
 /// posted, payload bytes, total compiled plan segments (contiguous runs
 /// copied per call — see Datatype::plan_segment_count), and total
 /// run-compressed plan quads (descriptors stored == copy-train kernel calls
@@ -298,8 +300,8 @@ int run_cost(const ddr::LayoutSpec& spec, int ranks_per_node) {
   std::int64_t depth_total = 0;
   std::printf("\nper-rank send cost (one redistribute() call):\n");
   std::printf("  %-5s | %-35s | %-35s | %s\n", "",
-              "plain p2p (per round x peer)", "fused p2p (one msg per peer)",
-              "pipelined");
+              "plain p2p (per round x peer)",
+              "pipelined p2p (one msg per peer)", "window");
   std::printf("  %-5s | %8s %10s %8s %6s | %8s %10s %8s %6s | %6s\n", "rank",
               "msgs", "bytes", "segs", "quads", "msgs", "bytes", "segs",
               "quads", "depth");
@@ -323,7 +325,7 @@ int run_cost(const ddr::LayoutSpec& spec, int ranks_per_node) {
       }
     }
     // Pipelined receive window: one fused lane per peer this rank receives
-    // from (the same lanes the fused backend drains behind wait_all).
+    // from.
     for (const ddr::PeerLane& lane : m.fused_recv)
       if (lane.peer != r) ++depth;
     for (const ddr::PeerLane& lane : m.fused_send) {
@@ -376,9 +378,9 @@ int run_cost(const ddr::LayoutSpec& spec, int ranks_per_node) {
               "backends.\n");
 
   // Fused lane locality under a blocked topology: self lanes never message,
-  // intra-node lanes move zero-copy through shared memory on the fused and
-  // pipelined backends (two tiny control messages replace the payload), and
-  // only inter-node lanes pack and pay the link.
+  // intra-node lanes move zero-copy through shared memory on the pipelined
+  // backend (two tiny control messages replace the payload), and only
+  // inter-node lanes pack and pay the link.
   std::printf("\nfused lane locality (ranks_per_node=%d):\n", ranks_per_node);
   for (int r = 0; r < layout.nranks(); ++r) {
     const ddr::DataMapping m = ddr::build_mapping(layout, r, spec.elem_size);
@@ -422,8 +424,8 @@ int run_cost(const ddr::LayoutSpec& spec, int ranks_per_node) {
                 static_cast<long long>(c.inter_node_bytes),
                 c.predicted_peak_staging);
   std::printf("  * = the backend --plan chooses here (shape %s); intra-node "
-              "bytes move zero-copy on the fused flavours, so only inter-node "
-              "bytes are packed and pay the link\n",
+              "bytes move zero-copy on the pipelined backend, so only "
+              "inter-node bytes are packed and pay the link\n",
               shape_name(d.shape));
   return 0;
 }
@@ -470,12 +472,12 @@ int run_plan(const ddr::LayoutSpec& spec, int ranks_per_node,
               d.predicted_s * 1e3, d.predicted_peak_staging);
 
   // The per-peer-class partition of the fused lane set and the lowering the
-  // hybrid composition gives each class (self lanes count ranks with self
+  // fused-lane executor gives each class (self lanes count ranks with self
   // traffic; intra lanes ride the zero-copy pointer publication; inter
-  // lanes run as the budgeted wave sequence).
-  std::printf("\nper-peer-class partition (hybrid lowering, %d inter "
+  // lanes are pipelined, in budgeted waves when a budget is set).
+  std::printf("\nper-peer-class partition (fused-lane lowering, %d inter "
               "wave(s)):\n",
-              d.hybrid_waves);
+              d.waves);
   std::printf("  %-6s %6s %12s %9s  %s\n", "class", "lanes", "bytes",
               "pred ms", "lowering");
   const char* cls_names[] = {"self", "intra", "inter"};
@@ -585,7 +587,6 @@ int run_trace(const ddr::LayoutSpec& spec, const char* out_path) {
   const BackendRun backends[] = {
       {"alltoallw", ddr::Backend::alltoallw},
       {"p2p", ddr::Backend::point_to_point},
-      {"fused", ddr::Backend::point_to_point_fused},
       {"pipelined", ddr::Backend::point_to_point_pipelined},
   };
 
