@@ -1,6 +1,7 @@
 // Ablation A1 (DESIGN.md): dense MPI_Alltoallw rounds (the paper's published
 // algorithm) versus the sparse point-to-point backend (the paper's §V
-// future-work optimization), on mappings of varying sparsity.
+// future-work optimization, DDR's fused-lane executor), on mappings of
+// varying sparsity.
 //
 // Reports, per scenario: non-empty transfers vs dense P^2 lanes, and the
 // simulated redistribution time of each backend under the Cooley link model.
@@ -89,7 +90,8 @@ void report(const char* name, const ddr::GlobalLayout& layout,
   const int p = layout.nranks();
   const auto stats = ddr::compute_stats(layout, 4);
   const double t_w = simulate(layout, ddr::Backend::alltoallw, net);
-  const double t_p2p = simulate(layout, ddr::Backend::point_to_point, net);
+  const double t_p2p =
+      simulate(layout, ddr::Backend::point_to_point_pipelined, net);
   const long long lanes =
       static_cast<long long>(p) * (p - 1) * stats.rounds;
   std::printf("%-22s %-5d %-7d %-9lld %-7lld %-12.4f %-12.4f %.2fx\n", name,

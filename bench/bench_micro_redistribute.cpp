@@ -21,8 +21,9 @@ using ddr::Chunk;
 /// Rows -> near-square rectangles on a side x side float grid (use case B).
 void BM_RedistributeRowsToRects(benchmark::State& state) {
   const int side = static_cast<int>(state.range(0));
-  const Backend backend =
-      state.range(1) == 0 ? Backend::alltoallw : Backend::point_to_point;
+  const Backend backend = state.range(1) == 0
+                              ? Backend::alltoallw
+                              : Backend::point_to_point_pipelined;
   constexpr int kRanks = 4;
   for (auto _ : state) {
     mpi::run(kRanks, [&](mpi::Comm& comm) {

@@ -5,14 +5,14 @@
 // broadcast-shaped slab allgather, plus the two workload-suite shapes of
 // src/workloads (the slab -> y-pencil FFT transpose and a tiny-message
 // SPMD resharding over 8 ranks, both carrying closed-form analytic byte
-// accounting the bench gates against) — under seven configurations:
+// accounting the bench gates against) — under six configurations:
 //
 //   legacy_alltoallw        recursive-walker pack path (plans disabled)
 //   compiled_alltoallw      compiled segment plans, alltoallw backend
-//   compiled_p2p            compiled plans, per-round point-to-point backend
 //   compiled_p2p_pipelined  compiled plans, the fused-lane executor: one
-//                           lane per peer, all-round receive window with
-//                           out-of-order wait_any completion
+//                           lane per peer, all-round receive window,
+//                           completed post-all (one wait_all) below 32 KiB
+//                           lanes and out-of-order (wait_any) above
 //   pipelined_scalar_kernel pipelined backend with the copy-train kernel
 //                           forced to scalar (the SIMD-vs-scalar ablation;
 //                           every other config uses the autodetected kernel)
@@ -59,7 +59,8 @@
 // decide-per-step median — the plan-reuse amortization headline.
 //
 // Emits BENCH_redistribute.json (schema: EXPERIMENTS.md) with median and
-// p95 per-call wall time, bytes moved, messages posted per call, and the
+// p95 per-call wall time (rank 0's, which the gates read, plus the slowest
+// rank's median), bytes moved, messages posted per call, and the
 // steady-state staging-pool heap-allocation count. The process exits
 // non-zero if any steady-state redistribute() performed a staging heap
 // allocation — CI runs this binary as the zero-allocation gate of the data
@@ -80,6 +81,8 @@
 #include <cstdio>
 #include <span>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "ddr/ddr.hpp"
@@ -191,8 +194,11 @@ struct ConfigResult {
   std::string name;
   /// For the "automatic" config: the backend ddr::Planner resolved to.
   std::string planned_backend;
-  double median_ms = 0.0;
+  double median_ms = 0.0;  ///< rank 0's per-call median (the gates read it)
   double p95_ms = 0.0;
+  /// The largest per-rank per-call median: the executors serve peers in
+  /// different orders, so rank 0 alone may not see the slowest rank.
+  double slowest_rank_median_ms = 0.0;
   double messages_per_call = 0.0;
   std::uint64_t staging_heap_allocs_steady = 0;
   std::uint64_t staging_acquires_steady = 0;
@@ -217,11 +223,31 @@ struct CaseResult {
   std::vector<ConfigResult> configs;
   // Planner exit gate: automatic's median vs the best hand-picked config
   // (ablation configs excluded — see main).
+  struct Rival {
+    std::string name;
+    double median_ms = 0.0;
+    double slowest_rank_median_ms = 0.0;
+  };
+  std::vector<Rival> gate_rivals;  ///< interleaved medians, automatic last
   std::string best_config;
   double best_median_ms = 0.0;
   double automatic_median_ms = 0.0;
   bool automatic_within_tolerance = true;
 };
+
+double median_of(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
+/// Rank 0's median and the largest per-rank median of per-call times.
+std::pair<double, double> rank0_and_slowest(
+    const std::vector<std::vector<double>>& per_rank) {
+  double slowest = 0.0;
+  for (const std::vector<double>& t : per_rank)
+    slowest = std::max(slowest, median_of(t));
+  return {median_of(per_rank.front()), slowest};
+}
 
 int env_int(const char* name, int fallback) {
   const char* v = std::getenv(name);
@@ -260,11 +286,11 @@ ConfigResult run_config(const CaseSetup& cs, const std::string& cfg_name,
     std::exit(2);
   }
 
-  std::vector<double> times_ms;
   std::uint64_t msgs_delta = 0;
   std::uint64_t allocs_delta = 0;
   std::uint64_t acquires_delta = 0;
   const auto nr = static_cast<std::size_t>(cs.nranks);
+  std::vector<std::vector<double>> times_ms(nr);
   std::vector<std::uint64_t> tr_events(nr, 0), tr_msgs(nr, 0);
   std::vector<std::int64_t> tr_bytes(nr, 0);
   std::vector<char> tr_balanced(nr, 1);
@@ -305,9 +331,8 @@ ConfigResult run_config(const CaseSetup& cs, const std::string& cfg_name,
       const auto t0 = std::chrono::steady_clock::now();
       rd.redistribute(src_b, dst_b);
       const auto t1 = std::chrono::steady_clock::now();
-      if (r == 0)
-        times_ms.push_back(
-            std::chrono::duration<double, std::milli>(t1 - t0).count());
+      times_ms[static_cast<std::size_t>(r)].push_back(
+          std::chrono::duration<double, std::milli>(t1 - t0).count());
     }
     comm.barrier();
     if (r == 0) {
@@ -342,10 +367,12 @@ ConfigResult run_config(const CaseSetup& cs, const std::string& cfg_name,
     tr_balanced[ri] = trace::spans_balanced(rec.events()) ? 1 : 0;
   });
 
-  std::sort(times_ms.begin(), times_ms.end());
-  res.median_ms = times_ms[times_ms.size() / 2];
-  res.p95_ms = times_ms[static_cast<std::size_t>(
-      static_cast<double>(times_ms.size()) * 0.95)];
+  std::tie(res.median_ms, res.slowest_rank_median_ms) =
+      rank0_and_slowest(times_ms);
+  std::vector<double>& rank0 = times_ms.front();
+  std::sort(rank0.begin(), rank0.end());
+  res.p95_ms =
+      rank0[static_cast<std::size_t>(static_cast<double>(rank0.size()) * 0.95)];
   res.messages_per_call =
       static_cast<double>(msgs_delta) / static_cast<double>(reps);
   res.staging_heap_allocs_steady = allocs_delta;
@@ -357,10 +384,10 @@ ConfigResult run_config(const CaseSetup& cs, const std::string& cfg_name,
     if (tr_balanced[i] == 0) res.trace_spans_balanced = false;
   }
 
-  std::printf("%-10s %-20s median %8.3f ms  p95 %8.3f ms  msgs/call %7.1f  "
-              "steady heap allocs %llu\n",
-              cs.name.c_str(), cfg_name.c_str(), res.median_ms, res.p95_ms,
-              res.messages_per_call,
+  std::printf("%-10s %-20s median %8.3f ms  slowest rank %8.3f ms  p95 %8.3f "
+              "ms  msgs/call %7.1f  steady heap allocs %llu\n",
+              cs.name.c_str(), cfg_name.c_str(), res.median_ms,
+              res.slowest_rank_median_ms, res.p95_ms, res.messages_per_call,
               static_cast<unsigned long long>(res.staging_heap_allocs_steady));
   if (kernel != nullptr) mpi::set_pack_kernel("auto");
   return res;
@@ -369,8 +396,8 @@ ConfigResult run_config(const CaseSetup& cs, const std::string& cfg_name,
 // ---------------------------------------------------------------------------
 // Planner exit gate. The per-config windows above run serially, so their
 // medians carry machine-load drift that can exceed the 5% tolerance between
-// backends whose true cost is equal (bcast3d's p2p vs pipelined flip order
-// between runs). The gate therefore re-measures INTERLEAVED: one run sets
+// backends whose true cost is close. The gate therefore re-measures
+// INTERLEAVED: one run sets
 // up automatic plus every hand-picked backend side by side and rotates
 // through them call by call, so every candidate samples the same load. The
 // planner passes when its interleaved median lands within 5% (plus a
@@ -385,11 +412,13 @@ bool run_planner_gate(const CaseSetup& cs, int reps, CaseResult& cr) {
   };
   const Rival rivals[] = {
       {"compiled_alltoallw", ddr::Backend::alltoallw},
-      {"compiled_p2p", ddr::Backend::point_to_point},
       {"compiled_p2p_pipelined", ddr::Backend::point_to_point_pipelined},
   };
-  constexpr int kRivals = 3;
-  std::vector<std::vector<double>> times(kRivals + 1);  // [kRivals] = automatic
+  constexpr int kRivals = 2;
+  // [config][rank] per-call times; config kRivals is automatic.
+  std::vector<std::vector<std::vector<double>>> times(
+      kRivals + 1,
+      std::vector<std::vector<double>>(static_cast<std::size_t>(cs.nranks)));
   ddr::Backend resolved = ddr::Backend::automatic;
 
   mpi::run(cs.nranks, [&](mpi::Comm& comm) {
@@ -418,21 +447,27 @@ bool run_planner_gate(const CaseSetup& cs, int reps, CaseResult& cr) {
         const auto t0 = std::chrono::steady_clock::now();
         rds[static_cast<std::size_t>(k)]->redistribute(src_b, dst_b);
         const auto t1 = std::chrono::steady_clock::now();
-        if (r == 0)
-          times[static_cast<std::size_t>(k)].push_back(
-              std::chrono::duration<double, std::milli>(t1 - t0).count());
+        times[static_cast<std::size_t>(k)][static_cast<std::size_t>(r)]
+            .push_back(
+                std::chrono::duration<double, std::milli>(t1 - t0).count());
       }
   });
 
-  const auto median = [](std::vector<double>& v) {
-    std::sort(v.begin(), v.end());
-    return v[v.size() / 2];
-  };
-  cr.automatic_median_ms = median(times[kRivals]);
+  for (int k = 0; k <= kRivals; ++k) {
+    const auto [rank0, slowest] =
+        rank0_and_slowest(times[static_cast<std::size_t>(k)]);
+    cr.gate_rivals.push_back(
+        {k < kRivals ? rivals[k].name : "automatic", rank0, slowest});
+    std::printf("%-10s planner gate: %-24s rank 0 %8.3f ms  slowest rank "
+                "%8.3f ms\n",
+                cs.name.c_str(), cr.gate_rivals.back().name.c_str(), rank0,
+                slowest);
+  }
+  cr.automatic_median_ms = cr.gate_rivals[kRivals].median_ms;
   cr.best_median_ms = 1e300;
   double twin_median_ms = 1e300;
   for (int k = 0; k < kRivals; ++k) {
-    const double m = median(times[static_cast<std::size_t>(k)]);
+    const double m = cr.gate_rivals[static_cast<std::size_t>(k)].median_ms;
     if (m < cr.best_median_ms) {
       cr.best_median_ms = m;
       cr.best_config = rivals[k].name;
@@ -600,8 +635,7 @@ PeakPoint run_peak_point(int reps) {
       // so the final snapshot is the exchange's true concurrent footprint.
       if (r == 0) *peak = comm.staging_stats().peak_live_bytes;
     });
-    std::sort(times_ms.begin(), times_ms.end());
-    *med_ms = times_ms[times_ms.size() / 2];
+    *med_ms = median_of(times_ms);
   };
 
   measure(0, &pp.unbudgeted_median_ms, &pp.peak_unbudgeted);
@@ -981,13 +1015,9 @@ AmortizePoint run_amortize_point(int reps) {
     }
   });
 
-  const auto median = [](std::vector<double>& v) {
-    std::sort(v.begin(), v.end());
-    return v[v.size() / 2];
-  };
-  ap.steady_median_ms = median(steady);
-  ap.replan_per_step_median_ms = median(replan);
-  ap.replan_cached_median_ms = median(cached);
+  ap.steady_median_ms = median_of(steady);
+  ap.replan_per_step_median_ms = median_of(replan);
+  ap.replan_cached_median_ms = median_of(cached);
   ap.amortized = ap.steady_median_ms <= 0.75 * ap.replan_per_step_median_ms;
   std::printf("amortize   pencil %d^3/%d (%s)  setup %.3f ms  first step "
               "%.3f ms  steady %.3f ms  replan/step %.3f ms  replan+cache "
@@ -1044,12 +1074,13 @@ void write_json(const std::string& path, int reps,
         std::fprintf(f, "        {\"name\": \"%s\", \"median_ms\": %.6f, ",
                      cf.name.c_str(), cf.median_ms);
       std::fprintf(f,
+                   "\"slowest_rank_median_ms\": %.6f, "
                    "\"p95_ms\": %.6f, \"messages_per_call\": %.2f, "
                    "\"staging_acquires_steady\": %llu, "
                    "\"staging_heap_allocs_steady\": %llu, "
                    "\"trace\": {\"events\": %llu, \"data_msgs\": %llu, "
                    "\"send_bytes\": %lld, \"spans_balanced\": %s}}%s\n",
-                   cf.p95_ms, cf.messages_per_call,
+                   cf.slowest_rank_median_ms, cf.p95_ms, cf.messages_per_call,
                    static_cast<unsigned long long>(cf.staging_acquires_steady),
                    static_cast<unsigned long long>(
                        cf.staging_heap_allocs_steady),
@@ -1062,11 +1093,18 @@ void write_json(const std::string& path, int reps,
     std::fprintf(f,
                  "      ],\n      \"planner\": {\"automatic_median_ms\": "
                  "%.6f, \"best_config\": \"%s\", \"best_median_ms\": %.6f, "
-                 "\"within_tolerance\": %s}\n    }%s\n",
+                 "\"within_tolerance\": %s, \"interleaved\": [",
                  cr.automatic_median_ms, cr.best_config.c_str(),
                  cr.best_median_ms,
-                 cr.automatic_within_tolerance ? "true" : "false",
-                 c + 1 < cases.size() ? "," : "");
+                 cr.automatic_within_tolerance ? "true" : "false");
+    for (std::size_t k = 0; k < cr.gate_rivals.size(); ++k)
+      std::fprintf(f,
+                   "%s{\"name\": \"%s\", \"median_ms\": %.6f, "
+                   "\"slowest_rank_median_ms\": %.6f}",
+                   k > 0 ? ", " : "", cr.gate_rivals[k].name.c_str(),
+                   cr.gate_rivals[k].median_ms,
+                   cr.gate_rivals[k].slowest_rank_median_ms);
+    std::fprintf(f, "]}\n    }%s\n", c + 1 < cases.size() ? "," : "");
   }
   // Every block below is optional (skipped blocks are simply absent): a
   // filtered smoke run carries only what it measured.
@@ -1198,8 +1236,6 @@ int main() {
                                     ddr::Backend::alltoallw, reps, cr));
     cr.configs.push_back(run_config(cs, "compiled_alltoallw", true,
                                     ddr::Backend::alltoallw, reps, cr));
-    cr.configs.push_back(run_config(cs, "compiled_p2p", true,
-                                    ddr::Backend::point_to_point, reps, cr));
     cr.configs.push_back(run_config(cs, "compiled_p2p_pipelined", true,
                                     ddr::Backend::point_to_point_pipelined,
                                     reps, cr));

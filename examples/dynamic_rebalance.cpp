@@ -70,10 +70,11 @@ int main() {
       std::vector<float> segment;
       for (int i = lo; i < hi; ++i) segment.push_back(signal(i, step));
 
-      // Layout changed -> new mapping; transfers are sparse -> p2p backend.
+      // Layout changed -> new mapping; transfers are sparse -> the
+      // point-to-point (fused-lane) backend.
       ddr::Redistributor rd(comm, sizeof(float));
       ddr::SetupOptions opts;
-      opts.backend = ddr::Backend::point_to_point;
+      opts.backend = ddr::Backend::point_to_point_pipelined;
       rd.setup({ddr::Chunk::d1(hi - lo, lo)}, need, opts);
       rd.redistribute(std::as_bytes(std::span<const float>(segment)),
                       std::as_writable_bytes(std::span<float>(balanced)));

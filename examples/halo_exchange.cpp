@@ -87,7 +87,8 @@ int main() {
 
     ddr::Redistributor rd(comm, sizeof(float));
     ddr::SetupOptions opts;
-    opts.backend = ddr::Backend::point_to_point;  // sparse: <= 2 peers
+    // Sparse (<= 2 peers): the point-to-point backend.
+    opts.backend = ddr::Backend::point_to_point_pipelined;
     rd.setup(own, need, opts);
 
     std::vector<float> slab(static_cast<std::size_t>(kNx) * rows);

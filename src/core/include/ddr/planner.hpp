@@ -3,10 +3,10 @@
 /// \file planner.hpp
 /// Cost-model-driven backend planning (ROADMAP item 2).
 ///
-/// The bench snapshot shows no single backend dominates: fused p2p wins
-/// strided multi-round exchanges, plain p2p wins small low-round ones, and
-/// parallel packing loses outright below a message-size threshold.
-/// ddr::Planner replaces the manual Backend choice: at setup() time it
+/// The paper's per-round alltoallw and the fused-lane executor are priced
+/// against each other, and parallel packing loses outright below a
+/// message-size threshold. ddr::Planner replaces the manual Backend choice:
+/// at setup() time it
 /// consumes the redistribution's compiled-plan statistics — transfer counts,
 /// per-lane bytes, round structure, the self/intra-node/inter-node split
 /// under the installed mpi::NetworkModel, and (when available) the local
@@ -39,25 +39,27 @@ enum class Backend {
   /// MPI_Alltoallw with subarray datatypes, one call per round — the
   /// algorithm the paper describes (§III-C).
   alltoallw = 0,
-  /// Direct nonblocking send/recv per non-empty transfer — the paper's
-  /// future-work optimization for sparse mappings (§V).
-  point_to_point = 1,
-  /// The fused-lane executor: every peer's per-round lanes are stitched into
-  /// ONE struct-typed lane, cutting the message count from rounds x peers to
+  /// The fused-lane executor — the paper's future-work point-to-point
+  /// backend for sparse mappings (§V): direct sends and receives of only the
+  /// non-empty transfers, every peer's per-round pieces stitched into ONE
+  /// struct-typed lane, cutting the message count from rounds x peers to
   /// peers. Each lane gets the lowering its LaneClass admits: the self lane
   /// is a copy_regions, intra-node lanes are copied zero-copy out of the
   /// sender's owned buffer through a published pointer, and inter-node lanes
-  /// are pipelined — the full receive window is posted before any byte is
-  /// packed, sends stream lane-by-lane in shifted order, and receives
-  /// complete out-of-order the moment they land (mpi::wait_any), so total
-  /// latency approaches the max per-peer transfer time instead of rounds x
-  /// round time. Under SetupOptions::peak_staging_bytes the inter-node lanes
-  /// run as a sequence of waves (assign_waves over inter_node_lanes), each
-  /// closed by a barrier, so the staging pool's peak stays within the
-  /// budget — the sequenced, memory-bounded exchange of Rink et al.
-  /// (arXiv:2112.01075). Under an active FaultModel this mode is gated to
-  /// the reliable per-round path (see Redistributor::effective_backend):
-  /// the retry protocol re-requests individual (round, peer) transfers.
+  /// go through the staging pool with the whole receive window posted up
+  /// front, completed in one of two orders fixed at setup
+  /// (PlanDecision::post_all): below kParallelPackThresholdBytes one
+  /// wait_all in posting order after ascending-peer sends; above it a
+  /// pipeline of shifted sends whose receives complete out-of-order the
+  /// moment they land (mpi::wait_any), so total latency approaches the max
+  /// per-peer transfer time instead of rounds x round time. Under
+  /// SetupOptions::peak_staging_bytes the inter-node lanes run as a
+  /// sequence of waves (assign_waves over inter_node_lanes), each closed by
+  /// a barrier, so the staging pool's peak stays within the budget — the
+  /// sequenced, memory-bounded exchange of Rink et al. (arXiv:2112.01075).
+  /// Under an active FaultModel every non-self lane moves as one payload a
+  /// receiver-driven retry protocol re-requests until it lands. (Value 1,
+  /// the per-round point-to-point executor, is retired.)
   point_to_point_pipelined = 3,
   /// Let ddr::Planner choose: setup() runs the cost model over every
   /// candidate above and redistribute() executes the winner (see
@@ -129,7 +131,7 @@ int assign_waves(std::vector<ExchangeLane>& lanes,
 /// One evaluated backend candidate: the predicted cost and footprint the
 /// planner compared (ddrinfo --plan prints these against measured numbers).
 struct CandidateCost {
-  Backend backend = Backend::point_to_point;
+  Backend backend = Backend::alltoallw;
   /// Predicted makespan of one redistribute() call, in seconds: the max
   /// over ranks of modeled per-rank cost (NetworkModel-derived when a model
   /// is installed, calibrated software constants otherwise).
@@ -161,13 +163,14 @@ struct ClassPlan {
   std::int64_t bytes = 0;       ///< payload bytes the class carries
   double predicted_s = 0.0;     ///< predicted makespan of this class alone
   const char* lowering = "";    ///< "copy_regions" / "ptr_publish" /
-                                ///< "pipelined" (no budget) or
+                                ///< "post_all" or "pipelined" (no budget,
+                                ///< see PlanDecision::post_all) /
                                 ///< "fenced_waves" (under a budget)
 };
 
 /// The planner's verdict, identical on every rank of the communicator.
 struct PlanDecision {
-  Backend backend = Backend::point_to_point;
+  Backend backend = Backend::alltoallw;
   /// PackExecutor threads redistribute() should use (0 = inline packing).
   /// Nonzero only when the chosen backend parallel-packs and some lane
   /// clears kParallelPackThresholdBytes.
@@ -186,6 +189,14 @@ struct PlanDecision {
   /// no inter lanes exist). Intra-node lanes move zero-copy and never
   /// compete for the budget.
   int waves = 1;
+  /// Completion discipline of the fused-lane executor's inter-node lanes,
+  /// decided from one global aggregate so every rank runs the same one:
+  /// true when the largest inter-node lane is below
+  /// kParallelPackThresholdBytes — every receive is posted, the lanes are
+  /// sent in ascending peer order and one wait_all completes them in posting
+  /// order; false — the pipeline: shifted send order, a drain of the landed
+  /// receives between sends, arrival-order completion.
+  bool post_all = true;
   /// The self/intra/inter partition of the fused lane set, in that order
   /// (always 3 entries), with the lowering the fused-lane executor gives
   /// each class. Populated from global aggregates on every decision.
@@ -228,8 +239,8 @@ class Planner {
                                                nullptr);
 };
 
-/// Human-readable backend name ("alltoallw", "point_to_point", ...), for
-/// explain output and test diagnostics.
+/// Human-readable backend name ("alltoallw", "point_to_point_pipelined",
+/// "automatic"), for explain output and test diagnostics.
 [[nodiscard]] const char* backend_name(Backend b);
 
 }  // namespace ddr

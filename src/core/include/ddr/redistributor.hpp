@@ -114,10 +114,10 @@ struct SetupOptions {
   bool collective_error_agreement = true;
 
   /// Point-to-point backend under fault injection: how many times a missing
-  /// transfer is re-requested before the receiving rank gives up and fails
-  /// the run (collective abort). Each attempt re-posts the transfer on the
+  /// fused lane is re-requested before the receiving rank gives up and
+  /// fails the run (collective abort). Each attempt re-posts the lane on the
   /// sending side, so a run under a lossy-link FaultModel completes
-  /// bit-identically whenever every transfer survives within the cap.
+  /// bit-identically whenever every lane survives within the cap.
   int max_transfer_attempts = 8;
 
   /// Whether the comm-less rebuild(owned, needed) overloads may shrink the
@@ -272,12 +272,8 @@ class Redistributor {
 
   [[nodiscard]] const mpi::Comm& comm() const { return comm_; }
 
-  /// The backend redistribute() actually runs. Differs from the requested
-  /// one in two cases: Backend::automatic resolves to the planner's choice
-  /// at setup() time (see plan()), and the fused-lane executor
-  /// (point_to_point_pipelined) under an active FaultModel degrades to
-  /// point_to_point (whose reliable per-round retry protocol handles
-  /// message loss; fused messages cannot be re-requested per round).
+  /// The backend redistribute() actually runs: the requested one, or the
+  /// planner's choice when Backend::automatic was requested (see plan()).
   [[nodiscard]] Backend effective_backend() const;
 
   /// The planner's decision for the current mapping. Populated by every
@@ -304,7 +300,7 @@ class Redistributor {
  private:
   /// The communication-free tail of setup(): layout_ (and options_, comm_,
   /// elem_size_) are already in place; derives mapping_, stats_, the lane
-  /// classes, the wave tables, the tag budget and the staging prewarm.
+  /// classes, the wave tables and the staging prewarm.
   /// resize_rebalance() reuses it to compile the old->new transition layout
   /// directly — the transition has empty needed sides for retiring members,
   /// which the public setup() rejects by design.
@@ -337,15 +333,19 @@ class Redistributor {
 
   void execute_alltoallw(std::span<const std::byte> owned_data,
                          std::span<std::byte> needed_data) const;
-  void execute_p2p(std::span<const std::byte> owned_data,
-                   std::span<std::byte> needed_data) const;
   /// Backend::point_to_point_pipelined — the one executor of the fused
   /// lanes: self lane copy_regions, intra lanes the ptr-publish zero-copy
-  /// path, inter lanes pipelined once per wave of send_waves_/recv_waves_.
+  /// path, inter lanes once per wave of send_waves_/recv_waves_ under the
+  /// completion discipline of plan_.post_all.
   void execute_p2p_pipelined(std::span<const std::byte> owned_data,
                              std::span<std::byte> needed_data) const;
+  /// The fused-lane executor under an active FaultModel: every non-self
+  /// lane moves as one payload its receiver re-requests until it lands.
   void execute_p2p_reliable(std::span<const std::byte> owned_data,
                             std::span<std::byte> needed_data) const;
+  /// The self lane of the fused lanes: one copy_regions, no message.
+  void copy_self_lane(std::span<const std::byte> owned_data,
+                      std::span<std::byte> needed_data) const;
 
   mpi::Comm comm_;
   std::size_t elem_size_;
@@ -373,25 +373,23 @@ class Redistributor {
   /// meaningful when options_.plan_cache != nullptr; redistribute() rejects
   /// execution once the cache has been invalidated past it).
   std::uint64_t plan_cache_epoch_ = 0;
-  /// Whether parallel packing can pay off on this mapping: true only when
-  /// some inter-node send lane clears kParallelPackThresholdBytes. When
-  /// false, the fused-lane executor packs inline even if the application
-  /// configured PackExecutor threads — the thread handoff costs more than
-  /// the pack below the threshold.
-  bool parpack_effective_ = false;
-  /// Epoch counter for the reliable p2p protocol: every redistribute() call
-  /// gets its own tag window so duplicated or re-sent messages from one call
-  /// can never be mistaken for another call's traffic.
+  /// PackExecutor threads the fused-lane executor packs with (0 = inline),
+  /// resolved by this setup: the plan's count under Backend::automatic,
+  /// mpi::Comm::pack_threads() otherwise, and 0 unless some inter-node send
+  /// lane clears kParallelPackThresholdBytes — below it the thread handoff
+  /// costs more than the pack.
+  int pack_threads_ = 0;
+  /// Epoch counter of the fused-lane executor: every redistribute() call
+  /// gets its own tags so duplicated or re-sent messages from one call can
+  /// never be mistaken for another call's traffic.
   mutable std::uint64_t p2p_epoch_ = 0;
   /// Request scratch reused across redistribute() calls so the steady-state
-  /// p2p data path performs no heap allocation.
+  /// fused-lane data path performs no heap allocation.
   mutable std::vector<mpi::Request> reqs_;
-  /// (round, peer, bytes) metadata parallel to the receive window in reqs_
-  /// in the pipelined executor, so out-of-order completions can be traced
-  /// against the lane they satisfy (fused lanes span every round, so their
-  /// round is -1). Reused scratch, like reqs_.
+  /// (peer, bytes) metadata parallel to the receive window in reqs_ in the
+  /// fused-lane executor, so out-of-order completions can be traced against
+  /// the lane they satisfy. Reused scratch, like reqs_.
   struct PipelineRecv {
-    int round = -1;
     int peer = -1;
     std::int64_t bytes = 0;
   };

@@ -14,9 +14,8 @@ namespace {
 // --- software-regime cost constants ------------------------------------------
 // Used when no NetworkModel is installed (the wall-clock bench regime):
 // calibrated against BENCH_redistribute.json on the reference host so the
-// argmin over candidates reproduces the measured winners (plain p2p on
-// low-round small exchanges, the fused-lane executor when fusion collapses
-// the message count and the receive window overlaps).
+// argmin over candidates reproduces the measured winners (the fused-lane
+// executor over the paper's per-round alltoallw on every bench case).
 // Absolute values matter less than ratios — the planner compares candidates,
 // it does not forecast wall time.
 
@@ -24,8 +23,8 @@ namespace {
 constexpr double kMsgOverheadS = 1.5e-6;
 /// Pack + mailbox copy + unpack cost per payload byte.
 constexpr double kByteCostS = 4.0e-10;
-/// Extra type-walk cost of one stitched fused lane (deeper plan than the
-/// per-round subarrays it replaces).
+/// Extra type-walk cost of one fused lane that stitches two or more round
+/// pieces (deeper plan than the per-round subarrays it replaces).
 constexpr double kLaneStitchS = 4.0e-7;
 /// Per-peer-per-round loop cost of the dense alltoallw walk.
 constexpr double kRoundSyncS = 3.0e-7;
@@ -33,8 +32,8 @@ constexpr double kRoundSyncS = 3.0e-7;
 constexpr double kBarrierHopS = 1.5e-6;
 /// Plan-walk cost per stored quad (local predicted_s refinement only).
 constexpr double kQuadWalkS = 5.0e-9;
-/// Fraction of the smaller of pack/unpack byte cost the pipelined backend
-/// hides behind the receive window.
+/// Fraction of the smaller of pack/unpack byte cost the pipeline hides
+/// behind the receive window.
 constexpr double kPipelineOverlap = 0.5;
 /// Zero-copy intra-node lanes still pay one copy_regions pass.
 constexpr double kIntraByteCostS = 2.0e-10;
@@ -50,19 +49,18 @@ struct Aggregates {
   int rounds = 0;
   std::vector<ExchangeLane> lanes;    ///< non-self, (sender, receiver) order
   std::vector<bool> lane_inter;       ///< parallel to lanes
+  std::vector<std::int64_t> lane_pieces;  ///< round pieces per lane
   std::int64_t self_bytes = 0;
-  std::int64_t total_bytes = 0;       ///< non-self payload bytes
   std::int64_t inter_bytes = 0;
   std::int64_t intra_bytes = 0;
   std::int64_t pieces = 0;            ///< non-self (round, pair) transfers
-  std::int64_t max_lane_bytes = 0;
+  std::int64_t max_inter_lane_bytes = 0;
   std::vector<std::int64_t> round_bytes;  ///< non-self bytes per round
   // Per-rank splits (index: comm rank).
-  std::vector<std::int64_t> pieces_out, pieces_in;
-  std::vector<std::int64_t> lanes_out, lanes_in;
-  std::vector<std::int64_t> bytes_out, bytes_in;
-  std::vector<std::int64_t> inter_bytes_out, inter_bytes_in;
-  std::vector<std::int64_t> intra_lanes_out, intra_lanes_in;
+  std::vector<std::int64_t> lanes_in;
+  std::vector<std::int64_t> inter_bytes_out;
+  /// Inter-node send lanes of at least kParallelPackThresholdBytes.
+  std::vector<std::int64_t> big_inter_lanes_out;
   std::vector<std::int64_t> self_bytes_rank;
 };
 
@@ -81,16 +79,9 @@ Aggregates aggregate(const GlobalLayout& layout, std::size_t elem_size,
     a.rounds = std::max(a.rounds, static_cast<int>(o.size()));
   const auto p = static_cast<std::size_t>(a.nranks);
   a.round_bytes.assign(static_cast<std::size_t>(a.rounds), 0);
-  a.pieces_out.assign(p, 0);
-  a.pieces_in.assign(p, 0);
-  a.lanes_out.assign(p, 0);
   a.lanes_in.assign(p, 0);
-  a.bytes_out.assign(p, 0);
-  a.bytes_in.assign(p, 0);
   a.inter_bytes_out.assign(p, 0);
-  a.inter_bytes_in.assign(p, 0);
-  a.intra_lanes_out.assign(p, 0);
-  a.intra_lanes_in.assign(p, 0);
+  a.big_inter_lanes_out.assign(p, 0);
   a.self_bytes_rank.assign(p, 0);
 
   auto node_of = [&](int rank) {
@@ -117,25 +108,17 @@ Aggregates aggregate(const GlobalLayout& layout, std::size_t elem_size,
     const bool intra = net != nullptr && node_of(s) == node_of(r);
     a.lanes.push_back({s, r, bytes, 0});
     a.lane_inter.push_back(!intra);
-    a.total_bytes += bytes;
+    a.lane_pieces.push_back(pieces);
     a.pieces += pieces;
-    a.max_lane_bytes = std::max(a.max_lane_bytes, bytes);
     const auto si = static_cast<std::size_t>(s);
-    const auto ri = static_cast<std::size_t>(r);
-    a.pieces_out[si] += pieces;
-    a.pieces_in[ri] += pieces;
-    ++a.lanes_out[si];
-    ++a.lanes_in[ri];
-    a.bytes_out[si] += bytes;
-    a.bytes_in[ri] += bytes;
+    ++a.lanes_in[static_cast<std::size_t>(r)];
     if (intra) {
       a.intra_bytes += bytes;
-      ++a.intra_lanes_out[si];
-      ++a.intra_lanes_in[ri];
     } else {
       a.inter_bytes += bytes;
       a.inter_bytes_out[si] += bytes;
-      a.inter_bytes_in[ri] += bytes;
+      a.max_inter_lane_bytes = std::max(a.max_inter_lane_bytes, bytes);
+      if (bytes >= kParallelPackThresholdBytes) ++a.big_inter_lanes_out[si];
     }
   }
   return a;
@@ -207,8 +190,6 @@ const char* backend_name(Backend b) {
   switch (b) {
     case Backend::alltoallw:
       return "alltoallw";
-    case Backend::point_to_point:
-      return "point_to_point";
     case Backend::point_to_point_pipelined:
       return "point_to_point_pipelined";
     case Backend::automatic:
@@ -286,6 +267,7 @@ PlanDecision Planner::decide(const GlobalLayout& layout, std::size_t elem_size,
   }
   const auto inter_lane_count = static_cast<std::int64_t>(inter_lanes.size());
   d.waves = assign_waves(inter_lanes, peak_staging_bytes);
+  d.post_all = a.max_inter_lane_bytes < kParallelPackThresholdBytes;
   std::int64_t max_wave_bytes = 0;
   {
     std::vector<std::int64_t> per_wave(static_cast<std::size_t>(d.waves), 0);
@@ -295,8 +277,7 @@ PlanDecision Planner::decide(const GlobalLayout& layout, std::size_t elem_size,
       max_wave_bytes = std::max(max_wave_bytes, b);
   }
 
-  // Per-rank cost of the plain per-(round, pair) schedule: p2p and
-  // alltoallw move the same pieces; they differ in loop structure only.
+  // Per-rank cost of the plain per-(round, pair) schedule alltoallw moves.
   std::vector<double> plain(p, 0.0);
   std::vector<double> fused_fixed(p, 0.0), intra_cost(p, 0.0);
   std::vector<double> fused_bytes_out(p, 0.0), fused_bytes_in(p, 0.0);
@@ -305,8 +286,11 @@ PlanDecision Planner::decide(const GlobalLayout& layout, std::size_t elem_size,
     const auto si = static_cast<std::size_t>(l.sender);
     const auto ri = static_cast<std::size_t>(l.receiver);
     if (a.lane_inter[i]) {
-      fused_fixed[si] += price.send_side(0) + kLaneStitchS;
-      fused_fixed[ri] += kLaneStitchS;
+      // Only a lane that stitches two or more round pieces walks a deeper
+      // type than the per-round subarray it replaces.
+      const double stitch = a.lane_pieces[i] >= 2 ? kLaneStitchS : 0.0;
+      fused_fixed[si] += price.send_side(0) + stitch;
+      fused_fixed[ri] += stitch;
       fused_bytes_out[si] += price.send_side(l.bytes) - price.send_side(0);
       fused_bytes_in[ri] += price.recv_side(l.bytes, l.sender, l.receiver);
     } else {
@@ -318,12 +302,20 @@ PlanDecision Planner::decide(const GlobalLayout& layout, std::size_t elem_size,
       intra_cost[ri] += ctrl + static_cast<double>(l.bytes) * kIntraByteCostS;
     }
   }
-  // Plain pieces: every (round, pair) transfer is its own message.
+  // Plain pieces: every (round, pair) transfer is its own message. Under a
+  // NetworkModel, `walked` keeps the empty-message price of each piece's
+  // step of the dense walk, which the piece's own price already covers.
+  std::vector<double> walked(p, 0.0);
   for (const Transfer& t : enumerate_transfers(layout, elem_size)) {
     if (t.sender == t.receiver) continue;
-    plain[static_cast<std::size_t>(t.sender)] += price.send_side(t.bytes);
-    plain[static_cast<std::size_t>(t.receiver)] +=
-        price.recv_side(t.bytes, t.sender, t.receiver);
+    const auto si = static_cast<std::size_t>(t.sender);
+    const auto ri = static_cast<std::size_t>(t.receiver);
+    plain[si] += price.send_side(t.bytes);
+    plain[ri] += price.recv_side(t.bytes, t.sender, t.receiver);
+    if (net != nullptr) {
+      walked[si] += price.send_side(0);
+      walked[ri] += price.recv_side(0, t.sender, t.receiver);
+    }
   }
 
   auto add_candidate = [&](Backend b, double predicted, std::int64_t msgs,
@@ -345,37 +337,44 @@ PlanDecision Planner::decide(const GlobalLayout& layout, std::size_t elem_size,
     d.candidates.push_back(c);
   };
 
-  // alltoallw: dense per-round pairwise walk on top of the plain pieces.
+  // alltoallw: dense per-round pairwise walk on top of the plain pieces —
+  // a calibrated loop cost per peer and round in the software regime; under
+  // a NetworkModel the empty message the walk exchanges with every peer in
+  // every round the pieces leave out, which the model's clocks charge.
   {
     std::vector<double> cost = plain;
-    const double loop = static_cast<double>(a.rounds) *
-                        static_cast<double>(a.nranks) * kRoundSyncS;
-    for (double& x : cost) x += loop;
+    for (std::size_t r = 0; r < p; ++r) {
+      if (net == nullptr) {
+        cost[r] += static_cast<double>(a.rounds) *
+                   static_cast<double>(a.nranks) * kRoundSyncS;
+        continue;
+      }
+      double step = 0.0;
+      for (int q = 0; q < a.nranks; ++q)
+        if (static_cast<std::size_t>(q) != r)
+          step += price.send_side(0) +
+                  price.recv_side(0, q, static_cast<int>(r));
+      cost[r] += static_cast<double>(a.rounds) * step - walked[r];
+    }
     std::int64_t peak = 0;
     for (const std::int64_t b : a.round_bytes) peak = std::max(peak, b);
     add_candidate(Backend::alltoallw, max_of(cost), a.pieces,
                   static_cast<std::size_t>(peak));
   }
-  // point_to_point: the plain pieces, all rounds posted at once.
-  add_candidate(Backend::point_to_point, max_of(plain), a.pieces,
-                static_cast<std::size_t>(a.total_bytes));
-
   // pipelined (the fused-lane executor): one message per inter-node lane,
   // a pointer publish + ack per intra-node lane, minus the pack/unpack
-  // overlap the receive window hides. Small lanes see no benefit — the
-  // per-lane spans dominate — so the credit is gated on the shared
-  // parallel-pack byte threshold. It is also gated on fusion actually
-  // collapsing messages (pieces > lanes): in a single-round exchange the
-  // fused lane set IS the plain message set, the stitched types buy
-  // nothing, and measured medians put plain p2p ahead (bcast3d). Under a
-  // budget each wave of inter lanes is closed by a barrier, and the peak is
-  // the largest wave instead of every inter lane at once.
+  // overlap the pipeline's receive window hides. Small lanes complete
+  // post-all, with no overlap to credit, so the credit needs the pipeline.
+  // It is also gated on fusion actually collapsing messages (pieces >
+  // lanes): in a single-round exchange the fused lane set IS the per-round
+  // message set and measured medians show no overlap gain (bcast3d). Under
+  // a budget each wave of inter lanes is closed by a barrier, and the peak
+  // is the largest wave instead of every inter lane at once.
   std::vector<double> inter_cost(p, 0.0);
   {
     for (std::size_t r = 0; r < p; ++r)
       inter_cost[r] = fused_fixed[r] + fused_bytes_out[r] + fused_bytes_in[r];
-    if (a.max_lane_bytes >= kParallelPackThresholdBytes &&
-        a.pieces > static_cast<std::int64_t>(a.lanes.size()))
+    if (!d.post_all && a.pieces > static_cast<std::int64_t>(a.lanes.size()))
       for (std::size_t r = 0; r < p; ++r)
         if (a.lanes_in[r] >= 2)
           inter_cost[r] -= kPipelineOverlap *
@@ -416,15 +415,16 @@ PlanDecision Planner::decide(const GlobalLayout& layout, std::size_t elem_size,
          max_of(intra_cost), "ptr_publish"},
         {LaneClass::inter, inter_lane_count, a.inter_bytes,
          max_of(inter_cost),
-         peak_staging_bytes != 0 ? "fenced_waves" : "pipelined"},
+         peak_staging_bytes != 0 ? "fenced_waves"
+         : d.post_all           ? "post_all"
+                                : "pipelined"},
     };
   }
 
   // Selection: among budget-feasible candidates, the smallest predicted
   // cost wins; ties (within 0.1%) go to the earlier entry of the preference
-  // order, which ranks simpler machinery first.
-  const Backend preference[] = {Backend::point_to_point,
-                                Backend::point_to_point_pipelined,
+  // order.
+  const Backend preference[] = {Backend::point_to_point_pipelined,
                                 Backend::alltoallw};
   const CandidateCost* best = nullptr;
   for (const Backend b : preference) {
@@ -439,16 +439,15 @@ PlanDecision Planner::decide(const GlobalLayout& layout, std::size_t elem_size,
   d.predicted_peak_staging = best->predicted_peak_staging;
   d.staging_prewarm_bytes = best->predicted_peak_staging;
 
-  // Parallel packing: only for the fused-lane executor, only when single
-  // lanes clear the inline threshold AND a rank packs enough total bytes to
-  // amortize the executor handoff.
-  if (d.backend == Backend::point_to_point_pipelined &&
-      a.max_lane_bytes >= kParallelPackThresholdBytes) {
-    std::int64_t max_rank_inter = 0;
+  // Parallel packing: only for the fused-lane executor, and only when some
+  // rank packs enough inter-node bytes to amortize the executor handoff in
+  // at least two lanes that clear the inline threshold — the executor splits
+  // work by lane, so a single lane gains nothing from a second thread.
+  if (d.backend == Backend::point_to_point_pipelined)
     for (std::size_t r = 0; r < p; ++r)
-      max_rank_inter = std::max(max_rank_inter, a.inter_bytes_out[r]);
-    if (max_rank_inter >= kParallelPackMinTotalBytes) d.pack_threads = 2;
-  }
+      if (a.inter_bytes_out[r] >= kParallelPackMinTotalBytes &&
+          a.big_inter_lanes_out[r] >= 2)
+        d.pack_threads = 2;
 
   // Local refinement: this rank's compiled fused-lane plans tell us the
   // actual quad/segment walk the pack kernels execute. Consumed for the

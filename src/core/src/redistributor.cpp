@@ -43,51 +43,45 @@ Chunk from_wire(const ChunkWire& w) {
 
 // --- point-to-point tag space ------------------------------------------------
 //
-// The p2p backend derives tags from sequence numbers, so its tag use must be
-// budgeted against mpi::tag_upper_bound (minimpi's documented user-tag
-// ceiling) instead of silently wrapping into other traffic. Layout, with
-// W = kP2pEpochWindow and R = rounds, for epoch e in [0, W):
+// The fused-lane executor derives its tags from a per-call epoch, so its tag
+// use is budgeted against mpi::tag_upper_bound (minimpi's documented user-tag
+// ceiling) instead of silently wrapping into other traffic. Five fixed
+// windows of W = kP2pEpochWindow tags each, for epoch e in [0, W):
 //
-//   done token (zero-byte)      : kP2pTagBase + e
-//   retry request for round k   : kP2pTagBase + W*(1 + k)     + e
-//   data message for round k    : kP2pTagBase + W*(1 + R + k) + e
-//   fused data message          : kP2pTagBase + W*(1 + 2R)    + e
-//   intra-node pointer publish  : kP2pTagBase + W*(2 + 2R)    + e
-//   intra-node copy ack         : kP2pTagBase + W*(3 + 2R)    + e
+//   done token (fault path, zero-byte)    : kP2pTagBase + 0*W + e
+//   retry request (fault path, zero-byte) : kP2pTagBase + 1*W + e
+//   fused lane payload                    : kP2pTagBase + 2*W + e
+//   intra-node pointer publish            : kP2pTagBase + 3*W + e
+//   intra-node copy ack                   : kP2pTagBase + 4*W + e
 //
-// Highest tag used: kP2pTagBase + W*(4 + 2R) - 1; setup() rejects mappings
-// whose round count would exceed the ceiling. Epochs scope one
-// redistribute() call's traffic: re-sent or duplicated messages of one call
-// can never be mistaken for another call's (the window would have to wrap
-// within W in-flight calls, and each call drains its window before and after
-// use). The fused lane needs only one window regardless of the round or
-// wave count because each peer pair exchanges at most one fused message per
-// epoch. Intra-node lanes likewise exchange at most one pointer and one ack
-// per peer pair per epoch, so the two-level exchange costs two windows
-// regardless of the round count. Only the per-round executors' data
-// messages consume the per-round data windows.
+// Each peer pair exchanges at most one lane (one pointer and one ack for an
+// intra-node lane) per epoch, whatever the round or wave count, so the
+// layout does not depend on the mapping and the ceiling is checked at
+// compile time. Epochs scope one redistribute() call's traffic: re-sent or
+// duplicated messages of one call can never be mistaken for another call's
+// (the window would have to wrap within W in-flight calls, and the fault
+// path drains its windows before and after use).
 
-/// Tag base for the point-to-point backend, chosen high so it cannot collide
+/// Tag base for the point-to-point traffic, chosen high so it cannot collide
 /// with typical application tags.
 constexpr int kP2pTagBase = 0x2DD70;
 /// Number of concurrent redistribute() epochs the tag space distinguishes.
 constexpr int kP2pEpochWindow = 4096;
 
-int p2p_done_tag(int epoch) { return kP2pTagBase + epoch; }
-int p2p_retry_tag(int round, int epoch) {
-  return kP2pTagBase + kP2pEpochWindow * (1 + round) + epoch;
-}
-int p2p_data_tag(int round, int nrounds, int epoch) {
-  return kP2pTagBase + kP2pEpochWindow * (1 + nrounds + round) + epoch;
-}
-int p2p_fused_tag(int nrounds, int epoch) {
-  return kP2pTagBase + kP2pEpochWindow * (1 + 2 * nrounds) + epoch;
-}
-int p2p_intra_ptr_tag(int nrounds, int epoch) {
-  return kP2pTagBase + kP2pEpochWindow * (2 + 2 * nrounds) + epoch;
-}
-int p2p_intra_ack_tag(int nrounds, int epoch) {
-  return kP2pTagBase + kP2pEpochWindow * (3 + 2 * nrounds) + epoch;
+enum P2pWindow : int {
+  kDoneWindow,
+  kRetryWindow,
+  kLaneWindow,
+  kIntraPtrWindow,
+  kIntraAckWindow,
+  kP2pWindows,
+};
+static_assert(kP2pTagBase + kP2pEpochWindow * kP2pWindows - 1 <
+                  mpi::tag_upper_bound,
+              "the point-to-point tag windows exceed the runtime tag ceiling");
+
+constexpr int p2p_tag(P2pWindow window, int epoch) {
+  return kP2pTagBase + kP2pEpochWindow * window + epoch;
 }
 
 // --- fail-safe collective error agreement ------------------------------------
@@ -372,8 +366,6 @@ void Redistributor::finish_setup() {
     resolved_backend_ = options_.backend == Backend::automatic
                             ? plan_.backend
                             : options_.backend;
-    if (options_.backend == Backend::automatic)
-      comm_.set_pack_threads(plan_.pack_threads);
     DDR_TRACE_INSTANT(
         "ddr.plan.decision",
         {.bytes = static_cast<std::int64_t>(plan_.predicted_peak_staging),
@@ -381,14 +373,19 @@ void Redistributor::finish_setup() {
   }
 
   // 6d. Lowering table of the fused-lane executor: its inter-node lanes
-  // grouped by wave, send lanes in the shifted order they are posted. The
-  // waves come from the global inter-lane schedule under the staging
-  // budget (one wave without one), derived from the allgathered layout, so
-  // a lane moves in the same wave on its sender and receiver. Intra lanes
-  // move zero-copy outside the waves and never count against the budget.
+  // grouped by wave, send lanes in the order they are posted — ascending
+  // peer order under the post-all discipline, the shifted order under the
+  // pipeline (plan_.post_all). The waves come from the global inter-lane
+  // schedule under the staging budget (one wave without one), derived from
+  // the allgathered layout, so a lane moves in the same wave on its sender
+  // and receiver. Intra lanes move zero-copy outside the waves and never
+  // count against the budget.
   send_waves_.clear();
   recv_waves_.clear();
-  parpack_effective_ = false;
+  // This setup's own pack thread count — never the communicator's at call
+  // time, which another Redistributor's setup on the same communicator
+  // may have changed.
+  pack_threads_ = 0;
   if (resolved_backend_ == Backend::point_to_point_pipelined) {
     const auto p = static_cast<std::size_t>(mapping_.nranks);
     std::vector<int> send_wave(p, 0), recv_wave(p, 0);  // by peer
@@ -411,7 +408,10 @@ void Redistributor::finish_setup() {
     // once (fused lanes are sorted by peer).
     const std::vector<PeerLane>& sends = mapping_.fused_send;
     std::size_t first = 0;
-    while (first < sends.size() && sends[first].peer <= mapping_.rank) ++first;
+    if (!plan_.post_all)
+      while (first < sends.size() && sends[first].peer <= mapping_.rank)
+        ++first;
+    bool parallel_pays = false;
     for (std::size_t n = 0; n < sends.size(); ++n) {
       const std::size_t i = (first + n) % sends.size();
       if (fused_send_class_[i] != LaneClass::inter) continue;
@@ -419,9 +419,12 @@ void Redistributor::finish_setup() {
       send_waves_[static_cast<std::size_t>(send_wave[peer])].push_back(i);
       // Parallel packing pays off only when some lane clears the inline
       // threshold; below it the executor handoff costs more than the pack.
-      if (sends[i].bytes >= kParallelPackThresholdBytes)
-        parpack_effective_ = true;
+      if (sends[i].bytes >= kParallelPackThresholdBytes) parallel_pays = true;
     }
+    if (parallel_pays)
+      pack_threads_ = options_.backend == Backend::automatic
+                          ? plan_.pack_threads
+                          : comm_.pack_threads();
     for (std::size_t i = 0; i < mapping_.fused_recv.size(); ++i) {
       if (fused_recv_class_[i] != LaneClass::inter) continue;
       const auto peer = static_cast<std::size_t>(mapping_.fused_recv[i].peer);
@@ -429,35 +432,12 @@ void Redistributor::finish_setup() {
     }
   }
 
-  // 7. Tag-space budget for the p2p backends (see the tag layout comment
-  // above): identical on every rank because the round count derives from the
-  // allgathered layout and the resolved backend from global knowledge only.
-  // The fused-lane windows are included in the budget for all p2p flavours,
-  // so neither the fused <-> per-round fallback nor the planner's choice
-  // ever changes whether a layout is accepted.
-  if (resolved_backend_ != Backend::alltoallw) {
-    const auto nrounds = static_cast<std::int64_t>(mapping_.rounds.size());
-    const std::int64_t highest =
-        kP2pTagBase +
-        static_cast<std::int64_t>(kP2pEpochWindow) * (4 + 2 * nrounds) - 1;
-    require(highest < mpi::tag_upper_bound,
-            "setup: point-to-point backend needs " + std::to_string(nrounds) +
-                " rounds, whose highest tag " + std::to_string(highest) +
-                " exceeds the runtime tag ceiling (" +
-                std::to_string(mpi::tag_upper_bound) +
-                ") — use the alltoallw backend for this layout");
-  }
-
-  // 8. Compile and prewarm for the executor that runs. Three executors send
-  // per-round messages: alltoallw, per-round point_to_point and, under an
-  // active FaultModel, the reliable per-round path the fused-lane executor
-  // degrades to. The fused-lane executor moves only the fused lanes, so
-  // per-round plans would go unused and per-round payloads would never be
+  // 7. Compile and prewarm for the executor that runs. Only alltoallw sends
+  // per-round messages; the fused-lane executor moves only the fused lanes,
+  // so per-round plans would go unused and per-round payloads would never be
   // acquired — yet those payloads would cost every rank, since the
   // communicator's pool and its best-fit scan are shared.
-  const bool per_round = resolved_backend_ == Backend::alltoallw ||
-                         resolved_backend_ == Backend::point_to_point ||
-                         comm_.fault_injection_active();
+  const bool per_round = resolved_backend_ == Backend::alltoallw;
   if (per_round) {
     DDR_TRACE_SPAN(pspan, "ddr.mapping.precompile");
     for (const RoundPlan& rp : mapping_.rounds)
@@ -468,12 +448,13 @@ void Redistributor::finish_setup() {
   }
 
   // Prewarm the staging pool with this rank's peak concurrent send set:
-  // every payload can be in flight at once, since the p2p backends post all
-  // sends before draining any receive, and reserving every lane's full
-  // payload is conservative across any wave schedule. Receivers reuse the
-  // sender-acquired buffers, so once every rank has planted its own send
-  // sizes, steady-state redistribute() calls never heap-allocate staging
-  // storage (the zero-allocation contract the JSON bench and CI assert).
+  // every payload can be in flight at once, since the fused-lane executor
+  // posts all of a wave's sends before completing its receives, and
+  // reserving every lane's full payload is conservative across any wave
+  // schedule. Receivers reuse the sender-acquired buffers, so once every
+  // rank has planted its own send sizes, steady-state redistribute() calls
+  // never heap-allocate staging storage (the zero-allocation contract the
+  // JSON bench and CI assert).
   DDR_TRACE_SPAN(rspan, "ddr.setup.reserve_staging");
   std::vector<std::size_t> send_bytes;
   if (per_round) {
@@ -485,11 +466,13 @@ void Redistributor::finish_setup() {
                                rp.sendtypes[q].size());
   } else {
     // Intra-node lanes publish an 8-byte owned-buffer pointer instead of a
-    // payload (the ack is zero-byte, poolless).
+    // payload (the ack is zero-byte, poolless) — except on the fault path,
+    // where every non-self lane moves as a payload.
+    const bool payloads = comm_.fault_injection_active();
     for (std::size_t i = 0; i < mapping_.fused_send.size(); ++i) {
       const LaneClass cls = fused_send_class_[i];
       if (cls == LaneClass::self) continue;
-      send_bytes.push_back(cls == LaneClass::intra
+      send_bytes.push_back(cls == LaneClass::intra && !payloads
                                ? sizeof(std::uintptr_t)
                                : mapping_.fused_send[i].type.size());
     }
@@ -627,10 +610,10 @@ Redistributor::TransferResult Redistributor::resize_transfer(
       // needed sides for retiring members and — after a rolled-back attempt
       // in which a data-holding member died — an owned side with holes, so
       // the public setup() preconditions are skipped on purpose. Under an
-      // active FaultModel redistribute() degrades to the reliable per-round
+      // active FaultModel the fused-lane executor runs its per-lane retry
       // protocol, which fails fast when a peer dies mid-exchange.
       Redistributor trans(tcomm, elem_size);
-      trans.options_.backend = Backend::point_to_point;
+      trans.options_.backend = Backend::point_to_point_pipelined;
       trans.options_.validate_owned_layout = false;
       trans.options_.collective_error_agreement = false;
       trans.layout_ = plan.transition;
@@ -813,23 +796,16 @@ void Redistributor::redistribute(std::span<const std::byte> owned_data,
   if (resolved_backend_ == Backend::alltoallw) {
     execute_alltoallw(owned_data, needed_data);
   } else if (comm_.fault_injection_active()) {
-    // Both p2p flavours degrade to the reliable per-round protocol here —
-    // fused messages cannot be re-requested per (round, peer), which is the
-    // unit the retry protocol operates on, the fused-lane executor's
-    // wait_any drain would spin forever on a dropped message, and its wave
-    // barriers assume lossless delivery.
+    // A dropped lane would strand the happy path's completion wait and its
+    // wave barriers, so under a FaultModel the lanes move through the
+    // receiver-driven retry protocol instead.
     execute_p2p_reliable(owned_data, needed_data);
-  } else if (resolved_backend_ == Backend::point_to_point_pipelined) {
-    execute_p2p_pipelined(owned_data, needed_data);
   } else {
-    execute_p2p(owned_data, needed_data);
+    execute_p2p_pipelined(owned_data, needed_data);
   }
 }
 
 Backend Redistributor::effective_backend() const {
-  if (resolved_backend_ == Backend::point_to_point_pipelined &&
-      comm_.fault_injection_active())
-    return Backend::point_to_point;
   return setup_done_ ? resolved_backend_ : options_.backend;
 }
 
@@ -843,8 +819,8 @@ void Redistributor::execute_alltoallw(std::span<const std::byte> owned_data,
     const RoundPlan& rp = mapping_.rounds[static_cast<std::size_t>(k)];
     DDR_TRACE_SPAN(rspan, "ddr.round", trace::Keys{.round = k});
     // Per-lane message instants for the logical (non-self, non-empty)
-    // transfers this round moves, mirroring the p2p backends so per-round
-    // message counts are comparable across all three.
+    // transfers this round moves, mirroring the fused-lane executor's so
+    // traced bytes are comparable across both.
     for (int q = 0; q < mapping_.nranks; ++q) {
       const auto qi = static_cast<std::size_t>(q);
       if (rp.recvcounts[qi] > 0 && qi != self)
@@ -870,63 +846,6 @@ void Redistributor::execute_alltoallw(std::span<const std::byte> owned_data,
   }
 }
 
-void Redistributor::execute_p2p(std::span<const std::byte> owned_data,
-                                std::span<std::byte> needed_data) const {
-  // The paper's future-work optimization (§V): skip the dense collective and
-  // exchange only the non-empty transfers with direct sends/receives. The
-  // self lane skips the mailbox entirely (copy_regions, no staging buffer).
-  const int nrounds = static_cast<int>(mapping_.rounds.size());
-  const int epoch = static_cast<int>(p2p_epoch_++ % kP2pEpochWindow);
-  const auto self = static_cast<std::size_t>(mapping_.rank);
-  reqs_.clear();
-  // One pass per round: post that round's receives and sends and handle its
-  // self lane. Posting order across rounds is irrelevant for correctness
-  // (sends are buffered-eager and a receive only registers interest), so the
-  // rounds can be walked once instead of once per operation kind.
-  for (int k = 0; k < nrounds; ++k) {
-    const RoundPlan& rp = mapping_.rounds[static_cast<std::size_t>(k)];
-    const int tag = p2p_data_tag(k, nrounds, epoch);
-    DDR_TRACE_SPAN(rspan, "ddr.round", trace::Keys{.round = k});
-    for (int q = 0; q < mapping_.nranks; ++q) {
-      const auto qi = static_cast<std::size_t>(q);
-      if (rp.recvcounts[qi] > 0 && qi != self) {
-        DDR_TRACE_INSTANT(
-            "ddr.msg.recv",
-            {.round = k,
-             .peer = q,
-             .bytes = static_cast<std::int64_t>(
-                 static_cast<std::size_t>(rp.recvcounts[qi]) *
-                 rp.recvtypes[qi].size())});
-        reqs_.push_back(comm_.irecv(needed_data.data() + rp.rdispls[qi], 1,
-                                    rp.recvtypes[qi], q, tag));
-      }
-    }
-    for (int q = 0; q < mapping_.nranks; ++q) {
-      const auto qi = static_cast<std::size_t>(q);
-      if (rp.sendcounts[qi] > 0 && qi != self) {
-        DDR_TRACE_INSTANT(
-            "ddr.msg.send",
-            {.round = k,
-             .peer = q,
-             .bytes = static_cast<std::int64_t>(
-                 static_cast<std::size_t>(rp.sendcounts[qi]) *
-                 rp.sendtypes[qi].size())});
-        reqs_.push_back(comm_.isend(owned_data.data() + rp.sdispls[qi], 1,
-                                    rp.sendtypes[qi], q, tag));
-      }
-    }
-    if (rp.sendcounts[self] > 0 && rp.recvcounts[self] > 0)
-      mpi::copy_regions(rp.sendtypes[self], owned_data.data() + rp.sdispls[self],
-                        1, rp.recvtypes[self],
-                        needed_data.data() + rp.rdispls[self], 1);
-  }
-  {
-    DDR_TRACE_SPAN(wspan, "ddr.wait_all");
-    mpi::wait_all(reqs_);
-  }
-  reqs_.clear();
-}
-
 int Redistributor::fused_lane_count(LaneClass cls) const {
   int n = 0;
   for (const LaneClass c : fused_send_class_)
@@ -941,21 +860,29 @@ void Redistributor::execute_p2p_pipelined(
   // moves under the lowering its LaneClass admits: the self lane is a
   // copy_regions, intra-node lanes are copied zero-copy straight out of the
   // same-node sender's owned buffer through a published pointer, and
-  // inter-node lanes are pipelined: the receive window is posted BEFORE
-  // any byte is packed, sends then stream lane-by-lane through the staging
-  // pool (exactly the concurrent send set setup() prewarmed), and receives
-  // complete out-of-order with wait_any, each lane unpacked the moment it
-  // lands instead of in posting order behind a wait_all fence. Total latency
-  // approaches the max per-peer transfer time; the lock-step round barrier
-  // the paper's alltoallw implies (§III-C) is gone, and a slow peer no
-  // longer blocks unpacking of the lanes that already arrived.
+  // inter-node lanes go through the staging pool under the completion
+  // discipline setup() fixed for every rank (plan_.post_all):
   //
-  // The inter lanes run once per wave of the lowering table (one wave
-  // without a staging budget). Under SetupOptions::peak_staging_bytes a
-  // barrier closes each wave: every wave-w payload has been received, and
-  // its staging returned, before any rank packs a wave-(w+1) byte, so the
-  // pool's live bytes never exceed the largest wave plus the intra lanes'
-  // published pointers.
+  //  * post-all, when every inter lane is below kParallelPackThresholdBytes:
+  //    the receive window is posted, the lanes are sent in ascending peer
+  //    order, and one wait_all completes them in posting order. Packing a
+  //    small lane costs less than polling the outstanding receives between
+  //    sends would, so there is no overlap to buy.
+  //  * pipeline: the receive window is posted BEFORE any byte is packed,
+  //    sends stream lane-by-lane through the staging pool in shifted order,
+  //    the receives that landed meanwhile are drained between sends, and
+  //    the rest complete out-of-order with wait_any, each lane unpacked the
+  //    moment it lands instead of behind a wait_all fence. Total latency
+  //    approaches the max per-peer transfer time, and a slow peer no longer
+  //    blocks unpacking of the lanes that already arrived.
+  //
+  // Either way the lock-step round barrier the paper's alltoallw implies
+  // (§III-C) is gone. The inter lanes run once per wave of the lowering
+  // table (one wave without a staging budget). Under
+  // SetupOptions::peak_staging_bytes a barrier closes each wave: every
+  // wave-w payload has been received, and its staging returned, before any
+  // rank packs a wave-(w+1) byte, so the pool's live bytes never exceed the
+  // largest wave plus the intra lanes' published pointers.
   //
   // Deadlock freedom: sends and pointer publications are buffered-eager
   // (they never block), and every rank publishes its intra pointers and
@@ -966,14 +893,11 @@ void Redistributor::execute_p2p_pipelined(
   // its peers post before they block in the same wave. The intra acks are
   // drained after the last wave — the owned buffer is const here, so the
   // sender's memory is stable for the whole call.
-  const int nrounds = static_cast<int>(mapping_.rounds.size());
   const int epoch = static_cast<int>(p2p_epoch_++ % kP2pEpochWindow);
-  const int tag = p2p_fused_tag(nrounds, epoch);
-  const int ptr_tag = p2p_intra_ptr_tag(nrounds, epoch);
-  const int ack_tag = p2p_intra_ack_tag(nrounds, epoch);
-  // Parallel packing only when some inter lane clears the inline threshold
-  // (see parpack_effective_).
-  const bool parallel = comm_.pack_threads() > 0 && parpack_effective_;
+  const int tag = p2p_tag(kLaneWindow, epoch);
+  const int ptr_tag = p2p_tag(kIntraPtrWindow, epoch);
+  const int ack_tag = p2p_tag(kIntraAckWindow, epoch);
+  const bool parallel = pack_threads_ > 0;
   const bool fenced = options_.peak_staging_bytes > 0;
   const std::vector<PeerLane>& sends = mapping_.fused_send;
   if (parallel) payloads_.resize(sends.size());
@@ -983,13 +907,11 @@ void Redistributor::execute_p2p_pipelined(
     recv_meta_.clear();
     // Phase 1: post this wave's inter-node receive window. The number of
     // outstanding receives (the pipeline depth) is recorded as an instant.
-    // Fused lanes span every round, so their message instants carry
-    // round=-1.
     {
       DDR_TRACE_SPAN(pspan, "ddr.pipeline.post");
       for (const std::size_t i : recv_waves_[w]) {
         const PeerLane& l = mapping_.fused_recv[i];
-        recv_meta_.push_back({-1, l.peer, l.bytes});
+        recv_meta_.push_back({l.peer, l.bytes});
         reqs_.push_back(comm_.irecv(needed_data.data() + l.displ, 1, l.type,
                                     l.peer, tag));
       }
@@ -1010,38 +932,41 @@ void Redistributor::execute_p2p_pipelined(
     }
     std::size_t nrecv_left = reqs_.size();
     const std::span<mpi::Request> recvs(reqs_.data(), reqs_.size());
+    // The recv instant of lane i, emitted at COMPLETION time, which is what
+    // makes out-of-order arrival visible in the Chrome trace.
+    auto trace_recv = [&](std::size_t i) {
+      DDR_TRACE_INSTANT("ddr.msg.recv", {.peer = recv_meta_[i].peer,
+                                         .bytes = recv_meta_[i].bytes});
+    };
 
     // Completes every receive that has already landed, without blocking.
     // wait_any-style completion invalidates the request, so each lane is
-    // counted exactly once; the recv instant is emitted at COMPLETION time,
-    // which is what makes out-of-order arrival visible in the Chrome trace.
+    // counted exactly once.
     auto drain_ready = [&] {
       for (std::size_t i = 0; i < recvs.size() && nrecv_left > 0; ++i) {
         if (!recvs[i].valid()) continue;
         if (recvs[i].test()) {
           --nrecv_left;
-          DDR_TRACE_INSTANT("ddr.msg.recv", {.peer = recv_meta_[i].peer,
-                                             .bytes = recv_meta_[i].bytes});
+          trace_recv(i);
         }
       }
     };
 
-    // Phase 2: stream this wave's sends one lane at a time in the shifted
-    // order of the lowering table, so the first receives land while later
-    // lanes are still packing. Each pack span covers one peer's pack +
-    // post; between lanes, whatever landed meanwhile is drained and
-    // unpacked — overlap, not a barrier: nothing here waits. With
-    // pack_threads() > 0 the wave's lanes are packed concurrently up front
-    // on the PackExecutor; the shifted schedule then just posts the
-    // prepacked payloads (posting charges the clock, which stays on this
-    // thread).
+    // Phase 2: send this wave's lanes one at a time in the order of the
+    // lowering table. Each pack span covers one peer's pack + post. Under
+    // the pipeline, whatever landed between two lanes is drained and
+    // unpacked — overlap, not a barrier: nothing here waits. With pack
+    // threads the wave's lanes are packed concurrently up front on the
+    // PackExecutor (only the pipeline's lanes are large enough); the loop
+    // then just posts the prepacked payloads (posting charges the clock,
+    // which stays on this thread).
     const std::vector<std::size_t>& wave = send_waves_[w];
     if (parallel) {
       DDR_TRACE_SPAN(kspan, "ddr.pack.parallel",
                      trace::Keys{.value = static_cast<std::int64_t>(
                                      wave.size())});
-      const std::vector<std::size_t> counts =
-          comm_.parallel_for_lanes(wave.size(), [&](std::size_t k) {
+      const std::vector<std::size_t> counts = comm_.parallel_for_lanes(
+          pack_threads_, wave.size(), [&](std::size_t k) {
             const PeerLane& l = sends[wave[k]];
             payloads_[wave[k]] =
                 comm_.pack_to_staging(owned_data.data() + l.displ, 1, l.type);
@@ -1063,19 +988,10 @@ void Redistributor::execute_p2p_pipelined(
         else
           comm_.isend(owned_data.data() + l.displ, 1, l.type, l.peer, tag);
       }
-      drain_ready();
+      if (!plan_.post_all) drain_ready();
     }
     if (w == 0) {
-      // Self lane: the fused send and recv types cover the same bytes in
-      // the same (round, needed-index) order, so they map onto each other
-      // directly.
-      for (const PeerLane& s : sends) {
-        if (s.peer != mapping_.rank) continue;
-        for (const PeerLane& r : mapping_.fused_recv)
-          if (r.peer == mapping_.rank)
-            mpi::copy_regions(s.type, owned_data.data() + s.displ, 1, r.type,
-                              needed_data.data() + r.displ, 1);
-      }
+      copy_self_lane(owned_data, needed_data);
       // Intra lanes: copy straight out of each same-node sender's owned
       // buffer, then ack so the sender may return. The mailbox handoff
       // orders the sender's writes of its owned buffer before this read (they
@@ -1098,26 +1014,28 @@ void Redistributor::execute_p2p_pipelined(
       }
     }
 
-    // Phase 3: complete the remaining receives strictly in arrival order.
-    // While several are outstanding, wait_any picks whichever lands first;
-    // once a single lane is left there is no order to choose, so it
-    // completes with a blocking wait() — a condition-variable sleep instead
-    // of a test() poll that would contend on the mailbox the sender is
-    // delivering into.
-    {
+    // Phase 3: complete the remaining receives.
+    if (plan_.post_all) {
+      DDR_TRACE_SPAN(wspan, "ddr.wait_all");
+      mpi::wait_all(recvs);
+      for (std::size_t i = 0; i < recvs.size(); ++i) trace_recv(i);
+    } else {
+      // Strictly in arrival order. While several are outstanding, wait_any
+      // picks whichever lands first; once a single lane is left there is no
+      // order to choose, so it completes with a blocking wait() — a
+      // condition-variable sleep instead of a test() poll that would
+      // contend on the mailbox the sender is delivering into.
       DDR_TRACE_SPAN(cspan, "ddr.pipeline.complete");
       while (nrecv_left > 1) {
         const auto [i, st] = mpi::wait_any(recvs);
         --nrecv_left;
-        DDR_TRACE_INSTANT("ddr.msg.recv", {.peer = recv_meta_[i].peer,
-                                           .bytes = recv_meta_[i].bytes});
+        trace_recv(i);
       }
       if (nrecv_left == 1)
         for (std::size_t i = 0; i < recvs.size(); ++i) {
           if (!recvs[i].valid()) continue;
           recvs[i].wait();
-          DDR_TRACE_INSTANT("ddr.msg.recv", {.peer = recv_meta_[i].peer,
-                                             .bytes = recv_meta_[i].bytes});
+          trace_recv(i);
           break;
         }
     }
@@ -1132,36 +1050,56 @@ void Redistributor::execute_p2p_pipelined(
   recv_meta_.clear();
 }
 
+void Redistributor::copy_self_lane(std::span<const std::byte> owned_data,
+                                   std::span<std::byte> needed_data) const {
+  // The fused send and recv types of the self lane cover the same bytes in
+  // the same (round, needed-index) order, so they map onto each other
+  // directly.
+  for (const PeerLane& s : mapping_.fused_send) {
+    if (s.peer != mapping_.rank) continue;
+    for (const PeerLane& r : mapping_.fused_recv)
+      if (r.peer == mapping_.rank)
+        mpi::copy_regions(s.type, owned_data.data() + s.displ, 1, r.type,
+                          needed_data.data() + r.displ, 1);
+  }
+}
+
 void Redistributor::execute_p2p_reliable(
     std::span<const std::byte> owned_data,
     std::span<std::byte> needed_data) const {
-  // Reliable variant of the p2p exchange, engaged when a FaultModel is
-  // installed (Comm::fault_injection_active). The data plane may drop,
-  // duplicate or delay messages; the protocol completes bit-identically
-  // anyway, or fails the run collectively after a bounded number of retries.
+  // The fused-lane executor under an installed FaultModel
+  // (Comm::fault_injection_active). The data plane may drop, duplicate or
+  // delay messages; the protocol completes bit-identically anyway, or fails
+  // the run collectively after a bounded number of retries. The unit of
+  // retry is the fused lane: every non-self lane moves as one payload its
+  // receiver can re-request — intra-node lanes too, since a fault plan can
+  // drop their 8-byte pointer publish just the same — and the self lane is
+  // a copy_regions.
   //
   //  * Receiver-driven retry: a receiver that sees no progress for
-  //    kRetryTimeout re-requests each still-missing transfer from its sender
-  //    (zero-byte message whose tag encodes the round); the sender re-posts
-  //    the data. Lost retry requests are themselves retried by the next
-  //    timeout. SetupOptions::max_transfer_attempts bounds the requests per
-  //    transfer; exhaustion throws, which aborts the run collectively.
-  //  * Termination: when a receiver holds everything it expects from sender
-  //    q, it sends q a zero-byte "done" token. A rank exits the exchange
-  //    when it has all its data AND holds done tokens from every rank it
-  //    sends to — before that it keeps servicing retry requests, so no
-  //    receiver can be stranded by a sender that finished early. Control
-  //    messages are zero-byte: fault plans model them on a lossless control
-  //    lane (see simnet::RandomFaultParams::spare_empty_messages).
+  //    kRetryTimeout re-requests each still-missing lane from its sender
+  //    (zero-byte message); the sender re-posts the lane. Lost retry
+  //    requests are themselves retried by the next timeout.
+  //    SetupOptions::max_transfer_attempts bounds the requests per lane;
+  //    exhaustion throws, which aborts the run collectively.
+  //  * Termination: when a receiver holds the lane from sender q, it sends q
+  //    a zero-byte "done" token. A rank exits the exchange when it has all
+  //    its lanes AND holds done tokens from every rank it sends to — before
+  //    that it keeps servicing retry requests, so no receiver can be
+  //    stranded by a sender that finished early. Control messages are
+  //    zero-byte: fault plans model them on a lossless control lane (see
+  //    simnet::RandomFaultParams::spare_empty_messages).
   //  * Cleanup: a barrier (reliable collective channel) fences the epoch,
-  //    then each rank drains its epoch tags, removing duplicated data copies
-  //    and stale control messages so no later call can see them.
+  //    then each rank drains its epoch tags, removing duplicated lanes and
+  //    stale control messages so no later call can see them.
   using steady = std::chrono::steady_clock;
   constexpr auto kRetryTimeout = std::chrono::milliseconds(20);
   constexpr auto kPollInterval = std::chrono::microseconds(200);
 
-  const int nrounds = static_cast<int>(mapping_.rounds.size());
   const int epoch = static_cast<int>(p2p_epoch_++ % kP2pEpochWindow);
+  const int lane_tag = p2p_tag(kLaneWindow, epoch);
+  const int retry_tag = p2p_tag(kRetryWindow, epoch);
+  const int done_tag = p2p_tag(kDoneWindow, epoch);
   const mpi::Datatype byte = mpi::Datatype::bytes(1);
   // Retry timing makes this path's event stream nondeterministic, so it is
   // outside the golden-trace contract; the span still closes on unwind when
@@ -1169,130 +1107,77 @@ void Redistributor::execute_p2p_reliable(
   DDR_TRACE_SPAN(espan, "ddr.exchange.reliable");
 
   auto drain_epoch = [&] {
-    auto drain_tag = [&](int tag) {
+    for (const int tag : {done_tag, retry_tag, lane_tag})
       while (auto s = comm_.iprobe(mpi::any_source, tag)) {
         std::vector<std::byte> junk(s->bytes);
         comm_.recv(junk.data(), junk.size(), byte, s->source, tag);
       }
-    };
-    drain_tag(p2p_done_tag(epoch));
-    for (int k = 0; k < nrounds; ++k) {
-      drain_tag(p2p_retry_tag(k, epoch));
-      drain_tag(p2p_data_tag(k, nrounds, epoch));
-    }
   };
 
   // The window only wraps after kP2pEpochWindow calls; clear anything a
   // long-past call could have left in this epoch's slots.
   drain_epoch();
 
-  // Expected incoming transfers, their pending receives, and retry budgets.
+  // Expected incoming lanes, their pending receives, and retry budgets.
   struct PendingRecv {
-    int round = 0;
-    int peer = -1;
+    const PeerLane* lane = nullptr;
     int attempts = 0;
     mpi::Request req;
   };
   std::vector<PendingRecv> pending;
-  std::vector<int> missing_from(static_cast<std::size_t>(mapping_.nranks), 0);
-  for (int k = 0; k < nrounds; ++k) {
-    const RoundPlan& rp = mapping_.rounds[static_cast<std::size_t>(k)];
-    for (int q = 0; q < mapping_.nranks; ++q) {
-      const auto qi = static_cast<std::size_t>(q);
-      if (rp.recvcounts[qi] <= 0) continue;
-      PendingRecv pr;
-      pr.round = k;
-      pr.peer = q;
-      pr.req = comm_.irecv(needed_data.data() + rp.rdispls[qi], 1,
-                           rp.recvtypes[qi], q, p2p_data_tag(k, nrounds, epoch));
-      pending.push_back(std::move(pr));
-      ++missing_from[qi];
-    }
-  }
+  for (const PeerLane& l : mapping_.fused_recv)
+    if (l.peer != mapping_.rank)
+      pending.push_back({&l, 0,
+                         comm_.irecv(needed_data.data() + l.displ, 1, l.type,
+                                     l.peer, lane_tag)});
 
-  auto send_data = [&](int round, int dest) {
-    const RoundPlan& rp = mapping_.rounds[static_cast<std::size_t>(round)];
-    const auto di = static_cast<std::size_t>(dest);
-    DDR_TRACE_INSTANT(
-        "ddr.msg.send",
-        {.round = round,
-         .peer = dest,
-         .bytes = static_cast<std::int64_t>(
-             static_cast<std::size_t>(rp.sendcounts[di]) *
-             rp.sendtypes[di].size())});
-    comm_.send(owned_data.data() + rp.sdispls[di], 1, rp.sendtypes[di], dest,
-               p2p_data_tag(round, nrounds, epoch));
+  auto send_lane = [&](const PeerLane& l) {
+    DDR_TRACE_INSTANT("ddr.msg.send", {.peer = l.peer, .bytes = l.bytes});
+    comm_.send(owned_data.data() + l.displ, 1, l.type, l.peer, lane_tag);
   };
 
-  // Ranks this rank sends to: each owes us a done token before we may leave
-  // (we are their retry server until then).
+  // Initial transmission. Every rank this rank sends to owes us a done
+  // token before we may leave (we are its retry server until then).
   std::vector<bool> awaiting_done(static_cast<std::size_t>(mapping_.nranks),
                                   false);
   int ndone_awaited = 0;
-  for (int q = 0; q < mapping_.nranks; ++q) {
-    const auto qi = static_cast<std::size_t>(q);
-    bool sends_to_q = false;
-    for (int k = 0; k < nrounds; ++k)
-      if (mapping_.rounds[static_cast<std::size_t>(k)].sendcounts[qi] > 0)
-        sends_to_q = true;
-    if (sends_to_q) {
-      awaiting_done[qi] = true;
-      ++ndone_awaited;
-    }
+  for (const PeerLane& l : mapping_.fused_send) {
+    if (l.peer == mapping_.rank) continue;
+    awaiting_done[static_cast<std::size_t>(l.peer)] = true;
+    ++ndone_awaited;
+    send_lane(l);
   }
-
-  // Initial transmission.
-  for (int k = 0; k < nrounds; ++k) {
-    const RoundPlan& rp = mapping_.rounds[static_cast<std::size_t>(k)];
-    for (int q = 0; q < mapping_.nranks; ++q)
-      if (rp.sendcounts[static_cast<std::size_t>(q)] > 0) send_data(k, q);
-  }
+  copy_self_lane(owned_data, needed_data);
 
   steady::time_point last_progress = steady::now();
   std::size_t npending = pending.size();
   while (npending > 0 || ndone_awaited > 0) {
     bool progressed = false;
 
-    // 1. Complete arrived transfers; notify a sender once it owes us nothing.
-    for (auto& pr : pending) {
-      if (!pr.req.valid()) continue;
-      if (pr.req.test()) {
-        progressed = true;
-        --npending;
-        const auto qi = static_cast<std::size_t>(pr.peer);
-        DDR_TRACE_INSTANT(
-            "ddr.msg.recv",
-            {.round = pr.round,
-             .peer = pr.peer,
-             .bytes = static_cast<std::int64_t>(
-                 static_cast<std::size_t>(
-                     mapping_.rounds[static_cast<std::size_t>(pr.round)]
-                         .recvcounts[qi]) *
-                 mapping_.rounds[static_cast<std::size_t>(pr.round)]
-                     .recvtypes[qi]
-                     .size())});
-        if (--missing_from[qi] == 0)
-          comm_.send(nullptr, 0, byte, pr.peer, p2p_done_tag(epoch));
-      }
+    // 1. Complete arrived lanes; each completes its sender's obligation.
+    for (PendingRecv& pr : pending) {
+      if (!pr.req.valid() || !pr.req.test()) continue;
+      progressed = true;
+      --npending;
+      DDR_TRACE_INSTANT("ddr.msg.recv",
+                        {.peer = pr.lane->peer, .bytes = pr.lane->bytes});
+      comm_.send(nullptr, 0, byte, pr.lane->peer, done_tag);
     }
 
-    // 2. Serve retry requests: re-post the requested transfer.
-    for (int k = 0; k < nrounds; ++k) {
-      const int rtag = p2p_retry_tag(k, epoch);
-      while (auto s = comm_.iprobe(mpi::any_source, rtag)) {
-        comm_.recv(nullptr, 0, byte, s->source, rtag);
-        const RoundPlan& rp = mapping_.rounds[static_cast<std::size_t>(k)];
-        if (rp.sendcounts[static_cast<std::size_t>(s->source)] > 0) {
-          DDR_TRACE_INSTANT("ddr.retry.resend", {.round = k, .peer = s->source});
-          send_data(k, s->source);
+    // 2. Serve retry requests: re-post the requested lane.
+    while (auto s = comm_.iprobe(mpi::any_source, retry_tag)) {
+      comm_.recv(nullptr, 0, byte, s->source, retry_tag);
+      for (const PeerLane& l : mapping_.fused_send)
+        if (l.peer == s->source) {
+          DDR_TRACE_INSTANT("ddr.retry.resend", {.peer = l.peer});
+          send_lane(l);
         }
-        progressed = true;
-      }
+      progressed = true;
     }
 
     // 3. Collect done tokens from the ranks we send to.
-    while (auto s = comm_.iprobe(mpi::any_source, p2p_done_tag(epoch))) {
-      comm_.recv(nullptr, 0, byte, s->source, p2p_done_tag(epoch));
+    while (auto s = comm_.iprobe(mpi::any_source, done_tag)) {
+      comm_.recv(nullptr, 0, byte, s->source, done_tag);
       const auto si = static_cast<std::size_t>(s->source);
       if (awaiting_done[si]) {
         awaiting_done[si] = false;
@@ -1301,10 +1186,10 @@ void Redistributor::execute_p2p_reliable(
       }
     }
 
-    // 4. On stall, re-request every still-missing transfer (bounded), and
-    // write off ranks the FaultModel killed: a dead sender will never
-    // deliver (fail fast instead of exhausting retries into the void) and a
-    // dead receiver will never need our retry service nor send its token.
+    // 4. On stall, re-request every still-missing lane (bounded), and write
+    // off ranks the FaultModel killed: a dead sender will never deliver
+    // (fail fast instead of exhausting retries into the void) and a dead
+    // receiver will never need our retry service nor send its token.
     if (progressed) {
       last_progress = steady::now();
     } else if (steady::now() - last_progress > kRetryTimeout) {
@@ -1327,20 +1212,18 @@ void Redistributor::execute_p2p_reliable(
       // watchdog-covered) and the failure surfaces through this rank's
       // exception instead of a silent hang.
       auto abort_exchange = [&](const std::string& msg) {
-        for (int q = 0; q < mapping_.nranks; ++q) {
-          const auto qi = static_cast<std::size_t>(q);
-          if (missing_from[qi] > 0 && !is_dead(q))
-            comm_.send(nullptr, 0, byte, q, p2p_done_tag(epoch));
-        }
+        for (const PendingRecv& pr : pending)
+          if (pr.req.valid() && !is_dead(pr.lane->peer))
+            comm_.send(nullptr, 0, byte, pr.lane->peer, done_tag);
         require(false, msg);
       };
-      for (auto& pr : pending) {
+      for (PendingRecv& pr : pending) {
         if (!pr.req.valid()) continue;
-        if (is_dead(pr.peer))
+        const int peer = pr.lane->peer;
+        if (is_dead(peer))
           abort_exchange(
-              "redistribute: rank " + std::to_string(pr.peer) +
-              " was killed before delivering round " +
-              std::to_string(pr.round) + " to rank " +
+              "redistribute: rank " + std::to_string(peer) +
+              " was killed before delivering its lane to rank " +
               std::to_string(comm_.rank()) +
               " — shrink the communicator and rebuild the mapping "
               "(rebuild(owned, needed) does both in one call under "
@@ -1348,16 +1231,15 @@ void Redistributor::execute_p2p_reliable(
               "auto_shrink)");
         ++pr.attempts;
         if (pr.attempts > options_.max_transfer_attempts)
-          abort_exchange(
-              "redistribute: transfer (round " + std::to_string(pr.round) +
-              " from rank " + std::to_string(pr.peer) + " to rank " +
-              std::to_string(comm_.rank()) + ") still missing after " +
-              std::to_string(pr.attempts) + " attempts — aborting the exchange");
+          abort_exchange("redistribute: the lane from rank " +
+                         std::to_string(peer) + " to rank " +
+                         std::to_string(comm_.rank()) +
+                         " is still missing after " +
+                         std::to_string(pr.attempts) +
+                         " attempts — aborting the exchange");
         DDR_TRACE_INSTANT("ddr.retry.request",
-                          {.round = pr.round,
-                           .peer = pr.peer,
-                           .value = pr.attempts});
-        comm_.send(nullptr, 0, byte, pr.peer, p2p_retry_tag(pr.round, epoch));
+                          {.peer = peer, .value = pr.attempts});
+        comm_.send(nullptr, 0, byte, peer, retry_tag);
       }
       last_progress = steady::now();
     }
@@ -1369,9 +1251,9 @@ void Redistributor::execute_p2p_reliable(
   }
 
   // Fence the epoch on the reliable collective channel, then remove this
-  // epoch's leftovers (duplicated data copies, redundant retry requests and
-  // done tokens). After the barrier no rank can send into this epoch again,
-  // so the drain is complete.
+  // epoch's leftovers (duplicated lanes, redundant retry requests and done
+  // tokens). After the barrier no rank can send into this epoch again, so
+  // the drain is complete.
   comm_.barrier();
   drain_epoch();
 }

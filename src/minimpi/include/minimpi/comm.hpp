@@ -248,22 +248,23 @@ class Comm {
   // simulation (virtual-clock charging, fault fates, mailbox posts) stays on
   // the rank thread via isend_packed.
 
-  /// Sets the PackExecutor size used by parallel_for_lanes: `n` pool threads
-  /// work alongside the calling rank thread. 0 (the default) runs lanes
-  /// serially on the rank thread with no pool at all. Communicator-wide
-  /// config; call it before any setup that prewarms staging so per-lane
-  /// buffers are planted for the parallel path.
+  /// Sets the communicator-wide PackExecutor size an application asks
+  /// libraries to pack with: `n` pool threads alongside the calling rank
+  /// thread, 0 (the default) for serial packing. A library reads it when it
+  /// plans (DDR at setup()); call it before any setup that prewarms staging
+  /// so per-lane buffers are planted for the parallel path.
   void set_pack_threads(int n) const;
   [[nodiscard]] int pack_threads() const;
 
-  /// Runs fn(i) for every lane i in [0, n), on this rank's PackExecutor
-  /// (caller participates; serial when pack_threads() == 0). Returns lanes
-  /// processed per slot (slot 0 = the calling thread, slot w+1 = pool worker
-  /// w) so callers can emit per-worker trace events. `fn` must be safe to
-  /// run concurrently for distinct lanes and must not touch this Comm except
-  /// through the thread-safe helpers below.
+  /// Runs fn(i) for every lane i in [0, n), on this rank's PackExecutor with
+  /// `threads` pool threads (caller participates; serial when `threads` is
+  /// 0). Returns lanes processed per slot (slot 0 = the calling thread, slot
+  /// w+1 = pool worker w) so callers can emit per-worker trace events. `fn`
+  /// must be safe to run concurrently for distinct lanes and must not touch
+  /// this Comm except through the thread-safe helpers below.
   std::vector<std::size_t> parallel_for_lanes(
-      std::size_t n, const std::function<void(std::size_t)>& fn) const;
+      int threads, std::size_t n,
+      const std::function<void(std::size_t)>& fn) const;
 
   /// Packs `count` elements of `type` from `buf` into a staging buffer from
   /// the communicator pool. Thread-safe (PackExecutor workers call it); pair

@@ -1519,10 +1519,9 @@ int Comm::pack_threads() const {
 }
 
 std::vector<std::size_t> Comm::parallel_for_lanes(
-    std::size_t n, const std::function<void(std::size_t)>& fn) const {
+    int want, std::size_t n, const std::function<void(std::size_t)>& fn) const {
   require(valid(), ErrorClass::invalid_comm,
           "parallel_for_lanes: invalid communicator");
-  const int want = impl_->pack_threads.load(std::memory_order_relaxed);
   if (want <= 0) {
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return std::vector<std::size_t>(1, n);

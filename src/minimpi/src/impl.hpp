@@ -151,7 +151,7 @@ struct BufferPool {
 
 /// A small work-stealing thread pool for packing/unpacking independent
 /// lanes concurrently (Comm::parallel_for_lanes). One executor per rank
-/// thread that opts in (Comm::set_pack_threads), so concurrent jobs from
+/// thread that packs in parallel, so concurrent jobs from
 /// different ranks never collide. The caller participates: a job over n
 /// lanes is drained by the caller plus `workers()` pool threads pulling
 /// indices from a shared atomic counter. Workers do pure memory work —
@@ -545,8 +545,9 @@ struct CommImpl {
   /// Requested PackExecutor size (Comm::set_pack_threads); 0 = serial.
   std::atomic<int> pack_threads{0};
   /// Per-rank executors, created lazily on first parallel_for_lanes call and
-  /// resized when the config changes. Each rank thread only touches its own
-  /// slot, so the slots need no lock (same discipline as coll_seq).
+  /// resized when a call asks for a different thread count. Each rank
+  /// thread only touches its own slot, so the slots need no lock (same
+  /// discipline as coll_seq).
   mutable std::vector<std::unique_ptr<PackExecutor>> pack_exec;
 };
 

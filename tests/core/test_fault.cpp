@@ -14,6 +14,7 @@
 #include "ddr/ddr.hpp"
 #include "minimpi/minimpi.hpp"
 #include "simnet/faults.hpp"
+#include "simnet/models.hpp"
 #include "test_util.hpp"
 #include "trace/trace.hpp"
 
@@ -81,14 +82,15 @@ void run_quadrants_under_faults(Backend backend, mpi::FaultModel* fault,
 
 TEST(FaultTolerance, P2pCompletesBitIdenticallyUnderTenPercentDrop) {
   // The acceptance scenario: a seeded 10% drop plan on the data plane; the
-  // p2p backend must detect the losses, re-request the missing transfers and
-  // deliver exactly the oracle data. Three repetitions exercise the
-  // per-call epoch scoping (a retry of call N must never satisfy call N+1).
+  // point-to-point backend must detect the losses, re-request the missing
+  // lanes and deliver exactly the oracle data. Three repetitions exercise
+  // the per-call epoch scoping (a retry of call N must never satisfy call
+  // N+1).
   simnet::RandomFaultParams p;
   p.drop_rate = 0.10;
   p.seed = 1234;
   simnet::RandomFaultPlan plan(p);
-  run_quadrants_under_faults(Backend::point_to_point, &plan,
+  run_quadrants_under_faults(Backend::point_to_point_pipelined, &plan,
                              /*repetitions=*/3);
   const auto stats = plan.stats();
   EXPECT_GT(stats.dropped, 0u) << "the plan never dropped anything — the "
@@ -102,7 +104,7 @@ TEST(FaultTolerance, P2pCompletesUnderDuplicationAndDelay) {
   p.delay_s = 1.0e-3;
   p.seed = 99;
   simnet::RandomFaultPlan plan(p);
-  run_quadrants_under_faults(Backend::point_to_point, &plan,
+  run_quadrants_under_faults(Backend::point_to_point_pipelined, &plan,
                              /*repetitions=*/2);
   const auto stats = plan.stats();
   EXPECT_GT(stats.duplicated, 0u);
@@ -115,19 +117,19 @@ TEST(FaultTolerance, P2pCompletesUnderCombinedDropAndDuplication) {
   p.duplicate_rate = 0.15;
   p.seed = 7;
   simnet::RandomFaultPlan plan(p);
-  run_quadrants_under_faults(Backend::point_to_point, &plan,
+  run_quadrants_under_faults(Backend::point_to_point_pipelined, &plan,
                              /*repetitions=*/2);
 }
 
 TEST(FaultTolerance, PipelinedP2pIsGatedOffUnderActiveFaultModel) {
-  // The pipelined executor's wait_any drain would spin forever on a dropped
-  // message (nothing ever completes the orphaned receive), so under an
-  // active FaultModel it must degrade to the reliable per-round path — and
-  // still deliver the oracle bytes through it. Delay injection reorders
-  // messages between rounds, which the up-front receive window must also
-  // survive via the fallback. A staging budget changes nothing here: the
-  // wave barriers assume lossless delivery too, so the waved executor
-  // degrades the same way.
+  // The happy path's completion wait would block forever on a dropped lane
+  // (nothing ever completes the orphaned receive), so under an active
+  // FaultModel the fused-lane executor moves its lanes through the
+  // per-lane retry protocol (the ddr.exchange.reliable span) — and still
+  // delivers the oracle bytes. Delay injection reorders lanes, which the
+  // up-front receive window must also survive. A staging budget changes
+  // nothing here: the wave barriers assume lossless delivery too, so the
+  // waved executor takes the same path.
   simnet::RandomFaultParams p;
   p.drop_rate = 0.10;
   p.delay_rate = 0.30;
@@ -150,28 +152,91 @@ TEST(FaultTolerance, PipelinedP2pIsGatedOffUnderActiveFaultModel) {
         }
         for (const std::size_t budget : {std::size_t{0}, std::size_t{64}}) {
           Redistributor r(comm, sizeof(float));
+          trace::Recorder rec(rank);
+          r.trace_sink(&rec);
           ddr::SetupOptions opts;
           opts.backend = Backend::point_to_point_pipelined;
           opts.peak_staging_bytes = budget;
           r.setup(own, need, opts);
-          // The gate: pipelined was requested, but the fault model forces
-          // the per-round backend whose retry protocol handles loss and
-          // reorder.
-          EXPECT_EQ(r.effective_backend(), Backend::point_to_point);
+          EXPECT_EQ(r.effective_backend(), Backend::point_to_point_pipelined);
           // Two repetitions exercise the per-call epoch scoping on the
-          // fallback path (a retry of call N must never satisfy call N+1).
+          // retry path (a retry of call N must never satisfy call N+1).
           for (int rep = 0; rep < 2; ++rep) {
             std::vector<float> need_data(
                 static_cast<std::size_t>(need.volume()), -1);
             r.redistribute(bytes_of(own_data), bytes_of(need_data));
             expect_oracle(need_data, need);
           }
+          // The gate: every call ran the retry protocol, none the happy
+          // path's receive window.
+          EXPECT_EQ(trace::count_events(rec.events(), "ddr.exchange.reliable",
+                                        trace::Phase::begin),
+                    2u);
+          EXPECT_EQ(trace::count_events(rec.events(), "ddr.pipeline.post",
+                                        trace::Phase::begin),
+                    0u);
         }
       },
       ropts);
   const auto stats = plan.stats();
   EXPECT_GT(stats.dropped + stats.delayed, 0u)
       << "the plan never touched a message — the fallback was not exercised";
+}
+
+TEST(FaultTolerance, IntraNodeLanesMoveAsPayloadsUnderTenPercentDrop) {
+  // E1 with two ranks per node, so every rank has a self, an intra-node and
+  // two inter-node lanes. Under the 10% drop plan the intra lane cannot
+  // ride the zero-copy pointer publish — the plan could drop the pointer —
+  // so it moves as one payload the retry protocol re-requests like any
+  // other, and the exchange completes bit-identically.
+  simnet::LinkParams lp;
+  lp.ranks_per_node = 2;
+  const simnet::LinkModel net(lp);
+  simnet::RandomFaultParams p;
+  p.drop_rate = 0.10;
+  p.seed = 4321;
+  simnet::RandomFaultPlan plan(p);
+  mpi::RunOptions ropts;
+  ropts.network = &net;
+  ropts.fault = &plan;
+  mpi::run(
+      4,
+      [&](mpi::Comm& comm) {
+        const int rank = comm.rank();
+        Redistributor r(comm, sizeof(float));
+        trace::Recorder rec(rank);
+        r.trace_sink(&rec);
+        const ddr::OwnedLayout own{Chunk::d2(8, 1, 0, rank),
+                                   Chunk::d2(8, 1, 0, rank + 4)};
+        const Chunk need = Chunk::d2(4, 4, 4 * (rank % 2), 4 * (rank / 2));
+        ddr::SetupOptions opts;
+        opts.backend = Backend::point_to_point_pipelined;
+        r.setup(own, need, opts);
+        ASSERT_EQ(r.fused_lane_count(ddr::LaneClass::intra), 1);
+        std::vector<float> own_data;
+        for (const auto& c : own) {
+          const auto v = fill_chunk(c);
+          own_data.insert(own_data.end(), v.begin(), v.end());
+        }
+        for (int rep = 0; rep < 3; ++rep) {
+          rec.clear();
+          std::vector<float> need_data(
+              static_cast<std::size_t>(need.volume()), -1);
+          r.redistribute(bytes_of(own_data), bytes_of(need_data));
+          expect_oracle(need_data, need);
+          // The same-node peer's lane arrived as a 16-byte payload, not
+          // through a published pointer.
+          EXPECT_EQ(trace::bytes_by_peer(rec.events(), "ddr.msg.recv")
+                        .at(rank ^ 1),
+                    16);
+          EXPECT_EQ(trace::count_events(rec.events(), "ddr.intra.publish",
+                                        trace::Phase::instant),
+                    0u);
+        }
+      },
+      ropts);
+  EXPECT_GT(plan.stats().dropped, 0u)
+      << "the plan never dropped anything — the retry path was not exercised";
 }
 
 TEST(FaultTolerance, PipelinedP2pStaysPipelinedWithoutFaultModel) {
@@ -188,7 +253,7 @@ TEST(FaultTolerance, PipelinedP2pStaysPipelinedWithoutFaultModel) {
 TEST(FaultTolerance, PipelinedSpansCloseWhenSenderDiesMidExchange) {
   // Span-closing contract extended to the pipelined path: a redistribute()
   // requested as pipelined that dies mid-exchange (killed sender, diagnosed
-  // by the reliable fallback's watchdog-style death detection) must close
+  // by the retry protocol's watchdog-style death detection) must close
   // every span it opened by unwinding, so each survivor's recorded stream
   // stays balanced. In E1's quadrants every rank expects data from rank 3,
   // so all three survivors diagnose the death.
@@ -266,7 +331,7 @@ TEST(FaultTolerance, RetryExhaustionAbortsCollectively) {
   p.drop_rate = 1.0;
   simnet::RandomFaultPlan plan(p);
   try {
-    run_quadrants_under_faults(Backend::point_to_point, &plan);
+    run_quadrants_under_faults(Backend::point_to_point_pipelined, &plan);
     FAIL() << "an unrecoverable loss plan completed";
   } catch (const ddr::Error& e) {
     EXPECT_NE(std::string(e.what()).find("attempt"), std::string::npos)
@@ -289,7 +354,7 @@ TEST(FaultTolerance, P2pReportsKilledSenderInsteadOfRetryingForever) {
           const ddr::OwnedLayout own{Chunk::d1(4, 4 * rank)};
           const Chunk need = Chunk::d1(4, 4 * (1 - rank));  // swap halves
           ddr::SetupOptions opts;
-          opts.backend = Backend::point_to_point;
+          opts.backend = Backend::point_to_point_pipelined;
           // Agreement collectives would die with rank 1 first; go straight
           // to the exchange to exercise the retry loop's death detection.
           opts.collective_error_agreement = false;

@@ -20,6 +20,7 @@
 #include "minimpi/minimpi.hpp"
 #include "simnet/models.hpp"
 #include "test_util.hpp"
+#include "trace/trace.hpp"
 
 namespace {
 
@@ -33,8 +34,8 @@ using ddr_test::random_partition;
 using ddr_test::random_subbox;
 
 // The JSON bench's strided3d case: 4 ranks, 64^3 floats, 8 interleaved
-// z-slabs per rank, gathered into 2x2x1 bricks — 96 plain messages vs 12
-// fused 64 KB lanes. Measured: pipelined < p2p.
+// z-slabs per rank, gathered into 2x2x1 bricks — 96 per-round messages vs
+// 12 fused 64 KB lanes. Measured: pipelined < alltoallw.
 ddr::GlobalLayout strided3d_layout() {
   const int side = 64, nranks = 4, slabs = 8;
   ddr::GlobalLayout layout;
@@ -50,8 +51,9 @@ ddr::GlobalLayout strided3d_layout() {
 }
 
 // The JSON bench's rows2d case: 4 ranks, two 128x16 row blocks each,
-// gathered into 64x64 quadrants — 12 plain messages AND 12 fused 16 KB
-// lanes, so fusion saves nothing. Measured: plain p2p wins.
+// gathered into 64x64 quadrants — 12 per-round messages AND 12 fused 16 KB
+// lanes, so fusion saves no messages. Measured: the fused lanes, completed
+// post-all, beat alltoallw's per-round walk.
 ddr::GlobalLayout rows2d_layout() {
   ddr::GlobalLayout layout;
   for (int r = 0; r < 4; ++r) {
@@ -87,7 +89,9 @@ TEST(PlannerGolden, Strided3dPicksPipelined) {
   // floor: threads would cost more than they save (the parallel-pack
   // regression the bench measured).
   EXPECT_EQ(d.pack_threads, 0);
-  ASSERT_EQ(d.candidates.size(), 3u);
+  // 64 KB lanes clear the 32 KB threshold: the pipeline completion order.
+  EXPECT_FALSE(d.post_all);
+  ASSERT_EQ(d.candidates.size(), 2u);
   for (const ddr::CandidateCost& c : d.candidates) {
     // Without a budget nothing is over budget; without a NetworkModel every
     // peer is a different node, so every non-self byte is inter-node.
@@ -97,12 +101,46 @@ TEST(PlannerGolden, Strided3dPicksPipelined) {
   }
 }
 
-TEST(PlannerGolden, Rows2dPicksPlainP2p) {
+TEST(PlannerGolden, Rows2dPicksPostAllFusedLanes) {
   const ddr::PlanDecision d =
       ddr::Planner::decide(rows2d_layout(), sizeof(float), nullptr, 0);
-  EXPECT_EQ(d.backend, Backend::point_to_point);
+  EXPECT_EQ(d.backend, Backend::point_to_point_pipelined);
+  EXPECT_TRUE(d.post_all);
+  EXPECT_STREQ(d.class_plans[2].lowering, "post_all");
   EXPECT_EQ(d.pack_threads, 0);
   EXPECT_EQ(d.shape, ddr::CollectiveShape::none);
+}
+
+// 1D byte domain of `chunks` * `nranks` chunks of `chunk` bytes dealt
+// round-robin; every rank needs the whole domain (an allgather).
+ddr::GlobalLayout interleaved_allgather(int nranks, int chunks, int chunk) {
+  ddr::GlobalLayout layout;
+  for (int r = 0; r < nranks; ++r) {
+    ddr::OwnedLayout own;
+    for (int c = 0; c < chunks; ++c)
+      own.push_back(Chunk::d1(chunk, (r + nranks * c) * chunk));
+    layout.owned.push_back(own);
+    layout.needed.push_back({Chunk::d1(nranks * chunks * chunk, 0)});
+  }
+  return layout;
+}
+
+TEST(PlannerGolden, PackThreadsOnlyForTwoOrMoreLargeLanes) {
+  // Parallel packing splits work by lane. Two ranks that each own 8
+  // interleaved 512 KiB chunks and need the whole domain send one 4 MiB
+  // inter lane each: a second thread has nothing to pack.
+  const ddr::PlanDecision one =
+      ddr::Planner::decide(interleaved_allgather(2, 8, 512 * 1024), 1,
+                           nullptr, 0);
+  EXPECT_EQ(one.backend, Backend::point_to_point_pipelined);
+  EXPECT_EQ(one.pack_threads, 0);
+  // Three ranks with 8 chunks of 256 KiB each: every rank sends two 2 MiB
+  // lanes, 4 MiB in all — threads pay.
+  const ddr::PlanDecision two =
+      ddr::Planner::decide(interleaved_allgather(3, 8, 256 * 1024), 1,
+                           nullptr, 0);
+  EXPECT_EQ(two.backend, Backend::point_to_point_pipelined);
+  EXPECT_EQ(two.pack_threads, 2);
 }
 
 TEST(PlannerGolden, BroadcastShapeDetectedAsAllgather) {
@@ -214,16 +252,18 @@ TEST(PlannerWaves, BudgetPartitionsLanes) {
 }
 
 TEST(PlannerBudget, TightBudgetForcesCollective) {
-  // 200000 B is below the 786432 B every inter lane stages at once, so only
-  // the collective (wave-sequenced) lowering stays feasible: the fused-lane
-  // executor with its inter lanes fenced into 4 waves of <= 196608 B.
+  // 90000 B is below the 98304 B one alltoallw round stages and the
+  // 786432 B every inter lane stages at once, so only the collective
+  // (wave-sequenced) lowering stays feasible: the fused-lane executor with
+  // its 64 KB inter lanes fenced one per wave.
   const ddr::PlanDecision d =
-      ddr::Planner::decide(strided3d_layout(), sizeof(float), nullptr, 200000);
+      ddr::Planner::decide(strided3d_layout(), sizeof(float), nullptr, 90000);
   EXPECT_EQ(d.backend, Backend::point_to_point_pipelined);
-  EXPECT_EQ(d.waves, 4);
-  EXPECT_LE(d.predicted_peak_staging, 200000u);
+  EXPECT_EQ(d.waves, 12);
+  EXPECT_LE(d.predicted_peak_staging, 90000u);
+  EXPECT_STREQ(d.class_plans[2].lowering, "fenced_waves");
   for (const ddr::CandidateCost& c : d.candidates) {
-    if (c.backend == Backend::point_to_point)
+    if (c.backend == Backend::alltoallw)
       EXPECT_STREQ(c.infeasible_reason, "over budget");
     else
       EXPECT_TRUE(c.feasible) << ddr::backend_name(c.backend);
@@ -244,7 +284,7 @@ struct RunResult {
 
 RunResult run_backend(const ddr::GlobalLayout& layout, Backend backend,
                 std::size_t budget, const mpi::NetworkModel* net = nullptr,
-                int pack_threads = 0) {
+                int pack_threads = 0, std::size_t elem_size = sizeof(float)) {
   const int nranks = layout.nranks();
   RunResult run;
   run.out.resize(static_cast<std::size_t>(nranks));
@@ -256,7 +296,7 @@ RunResult run_backend(const ddr::GlobalLayout& layout, Backend backend,
       [&](mpi::Comm& comm) {
         const auto rank = static_cast<std::size_t>(comm.rank());
         comm.set_pack_threads(pack_threads);
-        ddr::Redistributor rd(comm, sizeof(float));
+        ddr::Redistributor rd(comm, elem_size);
         ddr::SetupOptions opts;
         opts.backend = backend;
         opts.peak_staging_bytes = budget;
@@ -264,11 +304,13 @@ RunResult run_backend(const ddr::GlobalLayout& layout, Backend backend,
         rd.setup(layout.owned[rank], layout.needed[rank], opts);
         run.waves[rank] = rd.plan().waves;
 
+        // An element is elem_size / 4 floats: the oracle value, then
+        // distinct offsets of it, so a misplaced float shows.
         std::vector<float> own_data;
-        for (const auto& c : layout.owned[rank]) {
-          const auto v = fill_chunk(c);
-          own_data.insert(own_data.end(), v.begin(), v.end());
-        }
+        for (const auto& c : layout.owned[rank])
+          for (const float v : fill_chunk(c))
+            for (std::size_t j = 0; j < elem_size / sizeof(float); ++j)
+              own_data.push_back(v + 0.25f * static_cast<float>(j));
         run.out[rank].resize(rd.needed_bytes());
         comm.barrier();
         if (rank == 0) comm.reset_staging_peak();
@@ -286,23 +328,28 @@ TEST(PlannerProperty, CollectiveByteIdenticalToP2pUnderBudget) {
   // Every lowering of the fused-lane executor on seeded random layouts:
   // flat and two-ranks-per-node topology, no budget / the one-lane floor /
   // a mid budget, inline and parallel packing (waves with parallel packing
-  // pack one wave at a time). Each must deliver exactly the bytes the
-  // paper's alltoallw path delivers, agree on plan().waves across ranks,
-  // and — under a budget — keep the pool's peak within the largest wave
-  // (at most max(budget, largest inter lane)) plus the 8-byte pointers the
-  // intra lanes publish.
+  // pack one wave at a time), and both completion orders — each layout runs
+  // with 4-byte elements, where every lane is below the 32 KiB threshold
+  // and completes post-all, and again with 128-byte elements, which push
+  // lanes over it into the pipeline. Each must deliver exactly the bytes
+  // the paper's alltoallw path delivers, agree on plan().waves across
+  // ranks, and — under a budget — keep the pool's peak within the largest
+  // wave (at most max(budget, largest inter lane)) plus the 8-byte pointers
+  // the intra lanes publish.
   simnet::LinkParams cp = simnet::cooley_params();
   cp.ranks_per_node = 2;
   const simnet::LinkModel cooley(cp);
   std::mt19937 rng(818181);
   bool saw_parallel_lane = false;
+  bool saw_post_all = false;
   for (int trial = 0; trial < 6; ++trial) {
     const int nranks = 3 + static_cast<int>(rng() % 4);
     Box domain;
     domain.ndims = 2 + trial % 2;
-    // Sized so some inter lanes clear kParallelPackThresholdBytes and the
-    // parallel packing path actually runs.
-    const int base = domain.ndims == 2 ? 192 : 40;
+    // Sized so the whole float domain stays below 32 KiB (every lane
+    // completes post-all) while 128-byte elements push lanes over it and
+    // the parallel packing path actually runs.
+    const int base = domain.ndims == 2 ? 45 : 10;
     for (int k = 0; k < domain.ndims; ++k) {
       domain.lo[static_cast<std::size_t>(k)] = 0;
       domain.hi[static_cast<std::size_t>(k)] =
@@ -317,59 +364,107 @@ TEST(PlannerProperty, CollectiveByteIdenticalToP2pUnderBudget) {
     for (int r = 0; r < nranks; ++r)
       layout.needed.push_back({box_to_chunk(random_subbox(domain, rng))});
 
-    const auto want = run_backend(layout, Backend::alltoallw, 0).out;
-    for (const mpi::NetworkModel* net :
-         {static_cast<const mpi::NetworkModel*>(nullptr),
-          static_cast<const mpi::NetworkModel*>(&cooley)}) {
-      std::vector<ddr::ExchangeLane> inter =
-          ddr::inter_node_lanes(layout, sizeof(float), net);
-      std::int64_t inter_bytes = 0, largest = 0;
-      for (const ddr::ExchangeLane& l : inter) {
-        inter_bytes += l.bytes;
-        largest = std::max(largest, l.bytes);
-      }
-      saw_parallel_lane =
-          saw_parallel_lane || largest >= ddr::kParallelPackThresholdBytes;
-      const std::int64_t intra_lanes =
-          static_cast<std::int64_t>(
-              ddr::inter_node_lanes(layout, sizeof(float)).size()) -
-          static_cast<std::int64_t>(inter.size());
-      // 1 B floors at the largest inter lane (one lane per wave); half the
-      // inter traffic packs several lanes into each of a few waves.
-      for (const std::size_t budget :
-           {std::size_t{0}, std::size_t{1},
-            static_cast<std::size_t>(std::max<std::int64_t>(
-                1, inter_bytes / 2))}) {
-        for (const int threads : {0, 2}) {
-          const std::string where =
-              "trial " + std::to_string(trial) + (net ? " cooley" : " flat") +
-              " budget " + std::to_string(budget) + " threads " +
-              std::to_string(threads);
-          const RunResult got = run_backend(
-              layout, Backend::point_to_point_pipelined, budget, net, threads);
-          ASSERT_EQ(got.out.size(), want.size()) << where;
-          for (std::size_t r = 0; r < got.out.size(); ++r) {
-            ASSERT_EQ(got.out[r].size(), want[r].size()) << where;
-            EXPECT_EQ(std::memcmp(got.out[r].data(), want[r].data(),
-                                  got.out[r].size()),
-                      0)
-                << where << " rank " << r;
-          }
-          for (const int w : got.waves) EXPECT_EQ(w, got.waves[0]) << where;
-          std::vector<ddr::ExchangeLane> sched = inter;
-          EXPECT_EQ(got.waves[0], ddr::assign_waves(sched, budget)) << where;
-          if (budget != 0) {
-            const std::int64_t bound =
-                std::max(largest, static_cast<std::int64_t>(budget)) +
-                8 * intra_lanes;
-            EXPECT_LE(got.peak, static_cast<std::uint64_t>(bound)) << where;
+    for (const std::size_t elem : {sizeof(float), std::size_t{128}}) {
+      const auto want =
+          run_backend(layout, Backend::alltoallw, 0, nullptr, 0, elem).out;
+      for (const mpi::NetworkModel* net :
+           {static_cast<const mpi::NetworkModel*>(nullptr),
+            static_cast<const mpi::NetworkModel*>(&cooley)}) {
+        std::vector<ddr::ExchangeLane> inter =
+            ddr::inter_node_lanes(layout, elem, net);
+        std::int64_t inter_bytes = 0, largest = 0;
+        for (const ddr::ExchangeLane& l : inter) {
+          inter_bytes += l.bytes;
+          largest = std::max(largest, l.bytes);
+        }
+        const bool post_all = largest < ddr::kParallelPackThresholdBytes;
+        if (elem == sizeof(float)) {
+          EXPECT_TRUE(post_all) << "trial " << trial;
+        }
+        saw_post_all = saw_post_all || (post_all && !inter.empty());
+        saw_parallel_lane = saw_parallel_lane || !post_all;
+        const std::int64_t intra_lanes =
+            static_cast<std::int64_t>(
+                ddr::inter_node_lanes(layout, elem).size()) -
+            static_cast<std::int64_t>(inter.size());
+        // 1 B floors at the largest inter lane (one lane per wave); half the
+        // inter traffic packs several lanes into each of a few waves.
+        for (const std::size_t budget :
+             {std::size_t{0}, std::size_t{1},
+              static_cast<std::size_t>(std::max<std::int64_t>(
+                  1, inter_bytes / 2))}) {
+          for (const int threads : {0, 2}) {
+            const std::string where =
+                "trial " + std::to_string(trial) + " elem " +
+                std::to_string(elem) + (net ? " cooley" : " flat") +
+                " budget " + std::to_string(budget) + " threads " +
+                std::to_string(threads);
+            const RunResult got =
+                run_backend(layout, Backend::point_to_point_pipelined, budget,
+                            net, threads, elem);
+            ASSERT_EQ(got.out.size(), want.size()) << where;
+            for (std::size_t r = 0; r < got.out.size(); ++r) {
+              ASSERT_EQ(got.out[r].size(), want[r].size()) << where;
+              EXPECT_EQ(std::memcmp(got.out[r].data(), want[r].data(),
+                                    got.out[r].size()),
+                        0)
+                  << where << " rank " << r;
+            }
+            for (const int w : got.waves) EXPECT_EQ(w, got.waves[0]) << where;
+            std::vector<ddr::ExchangeLane> sched = inter;
+            EXPECT_EQ(got.waves[0], ddr::assign_waves(sched, budget)) << where;
+            if (budget != 0) {
+              const std::int64_t bound =
+                  std::max(largest, static_cast<std::int64_t>(budget)) +
+                  8 * intra_lanes;
+              EXPECT_LE(got.peak, static_cast<std::uint64_t>(bound)) << where;
+            }
           }
         }
       }
     }
   }
+  EXPECT_TRUE(saw_post_all) << "no layout completed post-all";
   EXPECT_TRUE(saw_parallel_lane)
-      << "no layout had a lane large enough to pack in parallel";
+      << "no layout had a lane large enough to pipeline and pack in parallel";
+}
+
+TEST(PlannerProperty, PackThreadsStayWithTheirRedistributor) {
+  // Two automatic Redistributors on one communicator. A's rank 0 sends two
+  // 2 MiB lanes, so A is planned with pack threads; B's E1-sized lanes get
+  // none. Setting up B after A must not change how A packs: A's exchange
+  // still packs in parallel.
+  constexpr int kHalf = 2 << 20;
+  constexpr int kSmall = 1024;
+  const ddr::OwnedLayout a_owned[] = {{Chunk::d1(2 * kHalf, 0)},
+                                      {Chunk::d1(kSmall, 2 * kHalf)},
+                                      {Chunk::d1(kSmall, 2 * kHalf + kSmall)}};
+  const Chunk a_needed[] = {Chunk::d1(2 * kSmall, 2 * kHalf),
+                            Chunk::d1(kHalf, 0), Chunk::d1(kHalf, kHalf)};
+  std::vector<trace::Recorder> recs;
+  recs.reserve(3);
+  for (int r = 0; r < 3; ++r) recs.emplace_back(r);
+  mpi::run(3, [&](mpi::Comm& comm) {
+    const auto r = static_cast<std::size_t>(comm.rank());
+    ddr::SetupOptions opts;
+    opts.backend = Backend::automatic;
+    ddr::Redistributor a(comm, 1);
+    a.setup(a_owned[r], a_needed[r], opts);
+    ddr::Redistributor b(comm, 1);
+    b.setup({Chunk::d1(16, 16 * comm.rank())},
+            Chunk::d1(16, 16 * ((comm.rank() + 1) % 3)), opts);
+    EXPECT_EQ(a.plan().pack_threads, 2);
+    EXPECT_EQ(b.plan().pack_threads, 0);
+    std::vector<std::byte> own(a.owned_bytes(), std::byte{7});
+    std::vector<std::byte> need(a.needed_bytes());
+    a.trace_sink(&recs[r]);
+    a.redistribute(own, need);
+    a.trace_sink(nullptr);
+    for (const std::byte x : need) ASSERT_EQ(x, std::byte{7});
+  });
+  EXPECT_EQ(trace::count_events(recs[0].events(), "ddr.pack.parallel",
+                                trace::Phase::begin),
+            1u);
 }
 
 TEST(PlannerProperty, AllgatherLoweringCutsPeakStagingAtEqualBytes) {
@@ -426,7 +521,7 @@ TEST(PlannerProperty, AutomaticMatchesOracleAndExposesPlan) {
       rd.setup(owned[rank], needed[rank], opts);
       EXPECT_EQ(rd.effective_backend(), rd.plan().backend);
       EXPECT_NE(rd.plan().backend, Backend::automatic);
-      EXPECT_EQ(rd.plan().candidates.size(), 3u);
+      EXPECT_EQ(rd.plan().candidates.size(), 2u);
 
       std::vector<float> own_data;
       for (const auto& c : owned[rank]) {
@@ -600,7 +695,7 @@ TEST(PlannerProperty, AutomaticAgreesAcrossRanksOnStrided3d) {
   // that forces the wave sequence), and the exchange must complete — a
   // rank-divergent decision would deadlock or corrupt data.
   const ddr::GlobalLayout layout = strided3d_layout();
-  const auto want = run_backend(layout, Backend::point_to_point, 0).out;
+  const auto want = run_backend(layout, Backend::alltoallw, 0).out;
   const RunResult got = run_backend(layout, Backend::automatic, 200000);
   for (std::size_t r = 0; r < got.out.size(); ++r)
     EXPECT_EQ(

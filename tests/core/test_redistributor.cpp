@@ -166,17 +166,11 @@ TEST_P(Backends, UnevenChunkCountsPadRounds) {
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, Backends,
                          ::testing::Values(Backend::alltoallw,
-                                           Backend::point_to_point,
                                            Backend::point_to_point_pipelined),
                          [](const auto& info) {
-                           switch (info.param) {
-                             case Backend::alltoallw:
-                               return "alltoallw";
-                             case Backend::point_to_point:
-                               return "p2p";
-                             default:
-                               return "p2p_pipelined";
-                           }
+                           return info.param == Backend::alltoallw
+                                      ? "alltoallw"
+                                      : "p2p_pipelined";
                          });
 
 TEST(Redistributor, BackendsProduceIdenticalResults) {
@@ -186,7 +180,7 @@ TEST(Redistributor, BackendsProduceIdenticalResults) {
     const Chunk need = Chunk::d2(4, 4, 4 * (rank % 2), 4 * (rank / 2));
     std::vector<float> own_data = fill_chunk(own[0]);
 
-    std::vector<float> via_w(16, -1), via_p2p(16, -2), via_fused(16, -3);
+    std::vector<float> via_w(16, -1), via_fused(16, -3);
     {
       Redistributor r(comm, sizeof(float));
       r.setup(own, need);
@@ -195,18 +189,10 @@ TEST(Redistributor, BackendsProduceIdenticalResults) {
     {
       Redistributor r(comm, sizeof(float));
       ddr::SetupOptions opts;
-      opts.backend = Backend::point_to_point;
-      r.setup(own, need, opts);
-      r.redistribute(bytes_of(own_data), bytes_of(via_p2p));
-    }
-    {
-      Redistributor r(comm, sizeof(float));
-      ddr::SetupOptions opts;
       opts.backend = Backend::point_to_point_pipelined;
       r.setup(own, need, opts);
       r.redistribute(bytes_of(own_data), bytes_of(via_fused));
     }
-    EXPECT_EQ(via_w, via_p2p);
     EXPECT_EQ(via_w, via_fused);
   });
 }
@@ -269,13 +255,14 @@ TEST(Redistributor, FusedBackendPostsOneMessagePerPeerPair) {
       return window;
     };
 
-    const std::uint64_t plain = count_messages(Backend::point_to_point);
+    const std::uint64_t plain = count_messages(Backend::alltoallw);
     const std::uint64_t fused =
         count_messages(Backend::point_to_point_pipelined);
     if (rank == 0) {
       // Window contents: 3 go + data + 3 done. Data: every rank sends to its
-      // 3 peers once per round (4 rounds) in the plain backend, once total
-      // in the fused one; self lanes are direct copies, no messages.
+      // 3 peers once per round (4 rounds) under the per-round alltoallw,
+      // once total in the fused backend; self lanes are direct copies, no
+      // messages.
       EXPECT_EQ(plain, 3u + 4u * 3u * 4u + 3u);
       EXPECT_EQ(fused, 3u + 4u * 3u + 3u);
     }

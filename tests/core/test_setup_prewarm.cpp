@@ -1,11 +1,10 @@
 // setup() compiles and prewarms only for the executor that runs. The
 // fused-lane executor (point_to_point_pipelined, with or without a staging
-// budget) never sends per-round messages, so its setup plants only the
-// fused lane payloads in the staging pool and compiles no per-round plan;
-// alltoallw, per-round point-to-point and every backend under an active
-// FaultModel (which runs the reliable per-round path) still get both.
-// Repeated setups on one communicator leave the steady-state data path
-// allocation-free.
+// budget, with or without an active FaultModel) never sends per-round
+// messages, so its setup plants only the fused lane payloads in the staging
+// pool and compiles no per-round plan; alltoallw gets the per-round plans
+// and payloads. Repeated setups on one communicator leave the steady-state
+// data path allocation-free.
 
 #include <gtest/gtest.h>
 
@@ -139,28 +138,33 @@ TEST(SetupPrewarm, FusedExecutorsReserveOnlyTheirLanePayloads) {
   }
 }
 
+TEST(SetupPrewarm, FusedExecutorUnderFaultsReservesWholeIntraLanes) {
+  // Under an active FaultModel every non-self lane moves as a payload its
+  // receiver can re-request — intra-node lanes included — and still no
+  // per-round plan is compiled.
+  simnet::RandomFaultPlan lossless{simnet::RandomFaultParams{}};
+  const std::vector<SetupCounts> counts =
+      trace_setup(Backend::point_to_point_pipelined, &lossless);
+  for (int r = 0; r < kRanks; ++r) {
+    const SetupCounts& c = counts[static_cast<std::size_t>(r)];
+    ASSERT_EQ(c.intra_lanes, 1) << "rank " << r;
+    EXPECT_EQ(c.reserved, c.inter_bytes + c.intra_bytes) << "rank " << r;
+    EXPECT_EQ(c.precompiled, c.fused_types) << "rank " << r;
+  }
+}
+
 TEST(SetupPrewarm, PerRoundExecutorsKeepRoundPayloadsAndPlans) {
   simnet::RandomFaultPlan lossless{simnet::RandomFaultParams{}};
-  struct Case {
-    Backend backend;
-    mpi::FaultModel* fault;
-  };
-  const Case cases[] = {
-      {Backend::alltoallw, nullptr},
-      {Backend::point_to_point, nullptr},
-      {Backend::alltoallw, &lossless},
-      {Backend::point_to_point, &lossless},
-      {Backend::point_to_point_pipelined, &lossless},
-  };
-  for (const Case& k : cases) {
-    const std::vector<SetupCounts> counts = trace_setup(k.backend, k.fault);
+  for (mpi::FaultModel* fault : {static_cast<mpi::FaultModel*>(nullptr),
+                                 static_cast<mpi::FaultModel*>(&lossless)}) {
+    const std::vector<SetupCounts> counts =
+        trace_setup(Backend::alltoallw, fault);
     for (int r = 0; r < kRanks; ++r) {
       const SetupCounts& c = counts[static_cast<std::size_t>(r)];
-      const char* name = ddr::backend_name(k.backend);
-      const char* mode = k.fault != nullptr ? " under faults" : "";
-      EXPECT_EQ(c.reserved, c.round_payloads) << name << mode << " rank " << r;
+      const char* mode = fault != nullptr ? " under faults" : "";
+      EXPECT_EQ(c.reserved, c.round_payloads) << mode << " rank " << r;
       EXPECT_EQ(c.precompiled, c.fused_types + c.round_types)
-          << name << mode << " rank " << r;
+          << mode << " rank " << r;
     }
   }
 }

@@ -132,14 +132,14 @@ INSTANTIATE_TEST_SUITE_P(Exchange, TwoLevelBackends,
                          ::testing::Values(Backend::point_to_point_pipelined),
                          [](const auto&) { return "pipelined"; });
 
-// The per-round backends never see intra lanes (classification only drives
-// the fused-lane executor), but must stay correct under a topology model.
+// The per-round alltoallw never sees intra lanes (classification only
+// drives the fused-lane executor), but must stay correct under a topology
+// model.
 TEST(TwoLevel, PerRoundBackendsUnaffectedByTopology) {
   const simnet::LinkModel model(two_per_node());
   mpi::RunOptions opts;
   opts.network = &model;
   run_e1(Backend::alltoallw, opts, 0, 1);
-  run_e1(Backend::point_to_point, opts, 0, 1);
 }
 
 // Acceptance check: a forced-scalar run and the autodetected-kernel run must

@@ -168,6 +168,15 @@ std::int64_t recorded_depth(const std::vector<trace::Event>& ev) {
   return -1;
 }
 
+/// Peers of the named message instants, in recorded order.
+std::vector<int> msg_peers(const std::vector<trace::Event>& ev,
+                           const char* name) {
+  std::vector<int> peers;
+  for (const trace::Event& e : ev)
+    if (std::string(e.name) == name) peers.push_back(e.keys.peer);
+  return peers;
+}
+
 }  // namespace
 
 TEST(TraceGolden, AlltoallwRoundSpansMatchSchedule) {
@@ -185,17 +194,40 @@ TEST(TraceGolden, AlltoallwRoundSpansMatchSchedule) {
   check_e1_bytes(run);
 }
 
-TEST(TraceGolden, P2pRoundSpansMatchSchedule) {
-  const TracedRun run = run_e1(ddr::Backend::point_to_point);
+TEST(TraceGolden, PostAllCompletesSmallLanesWithOneWaitAll) {
+  // E1's lanes (16 B) are far below the 32 KiB parallel-pack threshold, so
+  // the fused-lane executor runs its post-all discipline: the receive
+  // window, the lanes sent in ascending peer order, and one wait_all that
+  // completes the receives in posting (ascending peer) order — no
+  // arrival-order drain.
+  const TracedRun run = run_e1(ddr::Backend::point_to_point_pipelined);
   for (int r = 0; r < kRanks; ++r) {
     const auto& ev = run.events[static_cast<std::size_t>(r)];
-    EXPECT_EQ(trace::count_events(ev, "ddr.round", trace::Phase::begin), 2u);
     EXPECT_EQ(trace::count_events(ev, "ddr.wait_all", trace::Phase::begin),
               1u);
+    EXPECT_EQ(
+        trace::count_events(ev, "ddr.pipeline.complete", trace::Phase::begin),
+        0u);
+    EXPECT_EQ(trace::count_events(ev, "ddr.round", trace::Phase::begin), 0u);
     EXPECT_EQ(trace::count_events(ev, "mpi.alltoallw", trace::Phase::begin),
               0u);
+    std::vector<int> peers;
+    for (int q = 0; q < kRanks; ++q)
+      if (q != r) peers.push_back(q);
+    EXPECT_EQ(msg_peers(ev, "ddr.msg.send"), peers) << "rank " << r;
+    EXPECT_EQ(msg_peers(ev, "ddr.msg.recv"), peers) << "rank " << r;
   }
   check_e1_bytes(run);
+  // strided3d's 64 KiB lanes run the pipeline instead.
+  const TracedRun big = run_strided3d(ddr::Backend::point_to_point_pipelined);
+  for (int r = 0; r < kRanks; ++r) {
+    const auto& ev = big.events[static_cast<std::size_t>(r)];
+    EXPECT_EQ(trace::count_events(ev, "ddr.wait_all", trace::Phase::begin),
+              0u);
+    EXPECT_EQ(
+        trace::count_events(ev, "ddr.pipeline.complete", trace::Phase::begin),
+        1u);
+  }
 }
 
 TEST(TraceGolden, FusedEmitsOnePerPeerLane) {
@@ -220,10 +252,12 @@ TEST(TraceGolden, FusedEmitsOnePerPeerLane) {
 }
 
 TEST(TraceGolden, StructureDeterministicAcrossRuns) {
-  // The per-round backends only: the fused-lane executor completes
-  // receives in arrival order, which depends on thread scheduling.
+  // E1's lanes are small, so the fused-lane executor completes them
+  // post-all in posting order — as deterministic as the per-round
+  // alltoallw. (Above 32 KiB its pipeline completes in arrival order,
+  // which depends on thread scheduling.)
   for (const ddr::Backend b :
-       {ddr::Backend::alltoallw, ddr::Backend::point_to_point}) {
+       {ddr::Backend::alltoallw, ddr::Backend::point_to_point_pipelined}) {
     const TracedRun a = run_e1(b);
     const TracedRun c = run_e1(b);
     for (int r = 0; r < kRanks; ++r)
@@ -264,8 +298,9 @@ TEST(TraceGolden, AlltoallwRank0ExactStructure) {
 }
 
 TEST(TraceGolden, PipelinedPostsWindowThenCompletesOutOfOrder) {
-  const TracedRun run = run_e1(ddr::Backend::point_to_point_pipelined);
-  EXPECT_EQ(run.rounds, 2);
+  // strided3d's 64 KiB lanes clear the 32 KiB threshold, so the fused-lane
+  // executor runs its pipeline.
+  const TracedRun run = run_strided3d(ddr::Backend::point_to_point_pipelined);
   for (int r = 0; r < kRanks; ++r) {
     const auto& ev = run.events[static_cast<std::size_t>(r)];
     // One posting window, one pack span per peer lane, one completion
@@ -278,11 +313,9 @@ TEST(TraceGolden, PipelinedPostsWindowThenCompletesOutOfOrder) {
         trace::count_events(ev, "ddr.pipeline.complete", trace::Phase::begin),
         1u);
     EXPECT_EQ(trace::count_events(ev, "ddr.round", trace::Phase::begin), 0u);
-    // E1: 3 peers -> a window of 3 per-peer lane receives.
+    // 3 peers -> a window of 3 per-peer lane receives.
     EXPECT_EQ(recorded_depth(ev), 3);
   }
-  // Byte accounting is completion-order independent.
-  check_e1_bytes(run);
 }
 
 TEST(TraceGolden, PipelinedStrided3dConservesBytesOutOfOrder) {

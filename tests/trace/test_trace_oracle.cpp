@@ -37,11 +37,9 @@ struct Scenario {
 
 // "fused" names the fused-lane executor, Backend::point_to_point_pipelined.
 std::string scenario_name(const ::testing::TestParamInfo<Scenario>& info) {
-  const char* b = info.param.backend == Backend::alltoallw       ? "w"
-                  : info.param.backend == Backend::point_to_point ? "p2p"
-                                                                  : "fused";
   return "d" + std::to_string(info.param.ndims) + "_p" +
-         std::to_string(info.param.nranks) + "_" + b;
+         std::to_string(info.param.nranks) + "_" +
+         (info.param.backend == Backend::alltoallw ? "w" : "fused");
 }
 
 Box make_domain(int ndims, std::mt19937& rng) {
@@ -135,13 +133,13 @@ TEST_P(TracedBytes, MatchOverlapOracle) {
 INSTANTIATE_TEST_SUITE_P(
     Sweep, TracedBytes,
     ::testing::Values(Scenario{1, 4, Backend::alltoallw, 501},
-                      Scenario{1, 5, Backend::point_to_point, 502},
+                      Scenario{1, 5, Backend::point_to_point_pipelined, 502},
                       Scenario{1, 3, Backend::point_to_point_pipelined, 503},
                       Scenario{2, 4, Backend::alltoallw, 601},
-                      Scenario{2, 6, Backend::point_to_point, 602},
+                      Scenario{2, 6, Backend::point_to_point_pipelined, 602},
                       Scenario{2, 5, Backend::point_to_point_pipelined, 603},
                       Scenario{3, 4, Backend::alltoallw, 701},
-                      Scenario{3, 5, Backend::point_to_point, 702},
+                      Scenario{3, 5, Backend::point_to_point_pipelined, 702},
                       Scenario{3, 6, Backend::point_to_point_pipelined, 703}),
     scenario_name);
 

@@ -159,7 +159,6 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         // Every backend on 4 ranks (square process grid)...
         Scenario{4, Backend::alltoallw, false, 11u},
-        Scenario{4, Backend::point_to_point, false, 12u},
         Scenario{4, Backend::point_to_point_pipelined, false, 14u},
         Scenario{4, Backend::automatic, false, 16u},
         // ...the planner and the budgeted fused-lane executor across rank

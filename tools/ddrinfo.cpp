@@ -15,7 +15,7 @@
 //                 nonzero when the contract does not hold
 //     --cost      compile every rank's transfer plans and print per-rank
 //                 message counts, payload bytes, compiled plan segment and
-//                 run-compressed quad totals for the plain per-round p2p
+//                 run-compressed quad totals for the per-round alltoallw
 //                 backend and the pipelined backend's fused per-peer lanes
 //                 side by side, plus its per-rank receive-window depth,
 //                 each fused lane's locality class (self/intra/inter), the
@@ -47,7 +47,7 @@
 //                 simnet::LinkModel drives both the planner and the
 //                 measured runs' virtual clocks.
 //     --trace F   actually run one redistribute() per backend (alltoallw,
-//                 p2p, pipelined) under the threaded runtime with
+//                 pipelined) under the threaded runtime with
 //                 tracing on, write the merged Chrome-trace JSON to F (load
 //                 it at https://ui.perfetto.dev), and print per-backend
 //                 message and byte totals (comparable to --cost)
@@ -274,9 +274,9 @@ int run_validate(const ddr::LayoutSpec& spec) {
 
 /// Compiles every rank's transfer plans (exactly what Redistributor::setup
 /// builds) and prints what one redistribute() call costs each rank under the
-/// plain per-round p2p backend versus the pipelined backend's fused per-peer
-/// lanes: messages
-/// posted, payload bytes, total compiled plan segments (contiguous runs
+/// per-round alltoallw backend versus the pipelined backend's fused per-peer
+/// lanes: messages (alltoallw's non-empty per-round transfers) posted,
+/// payload bytes, total compiled plan segments (contiguous runs
 /// copied per call — see Datatype::plan_segment_count), and total
 /// run-compressed plan quads (descriptors stored == copy-train kernel calls
 /// per call — see Datatype::plan_quad_count). The trailing column is the
@@ -300,8 +300,8 @@ int run_cost(const ddr::LayoutSpec& spec, int ranks_per_node) {
   std::int64_t depth_total = 0;
   std::printf("\nper-rank send cost (one redistribute() call):\n");
   std::printf("  %-5s | %-35s | %-35s | %s\n", "",
-              "plain p2p (per round x peer)",
-              "pipelined p2p (one msg per peer)", "window");
+              "alltoallw (per round x peer)",
+              "pipelined (one msg per peer)", "window");
   std::printf("  %-5s | %8s %10s %8s %6s | %8s %10s %8s %6s | %6s\n", "rank",
               "msgs", "bytes", "segs", "quads", "msgs", "bytes", "segs",
               "quads", "depth");
@@ -474,7 +474,8 @@ int run_plan(const ddr::LayoutSpec& spec, int ranks_per_node,
   // The per-peer-class partition of the fused lane set and the lowering the
   // fused-lane executor gives each class (self lanes count ranks with self
   // traffic; intra lanes ride the zero-copy pointer publication; inter
-  // lanes are pipelined, in budgeted waves when a budget is set).
+  // lanes complete post_all below the parallel-pack threshold, pipelined
+  // above it, in fenced waves when a budget is set).
   std::printf("\nper-peer-class partition (fused-lane lowering, %d inter "
               "wave(s)):\n",
               d.waves);
@@ -586,7 +587,6 @@ int run_trace(const ddr::LayoutSpec& spec, const char* out_path) {
   };
   const BackendRun backends[] = {
       {"alltoallw", ddr::Backend::alltoallw},
-      {"p2p", ddr::Backend::point_to_point},
       {"pipelined", ddr::Backend::point_to_point_pipelined},
   };
 
