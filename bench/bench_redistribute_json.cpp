@@ -52,11 +52,10 @@
 //
 // and the "amortize" block: multi-step pencil runs under
 // Backend::automatic, reporting setup cost and first-step wall separately
-// from the steady-state per-step median, against two re-planning
-// baselines — a fresh PencilTimestepper per step (decide-per-step) and a
-// fresh timestepper per step resolving through one shared ddr::PlanCache
-// (decide-once, replayed). Exit gate: steady-state median <= 0.75 x the
-// decide-per-step median — the plan-reuse amortization headline.
+// from the steady-state per-step median, against a fresh PencilTimestepper
+// per step (decide-per-step). Exit gate: steady-state median <= 0.75 x the
+// decide-per-step median — keeping the Redistributors alive is the plan
+// reuse (paper §III-C).
 //
 // Emits BENCH_redistribute.json (schema: EXPERIMENTS.md) with median and
 // p95 per-call wall time (rank 0's, which the gates read, plus the slowest
@@ -906,14 +905,11 @@ MixedPoint run_mixed_point(int reps) {
 // ---------------------------------------------------------------------------
 // Plan-reuse amortization: multi-step pencil runs under Backend::automatic.
 // A real spectral solver pays setup once and steps thousands of times; the
-// baseline it beats is deciding again every step. Three regimes:
+// baseline it beats is deciding again every step. Two regimes:
 //   steady          one persistent PencilTimestepper, per-step median
-//   replan_per_step a fresh timestepper per step (construct + 1 step),
-//                   embedded cache, so every step re-runs the cost model
-//                   and recompiles all four transposes — decide-per-step
-//   replan_cached   a fresh timestepper per step resolving through ONE
-//                   shared ddr::PlanCache — decide-once, replayed; isolates
-//                   how much of the replan bill the cache alone recovers
+//   replan_per_step a fresh timestepper per step (construct + 1 step), so
+//                   every step re-runs the cost model and recompiles all
+//                   four transposes — decide-per-step
 // Exit gate: steady <= 0.75 x replan_per_step.
 
 struct AmortizePoint {
@@ -927,9 +923,6 @@ struct AmortizePoint {
   double first_step_ms = 0.0;  ///< construction + first step, cold
   double steady_median_ms = 0.0;
   double replan_per_step_median_ms = 0.0;
-  double replan_cached_median_ms = 0.0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
   bool amortized = true;
 };
 
@@ -944,7 +937,7 @@ AmortizePoint run_amortize_point(int reps) {
   // stays a few seconds.
   ap.iters = std::min(reps, 20);
 
-  std::vector<double> steady, replan, cached;
+  std::vector<double> steady, replan;
   mpi::run(pp.nranks, [&](mpi::Comm& comm) {
     const int r = comm.rank();
     ddr::SetupOptions so;
@@ -978,7 +971,7 @@ AmortizePoint run_amortize_point(int reps) {
             std::chrono::duration<double, std::milli>(t1 - t0).count());
     }
 
-    // Decide-per-step: a fresh chain every step, embedded (cold) cache.
+    // Decide-per-step: a fresh chain every step.
     for (int i = 0; i < ap.iters; ++i) {
       comm.barrier();
       const auto t0 = std::chrono::steady_clock::now();
@@ -989,43 +982,16 @@ AmortizePoint run_amortize_point(int reps) {
         replan.push_back(
             std::chrono::duration<double, std::milli>(t1 - t0).count());
     }
-
-    // Decide-once: fresh chains resolving through one shared cache. The
-    // priming instance eats the 4 misses; every timed instance replays.
-    ddr::PlanCache cache;
-    ddr::SetupOptions soc = so;
-    soc.plan_cache = &cache;
-    {
-      workloads::PencilTimestepper prime(comm, pp, soc);
-      prime.run(1, bytes);
-    }
-    for (int i = 0; i < ap.iters; ++i) {
-      comm.barrier();
-      const auto t0 = std::chrono::steady_clock::now();
-      workloads::PencilTimestepper fresh(comm, pp, soc);
-      fresh.run(1, bytes);
-      const auto t1 = std::chrono::steady_clock::now();
-      if (r == 0)
-        cached.push_back(
-            std::chrono::duration<double, std::milli>(t1 - t0).count());
-    }
-    if (r == 0) {
-      ap.cache_hits = cache.stats().hits;
-      ap.cache_misses = cache.stats().misses;
-    }
   });
 
   ap.steady_median_ms = median_of(steady);
   ap.replan_per_step_median_ms = median_of(replan);
-  ap.replan_cached_median_ms = median_of(cached);
   ap.amortized = ap.steady_median_ms <= 0.75 * ap.replan_per_step_median_ms;
   std::printf("amortize   pencil %d^3/%d (%s)  setup %.3f ms  first step "
-              "%.3f ms  steady %.3f ms  replan/step %.3f ms  replan+cache "
-              "%.3f ms -> %s\n",
+              "%.3f ms  steady %.3f ms  replan/step %.3f ms -> %s\n",
               ap.grid, ap.nranks, ap.planned_backend.c_str(), ap.setup_ms,
               ap.first_step_ms, ap.steady_median_ms,
-              ap.replan_per_step_median_ms, ap.replan_cached_median_ms,
-              ap.amortized ? "PASS" : "FAIL");
+              ap.replan_per_step_median_ms, ap.amortized ? "PASS" : "FAIL");
   return ap;
 }
 
@@ -1181,17 +1147,12 @@ void write_json(const std::string& path, int reps,
                  "\"ranks\": %d, \"steps\": %d, \"replan_iters\": %d, "
                  "\"planned_backend\": \"%s\", \"setup_ms\": %.6f, "
                  "\"first_step_ms\": %.6f, \"steady_median_ms\": %.6f, "
-                 "\"replan_per_step_median_ms\": %.6f, "
-                 "\"replan_cached_median_ms\": %.6f, \"cache_hits\": %llu, "
-                 "\"cache_misses\": %llu, \"amortized\": %s}",
+                 "\"replan_per_step_median_ms\": %.6f, \"amortized\": %s}",
                  amortize.grid, amortize.nranks, amortize.steps,
                  amortize.iters, amortize.planned_backend.c_str(),
                  amortize.setup_ms, amortize.first_step_ms,
                  amortize.steady_median_ms,
                  amortize.replan_per_step_median_ms,
-                 amortize.replan_cached_median_ms,
-                 static_cast<unsigned long long>(amortize.cache_hits),
-                 static_cast<unsigned long long>(amortize.cache_misses),
                  amortize.amortized ? "true" : "false");
   std::fprintf(f, "\n}\n");
   std::fclose(f);

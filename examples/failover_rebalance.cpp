@@ -9,9 +9,8 @@
 //
 //   1. agree on the dead set (Comm::failed_ranks — no messages needed),
 //   2. re-declare the surviving data and call the comm-less
-//      Redistributor::rebuild(owned, needed): under
-//      SetupOptions::rebuild_policy == RebuildPolicy::auto_shrink it heals
-//      the communicator itself (Comm::shrink) and remaps in one step,
+//      Redistributor::rebuild(owned, needed), which heals the communicator
+//      itself (Comm::shrink) and remaps in one step,
 //   3. keep redistributing the surviving region.
 //
 // Run: ./failover_rebalance
@@ -53,12 +52,7 @@ int main() {
         const ddr::OwnedLayout own{ddr::Chunk::d1(kQuarter, kQuarter * rank)};
         const ddr::Chunk need =
             ddr::Chunk::d1(kQuarter, kQuarter * ((rank + 1) % kRanks));
-        ddr::SetupOptions sopts;
-        // Opt in to communicator-healing rebuilds: after a rank death,
-        // rebuild(owned, needed) shrinks the communicator and remaps in one
-        // call instead of making the caller juggle Comm::shrink herself.
-        sopts.rebuild_policy = ddr::RebuildPolicy::auto_shrink;
-        r.setup(own, need, sopts);
+        r.setup(own, need);
 
         std::vector<float> mine(kQuarter);
         for (int i = 0; i < kQuarter; ++i)

@@ -9,12 +9,11 @@
 /// at setup() time it
 /// consumes the redistribution's compiled-plan statistics — transfer counts,
 /// per-lane bytes, round structure, the self/intra-node/inter-node split
-/// under the installed mpi::NetworkModel, and (when available) the local
-/// mapping's plan_quad_count/plan_segment_count — and emits a PlanDecision:
-/// the backend to run, the parallel-packing thread count, the staging
-/// prewarm size, and the wave schedule of the fused-lane executor's
-/// inter-node lanes under a caller-settable peak-staging budget (the
-/// memory-efficient redistribution axis of Rink et al., arXiv:2112.01075).
+/// under the installed mpi::NetworkModel — and emits a PlanDecision: the
+/// backend to run, the parallel-packing thread count, and the wave schedule
+/// of the fused-lane executor's inter-node lanes under a caller-settable
+/// peak-staging budget (the memory-efficient redistribution axis of Rink et
+/// al., arXiv:2112.01075).
 ///
 /// Everything the decision depends on is GLOBAL knowledge (the allgathered
 /// layout and the run-wide NetworkModel), so every rank derives the
@@ -29,8 +28,6 @@
 #include "minimpi/sim.hpp"
 
 namespace ddr {
-
-struct DataMapping;
 
 /// How redistribute() moves the data. The values are stable identifiers:
 /// traces record them as the `value` key of the ddr.setup and
@@ -175,9 +172,6 @@ struct PlanDecision {
   /// Nonzero only when the chosen backend parallel-packs and some lane
   /// clears kParallelPackThresholdBytes.
   int pack_threads = 0;
-  /// Staging bytes setup() prewarms for the chosen backend (the predicted
-  /// peak concurrent payload set).
-  std::size_t staging_prewarm_bytes = 0;
   /// Predicted pool-wide peak staging of the chosen backend.
   std::size_t predicted_peak_staging = 0;
   /// Predicted makespan of the chosen backend (see CandidateCost).
@@ -201,12 +195,6 @@ struct PlanDecision {
   /// (always 3 entries), with the lowering the fused-lane executor gives
   /// each class. Populated from global aggregates on every decision.
   std::vector<ClassPlan> class_plans;
-  /// Stored quads / memcpy segments of this rank's compiled fused lane
-  /// plans (0 when decide() ran without a local mapping). Consumed for the
-  /// local pack-walk refinement of predicted_s; never for the backend
-  /// choice, which must stay rank-independent.
-  std::int64_t local_plan_quads = 0;
-  std::int64_t local_plan_segments = 0;
   /// Every candidate evaluated, in evaluation order (ddrinfo --plan).
   std::vector<CandidateCost> candidates;
 };
@@ -214,11 +202,9 @@ struct PlanDecision {
 /// Cost-model-driven backend planner (see file comment).
 class Planner {
  public:
-  /// Derives the plan for `layout`. Deterministic and rank-independent in
-  /// everything that must be protocol-consistent (the backend, the wave
-  /// schedule, the thread count); `local_mapping`, when given, only refines
-  /// this rank's predicted_s with its compiled-plan quad/segment counts and
-  /// sizes the staging prewarm to this rank's lanes.
+  /// Derives the plan for `layout`: a pure function of its arguments, so
+  /// every rank of a setup() — and ddrinfo --plan, offline — derives the
+  /// identical decision.
   ///
   /// \param net                the run's NetworkModel (nullptr = cost-free
   ///                           run; all non-self lanes count as inter-node
@@ -233,8 +219,6 @@ class Planner {
                                            std::size_t elem_size,
                                            const mpi::NetworkModel* net,
                                            std::size_t peak_staging_bytes,
-                                           const DataMapping* local_mapping =
-                                               nullptr,
                                            const std::vector<int>* world_ranks =
                                                nullptr);
 };

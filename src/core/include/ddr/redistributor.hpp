@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "ddr/mapping.hpp"
-#include "ddr/plan_cache.hpp"
 #include "ddr/planner.hpp"
 #include "ddr/resize_plan.hpp"
 #include "minimpi/comm.hpp"
@@ -42,18 +41,6 @@ namespace ddr {
 // chooses between backends and prices the lowering of each lane class.
 // Without a network model every rank is its own node, so all non-self lanes
 // are inter and behaviour is exactly the flat exchange.
-
-/// What rebuild() may do on its own when ranks have died.
-enum class RebuildPolicy {
-  /// The application drives recovery: it shrinks the communicator itself and
-  /// calls rebuild(comm, ...) with the survivors' declarations.
-  manual,
-  /// rebuild(owned, needed) — the comm-less overloads — is allowed to heal
-  /// the communicator itself: it calls mpi::Comm::shrink() (excluding the
-  /// ranks the runtime reported dead) and re-runs setup() on the survivors
-  /// in one step.
-  auto_shrink,
-};
 
 /// Options for the transactional elastic resize
 /// (Redistributor::resize_rebalance / Redistributor::resize_join).
@@ -113,17 +100,6 @@ struct SetupOptions {
   /// are known to be checked identically already.
   bool collective_error_agreement = true;
 
-  /// Point-to-point backend under fault injection: how many times a missing
-  /// fused lane is re-requested before the receiving rank gives up and
-  /// fails the run (collective abort). Each attempt re-posts the lane on the
-  /// sending side, so a run under a lossy-link FaultModel completes
-  /// bit-identically whenever every lane survives within the cap.
-  int max_transfer_attempts = 8;
-
-  /// Whether the comm-less rebuild(owned, needed) overloads may shrink the
-  /// communicator themselves when ranks have died (see RebuildPolicy).
-  RebuildPolicy rebuild_policy = RebuildPolicy::manual;
-
   /// Peak-staging budget in bytes, 0 = unlimited. Consumed two ways:
   ///  * Backend::point_to_point_pipelined runs its inter-node lanes as
   ///    waves, each closed by a barrier, so no wave's total payload exceeds
@@ -134,16 +110,6 @@ struct SetupOptions {
   ///    exceeds the budget as infeasible, falling back to the waved
   ///    pipelined executor (always feasible) when nothing else fits.
   std::size_t peak_staging_bytes = 0;
-
-  /// Optional execution-plan cache (not owned; one instance PER RANK — see
-  /// plan_cache.hpp). When set, setup() resolves the plan through the cache:
-  /// a fingerprint hit replays the stored PlanDecision and skips the global
-  /// cost-model pass, a miss decides and stores. The Redistributor records
-  /// the cache's plan_epoch; rebuild() and a committed resize_rebalance()
-  /// invalidate the cache, and a redistribute() under a stale epoch throws
-  /// a descriptive ddr::Error on every rank (stale-plan reuse is an error,
-  /// never a silently wrong answer).
-  PlanCache* plan_cache = nullptr;
 };
 
 /// Per-rank redistribution engine.
@@ -160,6 +126,7 @@ class Redistributor {
   /// Collective. Declares what this rank owns (any number of chunks, packed
   /// consecutively in the source buffer) and the one chunk it needs.
   /// Gathers every rank's declaration and computes the geometric mapping.
+  /// If it throws, is_setup() is false until a later setup() succeeds.
   void setup(const OwnedLayout& owned, const Chunk& needed,
              const SetupOptions& options = {});
 
@@ -191,9 +158,8 @@ class Redistributor {
   /// Collective over the survivors. Self-healing rebuild: shrinks the
   /// current communicator (excluding the ranks the runtime reported dead)
   /// and re-runs setup() with this rank's post-failure declarations, reusing
-  /// the options from the previous setup(). Requires
-  /// SetupOptions::rebuild_policy == RebuildPolicy::auto_shrink — the
-  /// one-call recovery path examples/failover_rebalance.cpp demonstrates.
+  /// the options from the previous setup() — the one-call recovery path
+  /// examples/failover_rebalance.cpp demonstrates.
   void rebuild(const OwnedLayout& owned, const NeededLayout& needed);
 
   /// Single-needed-chunk convenience overload of the self-healing rebuild().
@@ -223,7 +189,7 @@ class Redistributor {
   /// with a partially-applied layout: before the commit decision every
   /// member still holds exactly its old data, after it exactly its new.
   /// Death AFTER the commit decision is an ordinary post-resize failure
-  /// (handled like any other, e.g. with the auto_shrink rebuild).
+  /// (handled like any other, e.g. with the comm-less rebuild).
   ///
   /// When growing, `new_size` is clamped to the live member count plus
   /// mpi::Comm::spawnable_ranks(). On return this Redistributor's
@@ -369,10 +335,6 @@ class Redistributor {
   /// so a lane moves in the same wave on its sender and receiver. Empty
   /// unless the resolved backend is point_to_point_pipelined.
   std::vector<std::vector<std::size_t>> send_waves_, recv_waves_;
-  /// The cache plan_epoch this mapping's decision was resolved under (only
-  /// meaningful when options_.plan_cache != nullptr; redistribute() rejects
-  /// execution once the cache has been invalidated past it).
-  std::uint64_t plan_cache_epoch_ = 0;
   /// PackExecutor threads the fused-lane executor packs with (0 = inline),
   /// resolved by this setup: the plan's count under Backend::automatic,
   /// mpi::Comm::pack_threads() otherwise, and 0 unless some inter-node send

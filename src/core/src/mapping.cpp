@@ -180,9 +180,8 @@ DataMapping build_mapping(const GlobalLayout& layout, int rank,
 
   // The mapping is computed once and executed every timestep (§III-C):
   // compile every fused lane's segment plan now so no redistribute() call
-  // ever pays the flattening cost (the planner also reads their quad
-  // counts). Only alltoallw moves the per-round lanes, so
-  // Redistributor::setup() compiles those when it runs.
+  // ever pays the flattening cost. Only alltoallw moves the per-round lanes,
+  // so Redistributor::setup() compiles those when it runs.
   DDR_TRACE_SPAN(pspan, "ddr.mapping.precompile");
   for (const PeerLane& l : m.fused_send) l.type.precompile();
   for (const PeerLane& l : m.fused_recv) l.type.precompile();

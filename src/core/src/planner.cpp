@@ -30,8 +30,6 @@ constexpr double kLaneStitchS = 4.0e-7;
 constexpr double kRoundSyncS = 3.0e-7;
 /// One hop of the dissemination barrier closing a budgeted wave.
 constexpr double kBarrierHopS = 1.5e-6;
-/// Plan-walk cost per stored quad (local predicted_s refinement only).
-constexpr double kQuadWalkS = 5.0e-9;
 /// Fraction of the smaller of pack/unpack byte cost the pipeline hides
 /// behind the receive window.
 constexpr double kPipelineOverlap = 0.5;
@@ -245,7 +243,6 @@ int assign_waves(std::vector<ExchangeLane>& lanes,
 PlanDecision Planner::decide(const GlobalLayout& layout, std::size_t elem_size,
                              const mpi::NetworkModel* net,
                              std::size_t peak_staging_bytes,
-                             const DataMapping* local_mapping,
                              const std::vector<int>* world_ranks) {
   const Aggregates a = aggregate(layout, elem_size, net, world_ranks);
   const Pricer price{net, world_ranks};
@@ -437,7 +434,6 @@ PlanDecision Planner::decide(const GlobalLayout& layout, std::size_t elem_size,
   d.backend = best->backend;
   d.predicted_s = best->predicted_s;
   d.predicted_peak_staging = best->predicted_peak_staging;
-  d.staging_prewarm_bytes = best->predicted_peak_staging;
 
   // Parallel packing: only for the fused-lane executor, and only when some
   // rank packs enough inter-node bytes to amortize the executor handoff in
@@ -448,32 +444,6 @@ PlanDecision Planner::decide(const GlobalLayout& layout, std::size_t elem_size,
       if (a.inter_bytes_out[r] >= kParallelPackMinTotalBytes &&
           a.big_inter_lanes_out[r] >= 2)
         d.pack_threads = 2;
-
-  // Local refinement: this rank's compiled fused-lane plans tell us the
-  // actual quad/segment walk the pack kernels execute. Consumed for the
-  // reported prediction and the prewarm size only — never for the backend
-  // choice, which must be identical on every rank.
-  if (local_mapping != nullptr) {
-    for (const PeerLane& l : local_mapping->fused_send) {
-      d.local_plan_quads +=
-          static_cast<std::int64_t>(l.type.plan_quad_count());
-      d.local_plan_segments +=
-          static_cast<std::int64_t>(l.type.plan_segment_count());
-    }
-    for (const PeerLane& l : local_mapping->fused_recv) {
-      d.local_plan_quads +=
-          static_cast<std::int64_t>(l.type.plan_quad_count());
-      d.local_plan_segments +=
-          static_cast<std::int64_t>(l.type.plan_segment_count());
-    }
-    d.predicted_s += static_cast<double>(d.local_plan_quads) * kQuadWalkS;
-    // Prewarm what THIS rank stages concurrently under the chosen backend.
-    std::int64_t prewarm = 0;
-    const int me = local_mapping->rank;
-    for (const PeerLane& l : local_mapping->fused_send)
-      if (l.peer != me) prewarm += l.bytes;
-    d.staging_prewarm_bytes = static_cast<std::size_t>(prewarm);
-  }
 
   return d;
 }

@@ -100,7 +100,6 @@ enum PrecondCode : int {
   kPrecondNotSetup = 4,
   kPrecondOwnedBufferShort = 5,
   kPrecondNeededBufferShort = 6,
-  kPrecondStalePlanEpoch = 7,
 };
 
 std::string precond_message(int code, int rank) {
@@ -122,11 +121,6 @@ std::string precond_message(int code, int rank) {
     case kPrecondNeededBufferShort:
       return "redistribute: " + who +
              "'s needed buffer is smaller than its layout requires";
-    case kPrecondStalePlanEpoch:
-      return "redistribute: " + who +
-             "'s plan was resolved under a plan-cache epoch that has since "
-             "been invalidated (a rebuild or committed resize changed the "
-             "run) — call setup() again before redistributing";
     default:
       return "precondition failure on " + who;
   }
@@ -169,6 +163,10 @@ void Redistributor::setup(const OwnedLayout& owned, const Chunk& needed,
 
 void Redistributor::setup(const OwnedLayout& owned, const NeededLayout& needed,
                           const SetupOptions& options) {
+  // Whatever mapping an earlier setup() left is void from here on: if this
+  // one throws, redistribute() must fail on every rank, not move the data
+  // by the old mapping.
+  setup_done_ = false;
   const int p = comm_.size();
   options_ = options;
   // Route events to the attached sink for the duration of this call (or keep
@@ -322,47 +320,16 @@ void Redistributor::finish_setup() {
   // compared against a manually requested backend (ddrinfo --plan) — and
   // Backend::automatic resolves to its choice. Everything the resolution
   // depends on (the allgathered layout, the run-wide NetworkModel, the
-  // world-rank node mapping) is identical on every rank, so the resolved
-  // backend and wave schedule are protocol-consistent with no extra
-  // communication. The local mapping only refines this rank's predicted_s
-  // and prewarm size — never the backend choice.
+  // world-rank node mapping) is identical on every rank, so the decision —
+  // and with it the resolved backend and wave schedule — is identical on
+  // every rank with no extra communication.
   std::vector<int> world_ranks(static_cast<std::size_t>(mapping_.nranks));
   for (int r = 0; r < mapping_.nranks; ++r)
     world_ranks[static_cast<std::size_t>(r)] = comm_.world_rank(r);
   {
     DDR_TRACE_SPAN(dspan, "ddr.plan.decide");
-    // Resolve through the execution-plan cache when one is attached: the
-    // decision is a pure function of (layout, elem_size, budget, topology,
-    // rank), so a fingerprint hit replays it exactly and skips the global
-    // cost-model pass. Stored decisions were cross-rank identical when
-    // decided, and every rank's cache sees the same deterministic
-    // setup sequence, so hits preserve the agreement contract.
-    bool cache_hit = false;
-    std::uint64_t cache_key = 0;
-    if (options_.plan_cache != nullptr) {
-      std::vector<int> node_salt;
-      if (const mpi::NetworkModel* net = comm_.network_model()) {
-        node_salt.reserve(world_ranks.size());
-        for (const int wr : world_ranks) node_salt.push_back(net->node_of(wr));
-      }
-      cache_key = PlanCache::fingerprint(layout_, elem_size_,
-                                         options_.peak_staging_bytes,
-                                         mapping_.rank, node_salt);
-      if (const PlanDecision* hit = options_.plan_cache->lookup(cache_key)) {
-        plan_ = *hit;
-        cache_hit = true;
-      }
-      DDR_TRACE_INSTANT("ddr.plan.cache", {.value = cache_hit ? 1 : 0});
-    }
-    if (!cache_hit) {
-      plan_ = Planner::decide(layout_, elem_size_, comm_.network_model(),
-                              options_.peak_staging_bytes, &mapping_,
-                              &world_ranks);
-      if (options_.plan_cache != nullptr)
-        options_.plan_cache->store(cache_key, plan_);
-    }
-    if (options_.plan_cache != nullptr)
-      plan_cache_epoch_ = options_.plan_cache->epoch();
+    plan_ = Planner::decide(layout_, elem_size_, comm_.network_model(),
+                            options_.peak_staging_bytes, &world_ranks);
     resolved_backend_ = options_.backend == Backend::automatic
                             ? plan_.backend
                             : options_.backend;
@@ -487,12 +454,7 @@ void Redistributor::rebuild(mpi::Comm comm, const OwnedLayout& owned,
                             const NeededLayout& needed,
                             const SetupOptions& options) {
   require(comm.valid(), "rebuild: invalid communicator");
-  // A rebuild changes what a correct plan looks like (new communicator, new
-  // declarations): decisions cached before it may no longer be executed.
-  // The subsequent setup() re-resolves under the bumped epoch.
-  if (options_.plan_cache != nullptr) options_.plan_cache->invalidate();
   comm_ = std::move(comm);
-  setup_done_ = false;
   setup(owned, needed, options);
 }
 
@@ -503,11 +465,6 @@ void Redistributor::rebuild(mpi::Comm comm, const OwnedLayout& owned,
 
 void Redistributor::rebuild(const OwnedLayout& owned,
                             const NeededLayout& needed) {
-  require(options_.rebuild_policy == RebuildPolicy::auto_shrink,
-          "rebuild: the comm-less overload heals the communicator itself, "
-          "which needs SetupOptions::rebuild_policy == "
-          "RebuildPolicy::auto_shrink — either opt in at setup() time or "
-          "shrink the communicator yourself and call rebuild(comm, ...)");
   rebuild(comm_.shrink(), owned, needed, options_);
 }
 
@@ -704,10 +661,6 @@ ResizeOutcome Redistributor::resize_rebalance(int new_size,
           tcomm.size() == target ? std::move(tcomm) : tcomm.resize(target);
       comm_ = final_comm;
       setup_done_ = false;  // the old mapping does not span the new comm
-      // A committed resize changes the run's membership: every plan cached
-      // before it is void. Holders of the old epoch fail fast on their next
-      // redistribute() instead of executing a plan for the wrong world.
-      if (options_.plan_cache != nullptr) options_.plan_cache->invalidate();
       out.retired = !final_comm.valid();
       out.comm = std::move(final_comm);
       out.owned = std::move(t.new_owned);
@@ -779,9 +732,6 @@ void Redistributor::redistribute(std::span<const std::byte> owned_data,
   int code = kPrecondOk;
   if (!setup_done_)
     code = kPrecondNotSetup;
-  else if (options_.plan_cache != nullptr &&
-           options_.plan_cache->epoch() != plan_cache_epoch_)
-    code = kPrecondStalePlanEpoch;
   else if (owned_data.size() < mapping_.owned_bytes)
     code = kPrecondOwnedBufferShort;
   else if (needed_data.size() < mapping_.needed_bytes)
@@ -1080,8 +1030,8 @@ void Redistributor::execute_p2p_reliable(
   //    kRetryTimeout re-requests each still-missing lane from its sender
   //    (zero-byte message); the sender re-posts the lane. Lost retry
   //    requests are themselves retried by the next timeout.
-  //    SetupOptions::max_transfer_attempts bounds the requests per lane;
-  //    exhaustion throws, which aborts the run collectively.
+  //    kMaxTransferAttempts bounds the requests per lane; exhaustion
+  //    throws, which aborts the run collectively.
   //  * Termination: when a receiver holds the lane from sender q, it sends q
   //    a zero-byte "done" token. A rank exits the exchange when it has all
   //    its lanes AND holds done tokens from every rank it sends to — before
@@ -1094,6 +1044,7 @@ void Redistributor::execute_p2p_reliable(
   //    stale control messages so no later call can see them.
   using steady = std::chrono::steady_clock;
   constexpr auto kRetryTimeout = std::chrono::milliseconds(20);
+  constexpr int kMaxTransferAttempts = 8;
   constexpr auto kPollInterval = std::chrono::microseconds(200);
 
   const int epoch = static_cast<int>(p2p_epoch_++ % kP2pEpochWindow);
@@ -1226,11 +1177,9 @@ void Redistributor::execute_p2p_reliable(
               " was killed before delivering its lane to rank " +
               std::to_string(comm_.rank()) +
               " — shrink the communicator and rebuild the mapping "
-              "(rebuild(owned, needed) does both in one call under "
-              "SetupOptions::rebuild_policy == RebuildPolicy::"
-              "auto_shrink)");
+              "(rebuild(owned, needed) does both in one call)");
         ++pr.attempts;
-        if (pr.attempts > options_.max_transfer_attempts)
+        if (pr.attempts > kMaxTransferAttempts)
           abort_exchange("redistribute: the lane from rank " +
                          std::to_string(peer) + " to rank " +
                          std::to_string(comm_.rank()) +

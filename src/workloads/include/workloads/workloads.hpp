@@ -160,32 +160,8 @@ class PencilTimestepper {
   /// Attaches a trace recorder to all four transposes (nullptr detaches).
   void trace_sink(trace::Recorder* rec);
 
-  /// The execution-plan cache the four setups resolve through: the caller's
-  /// (SetupOptions::plan_cache) when one was attached, else an embedded
-  /// per-instance cache — per-rank by construction, since the timestepper
-  /// itself is. A solver that re-instantiates its transpose chain (restart,
-  /// checkpoint reload, repeated short runs) over the same geometry then
-  /// replays the four decisions from the cache instead of re-running the
-  /// cost model: pass one PlanCache through the options of every instance.
-  [[nodiscard]] const ddr::PlanCache& plan_cache() const { return *cache_; }
-
-  /// Invalidation hook for structural events the caller performed around
-  /// the timestepper (rank resize, communicator rebuild): bumps the cache
-  /// epoch, so the next step() fails fast with the stale-plan error instead
-  /// of replaying a decision for the wrong world. Call replan() afterwards
-  /// to re-resolve the four transposes under the new epoch.
-  void invalidate_plans() { cache_->invalidate(); }
-
-  /// Re-runs the four setups under the current cache epoch (fresh
-  /// decisions, fresh prewarm). Collective.
-  void replan();
-
  private:
   PencilTranspose gen_;
-  mpi::Comm comm_;
-  ddr::SetupOptions options_;  ///< as applied (plan_cache always set)
-  ddr::PlanCache own_cache_;   ///< used when the caller attached none
-  ddr::PlanCache* cache_ = nullptr;
   std::vector<ddr::Redistributor> rd_;  ///< slab->py, py->pz, pz->py, py->slab
   std::size_t slab_bytes_ = 0;
   std::vector<std::byte> py_, pz_, slab_tmp_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <utility>
 
 #include "ddr/error.hpp"
 
@@ -186,33 +185,23 @@ Accounting PencilTranspose::accounting(Stage from, Stage to) const {
 PencilTimestepper::PencilTimestepper(mpi::Comm comm,
                                      const PencilParams& params,
                                      const ddr::SetupOptions& options)
-    : gen_(params), comm_(std::move(comm)), options_(options) {
-  ddr::require(comm_.size() == params.nranks,
+    : gen_(params) {
+  ddr::require(comm.size() == params.nranks,
                "PencilTimestepper: comm size must equal params.nranks");
-  // Resolve every setup through a plan cache: the caller's when one is
-  // attached (amortizes decisions ACROSS timestepper instances over the
-  // same geometry), the embedded per-instance one otherwise.
-  if (options_.plan_cache == nullptr) options_.plan_cache = &own_cache_;
-  cache_ = options_.plan_cache;
+  const int r = comm.rank();
+  const Stage chain[kTransposesPerStep + 1] = {
+      Stage::slab, Stage::pencil_y, Stage::pencil_z, Stage::pencil_y,
+      Stage::slab};
   rd_.reserve(kTransposesPerStep);
-  for (int t = 0; t < kTransposesPerStep; ++t)
-    rd_.emplace_back(comm_, params.elem_size);
-  replan();
+  for (int t = 0; t < kTransposesPerStep; ++t) {
+    rd_.emplace_back(comm, params.elem_size);
+    rd_.back().setup({gen_.chunk(chain[t], r)}, gen_.chunk(chain[t + 1], r),
+                     options);
+  }
   slab_bytes_ = rd_.front().owned_bytes();
   py_.resize(rd_[0].needed_bytes());
   pz_.resize(rd_[1].needed_bytes());
   slab_tmp_.resize(slab_bytes_);
-}
-
-void PencilTimestepper::replan() {
-  const int r = comm_.rank();
-  const Stage chain[kTransposesPerStep + 1] = {
-      Stage::slab, Stage::pencil_y, Stage::pencil_z, Stage::pencil_y,
-      Stage::slab};
-  for (int t = 0; t < kTransposesPerStep; ++t)
-    rd_[static_cast<std::size_t>(t)].setup({gen_.chunk(chain[t], r)},
-                                           gen_.chunk(chain[t + 1], r),
-                                           options_);
 }
 
 void PencilTimestepper::step(std::span<const std::byte> slab_in,

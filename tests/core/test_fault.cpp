@@ -326,7 +326,7 @@ TEST(FaultTolerance, AlltoallwUnaffectedByDataPlaneLoss) {
 
 TEST(FaultTolerance, RetryExhaustionAbortsCollectively) {
   // Total data-plane loss is unrecoverable: the receiver must give up after
-  // max_transfer_attempts and fail the run instead of retrying forever.
+  // its bounded retry attempts and fail the run instead of retrying forever.
   simnet::RandomFaultParams p;
   p.drop_rate = 1.0;
   simnet::RandomFaultPlan plan(p);

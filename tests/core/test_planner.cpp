@@ -653,38 +653,66 @@ TEST(PlannerWaves, ByteIdenticalOnBenchCasesUnderTwoRanksPerNode) {
 TEST(PlannerWaves, CrossRankAgreementUnderTwoRanksPerNode) {
   // Protocol consistency: every rank must resolve the identical backend,
   // wave count and per-class partition — a divergent wave schedule would
-  // deadlock the fenced execution.
+  // deadlock the fenced execution. The decision is a pure function of the
+  // allgathered layout, so every rank's plan() must equal, field by field,
+  // the offline decide() that ddrinfo --plan prints.
   const simnet::LinkModel model = two_per_node_cooley();
   const ddr::GlobalLayout layout = strided3d_layout();
   const int nranks = layout.nranks();
-  std::vector<ddr::PlanDecision> plans(static_cast<std::size_t>(nranks));
   mpi::RunOptions ropts;
   ropts.network = &model;
-  mpi::run(
-      nranks,
-      [&](mpi::Comm& comm) {
-        const auto rank = static_cast<std::size_t>(comm.rank());
-        ddr::Redistributor rd(comm, sizeof(float));
-        ddr::SetupOptions opts;
-        opts.backend = Backend::automatic;
-        opts.peak_staging_bytes = 200000;
-        rd.setup(layout.owned[rank], layout.needed[rank], opts);
-        plans[rank] = rd.plan();
-        EXPECT_EQ(rd.effective_backend(), rd.plan().backend);
-      },
-      ropts);
-  for (int r = 1; r < nranks; ++r) {
-    const auto& a = plans[0];
-    const auto& b = plans[static_cast<std::size_t>(r)];
-    EXPECT_EQ(a.backend, b.backend) << "rank " << r;
-    EXPECT_EQ(a.waves, b.waves) << "rank " << r;
-    ASSERT_EQ(a.class_plans.size(), b.class_plans.size());
-    for (std::size_t i = 0; i < a.class_plans.size(); ++i) {
-      EXPECT_EQ(a.class_plans[i].lanes, b.class_plans[i].lanes);
-      EXPECT_EQ(a.class_plans[i].bytes, b.class_plans[i].bytes);
-      EXPECT_DOUBLE_EQ(a.class_plans[i].predicted_s,
-                       b.class_plans[i].predicted_s);
-      EXPECT_STREQ(a.class_plans[i].lowering, b.class_plans[i].lowering);
+  for (const std::size_t budget : {std::size_t{200000}, std::size_t{0}}) {
+    std::vector<ddr::PlanDecision> plans(static_cast<std::size_t>(nranks));
+    mpi::run(
+        nranks,
+        [&](mpi::Comm& comm) {
+          const auto rank = static_cast<std::size_t>(comm.rank());
+          ddr::Redistributor rd(comm, sizeof(float));
+          ddr::SetupOptions opts;
+          opts.backend = Backend::automatic;
+          opts.peak_staging_bytes = budget;
+          rd.setup(layout.owned[rank], layout.needed[rank], opts);
+          plans[rank] = rd.plan();
+          EXPECT_EQ(rd.effective_backend(), rd.plan().backend);
+        },
+        ropts);
+    const ddr::PlanDecision want =
+        ddr::Planner::decide(layout, sizeof(float), &model, budget);
+    for (int r = 0; r < nranks; ++r) {
+      SCOPED_TRACE("budget " + std::to_string(budget) + " rank " +
+                   std::to_string(r));
+      const ddr::PlanDecision& got = plans[static_cast<std::size_t>(r)];
+      EXPECT_EQ(got.backend, want.backend);
+      EXPECT_EQ(got.pack_threads, want.pack_threads);
+      EXPECT_EQ(got.predicted_s, want.predicted_s);
+      EXPECT_EQ(got.predicted_peak_staging, want.predicted_peak_staging);
+      EXPECT_EQ(got.shape, want.shape);
+      EXPECT_EQ(got.waves, want.waves);
+      EXPECT_EQ(got.post_all, want.post_all);
+      ASSERT_EQ(got.class_plans.size(), want.class_plans.size());
+      for (std::size_t i = 0; i < want.class_plans.size(); ++i) {
+        const ddr::ClassPlan& a = got.class_plans[i];
+        const ddr::ClassPlan& b = want.class_plans[i];
+        EXPECT_EQ(a.cls, b.cls);
+        EXPECT_EQ(a.lanes, b.lanes);
+        EXPECT_EQ(a.bytes, b.bytes);
+        EXPECT_EQ(a.predicted_s, b.predicted_s);
+        EXPECT_STREQ(a.lowering, b.lowering);
+      }
+      ASSERT_EQ(got.candidates.size(), want.candidates.size());
+      for (std::size_t i = 0; i < want.candidates.size(); ++i) {
+        const ddr::CandidateCost& a = got.candidates[i];
+        const ddr::CandidateCost& b = want.candidates[i];
+        EXPECT_EQ(a.backend, b.backend);
+        EXPECT_EQ(a.predicted_s, b.predicted_s);
+        EXPECT_EQ(a.messages, b.messages);
+        EXPECT_EQ(a.inter_node_bytes, b.inter_node_bytes);
+        EXPECT_EQ(a.intra_node_bytes, b.intra_node_bytes);
+        EXPECT_EQ(a.self_bytes, b.self_bytes);
+        EXPECT_EQ(a.predicted_peak_staging, b.predicted_peak_staging);
+        EXPECT_EQ(a.feasible, b.feasible);
+        EXPECT_STREQ(a.infeasible_reason, b.infeasible_reason);
+      }
     }
   }
 }

@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "ddr/ddr.hpp"
@@ -320,6 +322,31 @@ TEST(Redistributor, RedistributeBeforeSetupThrows) {
                           r.redistribute(bytes_of(a), bytes_of(b));
                         }),
                ddr::Error);
+}
+
+TEST(Redistributor, FailedSetupVoidsThePreviousMapping) {
+  // A setup() that throws must not leave the previous mapping executable:
+  // every rank's next redistribute() fails with the collective "call
+  // setup() first" error instead of moving the data by the old mapping.
+  std::atomic<int> threw{0};
+  mpi::run(2, [&](mpi::Comm& comm) {
+    Redistributor r(comm, sizeof(float));
+    r.setup({Chunk::d1(8, 8 * comm.rank())}, Chunk::d1(16, 0));
+    EXPECT_TRUE(r.is_setup());
+    // Both ranks claim [0, 8): overlapping owned chunks, rejected on both.
+    EXPECT_THROW(r.setup({Chunk::d1(8, 0)}, Chunk::d1(16, 0)), ddr::Error);
+    EXPECT_FALSE(r.is_setup());
+    std::vector<float> own(8, 1.0f), need(16, -1.0f);
+    try {
+      r.redistribute(bytes_of(own), bytes_of(need));
+    } catch (const ddr::Error& e) {
+      EXPECT_NE(std::string(e.what()).find("call setup() first"),
+                std::string::npos)
+          << e.what();
+      threw.fetch_add(1);
+    }
+  });
+  EXPECT_EQ(threw.load(), 2);
 }
 
 TEST(Redistributor, UndersizedBuffersThrow) {

@@ -1,6 +1,7 @@
 // Elastic resize: the movement-minimizing planner (propose_resize_layout /
 // plan_resize) and the transactional Redistributor::resize_rebalance /
-// resize_join protocol, plus the RebuildPolicy::auto_shrink recovery path.
+// resize_join protocol, plus the comm-less rebuild(owned, needed) recovery
+// path.
 
 #include <gtest/gtest.h>
 
@@ -388,23 +389,12 @@ TEST(ResizeRebalance, RejectsDegenerateArguments) {
   });
 }
 
-TEST(RebuildPolicy, CommLessRebuildRequiresAutoShrinkOptIn) {
-  mpi::run(2, [&](mpi::Comm& comm) {
-    const Chunk mine = Chunk::d1(8, 8 * comm.rank());
-    ddr::Redistributor r(comm, sizeof(float));
-    r.setup({mine}, Chunk::d1(16, 0));  // default policy: manual
-    EXPECT_THROW(r.rebuild({mine}, Chunk::d1(16, 0)), ddr::Error);
-  });
-}
-
 TEST(RebuildPolicy, AutoShrinkRebuildHealsAndRemaps) {
   mpi::run(2, [&](mpi::Comm& comm) {
     const Chunk mine = Chunk::d1(8, 8 * comm.rank());
     const std::vector<float> data = fill_chunk(mine);
-    ddr::SetupOptions sopt;
-    sopt.rebuild_policy = ddr::RebuildPolicy::auto_shrink;
     ddr::Redistributor r(comm, sizeof(float));
-    r.setup({mine}, Chunk::d1(16, 0), sopt);
+    r.setup({mine}, Chunk::d1(16, 0));
     // No deaths: the self-healing rebuild is a fresh comm + remap. Swap the
     // needed side so the rebuild visibly takes effect.
     const Chunk flipped = Chunk::d1(8, 8 * (1 - comm.rank()));

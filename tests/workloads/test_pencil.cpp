@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstring>
 #include <random>
 #include <span>
@@ -173,73 +172,5 @@ INSTANTIATE_TEST_SUITE_P(
         Scenario{6, Backend::automatic, false, 25u},
         Scenario{4, Backend::point_to_point_pipelined, true, 26u}),
     scenario_name);
-
-TEST(PencilPlanCache, SharedCacheHitsAcrossInstances) {
-  // The amortization contract: the four transpose geometries decide once
-  // per cache. A second timestepper over the same geometry sharing the
-  // caller's PlanCache replays all four decisions (4 hits, 0 new misses) —
-  // the restart/re-instantiation scenario the amortize bench measures.
-  const PencilParams p;
-  mpi::run(p.nranks, [&](mpi::Comm& comm) {
-    ddr::PlanCache shared;
-    ddr::SetupOptions opt;
-    opt.plan_cache = &shared;
-    PencilTimestepper ts1(comm, p, opt);
-    EXPECT_EQ(&ts1.plan_cache(), &shared);
-    EXPECT_EQ(shared.stats().misses, 4u);
-    EXPECT_EQ(shared.stats().hits, 0u);
-    PencilTimestepper ts2(comm, p, opt);
-    EXPECT_EQ(shared.stats().misses, 4u);
-    EXPECT_EQ(shared.stats().hits, 4u);
-
-    // Both instances redistribute correctly off the replayed plans.
-    const ddr::Chunk mine = ts2.generator().chunk(Stage::slab, comm.rank());
-    std::vector<std::byte> slab = oracle_slab(mine);
-    const std::vector<std::byte> initial = slab;
-    ts2.run(1, slab);
-    EXPECT_EQ(slab, initial);
-  });
-}
-
-TEST(PencilPlanCache, EmbeddedCacheUsedWhenNoneAttached) {
-  const PencilParams p;
-  mpi::run(p.nranks, [&](mpi::Comm& comm) {
-    PencilTimestepper ts(comm, p);
-    // Four distinct geometries (slab->py, py->pz, pz->py, py->slab): four
-    // compulsory misses into the embedded cache, no hits yet.
-    EXPECT_EQ(ts.plan_cache().stats().misses, 4u);
-    EXPECT_EQ(ts.plan_cache().stats().hits, 0u);
-    EXPECT_EQ(ts.plan_cache().epoch(), 0u);
-  });
-}
-
-TEST(PencilPlanCache, InvalidateFailsFastAndReplanRecovers) {
-  // The epoch protocol through the workload driver: after the caller's
-  // structural event (signalled via invalidate_plans()), step() must fail
-  // on every rank with the stale-plan error — never execute the old chain
-  // — and replan() must restore a working, byte-identical pipeline.
-  const PencilParams p;
-  std::atomic<int> threw{0};
-  mpi::run(p.nranks, [&](mpi::Comm& comm) {
-    PencilTimestepper ts(comm, p);
-    const ddr::Chunk mine = ts.generator().chunk(Stage::slab, comm.rank());
-    std::vector<std::byte> slab = oracle_slab(mine);
-    const std::vector<std::byte> initial = slab;
-
-    ts.invalidate_plans();
-    std::vector<std::byte> out(ts.slab_bytes());
-    try {
-      ts.step(slab, out);
-    } catch (const ddr::Error& e) {
-      EXPECT_NE(std::string(e.what()).find("epoch"), std::string::npos);
-      threw.fetch_add(1);
-    }
-    ts.replan();
-    EXPECT_EQ(ts.plan_cache().stats().invalidations, 1u);
-    ts.run(2, slab);
-    EXPECT_EQ(slab, initial);
-  });
-  EXPECT_EQ(threw.load(), p.nranks);
-}
 
 }  // namespace
