@@ -5,7 +5,7 @@
 // broadcast-shaped slab allgather, plus the two workload-suite shapes of
 // src/workloads (the slab -> y-pencil FFT transpose and a tiny-message
 // SPMD resharding over 8 ranks, both carrying closed-form analytic byte
-// accounting the bench gates against) — under six configurations:
+// accounting the bench gates against) — under five configurations:
 //
 //   legacy_alltoallw        recursive-walker pack path (plans disabled)
 //   compiled_alltoallw      compiled segment plans, alltoallw backend
@@ -16,9 +16,8 @@
 //   pipelined_scalar_kernel pipelined backend with the copy-train kernel
 //                           forced to scalar (the SIMD-vs-scalar ablation;
 //                           every other config uses the autodetected kernel)
-//   pipelined_parpack2      pipelined backend, 2 PackExecutor workers
-//   automatic               ddr::Planner picks the backend and thread count
-//                           at setup() (Backend::automatic); the bench exits
+//   automatic               ddr::Planner picks the backend at setup()
+//                           (Backend::automatic); the bench exits
 //                           non-zero unless its median lands within 5% (plus
 //                           a 0.010 ms noise floor) of the best hand-picked
 //                           config on EVERY case — the planner's exit gate
@@ -271,12 +270,10 @@ bool case_enabled(const std::string& name) {
 }
 
 /// `kernel` forces a copy-train kernel for the duration of the config
-/// (nullptr keeps the current dispatch); `pack_threads` > 0 turns on the
-/// per-rank PackExecutor for the pipelined backend.
+/// (nullptr keeps the current dispatch).
 ConfigResult run_config(const CaseSetup& cs, const std::string& cfg_name,
                         bool plan_enabled, ddr::Backend backend, int reps,
-                        CaseResult& out_case, const char* kernel = nullptr,
-                        int pack_threads = 0) {
+                        CaseResult& out_case, const char* kernel = nullptr) {
   ConfigResult res;
   res.name = cfg_name;
   mpi::Datatype::set_plan_enabled(plan_enabled);
@@ -296,7 +293,6 @@ ConfigResult run_config(const CaseSetup& cs, const std::string& cfg_name,
 
   mpi::run(cs.nranks, [&](mpi::Comm& comm) {
     const int r = comm.rank();
-    if (pack_threads > 0) comm.set_pack_threads(pack_threads);
     ddr::Redistributor rd(comm, sizeof(float));
     ddr::SetupOptions opts;
     opts.backend = backend;
@@ -1203,9 +1199,6 @@ int main() {
     cr.configs.push_back(run_config(cs, "pipelined_scalar_kernel", true,
                                     ddr::Backend::point_to_point_pipelined,
                                     reps, cr, "scalar"));
-    cr.configs.push_back(run_config(cs, "pipelined_parpack2", true,
-                                    ddr::Backend::point_to_point_pipelined,
-                                    reps, cr, nullptr, 2));
     cr.configs.push_back(run_config(cs, "automatic", true,
                                     ddr::Backend::automatic, reps, cr));
     for (const ConfigResult& cf : cr.configs)

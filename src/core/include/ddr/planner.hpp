@@ -4,14 +4,13 @@
 /// Cost-model-driven backend planning (ROADMAP item 2).
 ///
 /// The paper's per-round alltoallw and the fused-lane executor are priced
-/// against each other, and parallel packing loses outright below a
-/// message-size threshold. ddr::Planner replaces the manual Backend choice:
+/// against each other. ddr::Planner replaces the manual Backend choice:
 /// at setup() time it
 /// consumes the redistribution's compiled-plan statistics — transfer counts,
 /// per-lane bytes, round structure, the self/intra-node/inter-node split
 /// under the installed mpi::NetworkModel — and emits a PlanDecision: the
-/// backend to run, the parallel-packing thread count, and the wave schedule
-/// of the fused-lane executor's inter-node lanes under a caller-settable
+/// backend to run, the completion order of the fused-lane executor, and the
+/// wave schedule of its inter-node lanes under a caller-settable
 /// peak-staging budget (the memory-efficient redistribution axis of Rink et
 /// al., arXiv:2112.01075).
 ///
@@ -45,7 +44,7 @@ enum class Backend {
   /// sender's owned buffer through a published pointer, and inter-node lanes
   /// go through the staging pool with the whole receive window posted up
   /// front, completed in one of two orders fixed at setup
-  /// (PlanDecision::post_all): below kParallelPackThresholdBytes one
+  /// (PlanDecision::post_all): below kPostAllLaneBytes one
   /// wait_all in posting order after ascending-peer sends; above it a
   /// pipeline of shifted sends whose receives complete out-of-order the
   /// moment they land (mpi::wait_any), so total latency approaches the max
@@ -70,13 +69,12 @@ enum class Backend {
 /// inter-node lanes pack and pay the link).
 enum class LaneClass { self, intra, inter };
 
-/// A rank packs its lanes on the PackExecutor only when one of its
-/// inter-node send lanes has at least this many bytes; below it the
-/// thread-handoff overhead costs more than the pack itself, so the lanes
-/// pack inline on the rank thread even when threads are configured. The
-/// SAME constant gates the planner's parallel-packing decision, so the
-/// planner never requests threads the executor would decline to use.
-inline constexpr std::int64_t kParallelPackThresholdBytes = 32 * 1024;
+/// The fused-lane executor completes its inter-node lanes post-all (one
+/// wait_all) when the largest of them is below this many bytes, and in
+/// arrival order through the pipeline otherwise (PlanDecision::post_all):
+/// packing a small lane costs less than polling the outstanding receives
+/// between sends would.
+inline constexpr std::int64_t kPostAllLaneBytes = 32 * 1024;
 
 /// Collective shape detected on the src->dst sharding pair (drives the
 /// explain output and documents which classic collective a budgeted wave
@@ -168,10 +166,8 @@ struct ClassPlan {
 /// The planner's verdict, identical on every rank of the communicator.
 struct PlanDecision {
   Backend backend = Backend::alltoallw;
-  /// PackExecutor threads redistribute() should use (0 = inline packing).
-  /// Nonzero only when the chosen backend parallel-packs and some lane
-  /// clears kParallelPackThresholdBytes.
-  int pack_threads = 0;
+  /// Always 0: every rank packs its own lanes on its own thread.
+  static constexpr int pack_threads = 0;
   /// Predicted pool-wide peak staging of the chosen backend.
   std::size_t predicted_peak_staging = 0;
   /// Predicted makespan of the chosen backend (see CandidateCost).
@@ -186,7 +182,7 @@ struct PlanDecision {
   /// Completion discipline of the fused-lane executor's inter-node lanes,
   /// decided from one global aggregate so every rank runs the same one:
   /// true when the largest inter-node lane is below
-  /// kParallelPackThresholdBytes — every receive is posted, the lanes are
+  /// kPostAllLaneBytes — every receive is posted, the lanes are
   /// sent in ascending peer order and one wait_all completes them in posting
   /// order; false — the pipeline: shifted send order, a drain of the landed
   /// receives between sends, arrival-order completion.

@@ -335,12 +335,6 @@ class Redistributor {
   /// so a lane moves in the same wave on its sender and receiver. Empty
   /// unless the resolved backend is point_to_point_pipelined.
   std::vector<std::vector<std::size_t>> send_waves_, recv_waves_;
-  /// PackExecutor threads the fused-lane executor packs with (0 = inline),
-  /// resolved by this setup: the plan's count under Backend::automatic,
-  /// mpi::Comm::pack_threads() otherwise, and 0 unless some inter-node send
-  /// lane clears kParallelPackThresholdBytes — below it the thread handoff
-  /// costs more than the pack.
-  int pack_threads_ = 0;
   /// Epoch counter of the fused-lane executor: every redistribute() call
   /// gets its own tags so duplicated or re-sent messages from one call can
   /// never be mistaken for another call's traffic.
@@ -373,10 +367,6 @@ class Redistributor {
     std::int64_t bytes = 0;
   };
   std::vector<IntraRecv> intra_recv_;
-
-  /// Parallel-pack scratch (payload per fused send lane), reused across
-  /// calls like reqs_.
-  mutable std::vector<std::vector<std::byte>> payloads_;
 
   /// Optional per-Redistributor trace sink (see trace_sink()). Not owned.
   trace::Recorder* trace_ = nullptr;

@@ -35,10 +35,6 @@ constexpr double kBarrierHopS = 1.5e-6;
 constexpr double kPipelineOverlap = 0.5;
 /// Zero-copy intra-node lanes still pay one copy_regions pass.
 constexpr double kIntraByteCostS = 2.0e-10;
-/// Parallel packing pays a per-job thread handoff; it only wins once a rank
-/// packs this many inter-node bytes per call (measured: below this the
-/// executor's wake/drain latency exceeds the pack time it saves).
-constexpr std::int64_t kParallelPackMinTotalBytes = std::int64_t{4} << 20;
 
 /// Per-(sender, receiver) aggregation of the exchange, plus per-rank and
 /// per-round totals — everything the candidate costs are computed from.
@@ -56,9 +52,6 @@ struct Aggregates {
   std::vector<std::int64_t> round_bytes;  ///< non-self bytes per round
   // Per-rank splits (index: comm rank).
   std::vector<std::int64_t> lanes_in;
-  std::vector<std::int64_t> inter_bytes_out;
-  /// Inter-node send lanes of at least kParallelPackThresholdBytes.
-  std::vector<std::int64_t> big_inter_lanes_out;
   std::vector<std::int64_t> self_bytes_rank;
 };
 
@@ -78,8 +71,6 @@ Aggregates aggregate(const GlobalLayout& layout, std::size_t elem_size,
   const auto p = static_cast<std::size_t>(a.nranks);
   a.round_bytes.assign(static_cast<std::size_t>(a.rounds), 0);
   a.lanes_in.assign(p, 0);
-  a.inter_bytes_out.assign(p, 0);
-  a.big_inter_lanes_out.assign(p, 0);
   a.self_bytes_rank.assign(p, 0);
 
   auto node_of = [&](int rank) {
@@ -108,15 +99,12 @@ Aggregates aggregate(const GlobalLayout& layout, std::size_t elem_size,
     a.lane_inter.push_back(!intra);
     a.lane_pieces.push_back(pieces);
     a.pieces += pieces;
-    const auto si = static_cast<std::size_t>(s);
     ++a.lanes_in[static_cast<std::size_t>(r)];
     if (intra) {
       a.intra_bytes += bytes;
     } else {
       a.inter_bytes += bytes;
-      a.inter_bytes_out[si] += bytes;
       a.max_inter_lane_bytes = std::max(a.max_inter_lane_bytes, bytes);
-      if (bytes >= kParallelPackThresholdBytes) ++a.big_inter_lanes_out[si];
     }
   }
   return a;
@@ -264,7 +252,7 @@ PlanDecision Planner::decide(const GlobalLayout& layout, std::size_t elem_size,
   }
   const auto inter_lane_count = static_cast<std::int64_t>(inter_lanes.size());
   d.waves = assign_waves(inter_lanes, peak_staging_bytes);
-  d.post_all = a.max_inter_lane_bytes < kParallelPackThresholdBytes;
+  d.post_all = a.max_inter_lane_bytes < kPostAllLaneBytes;
   std::int64_t max_wave_bytes = 0;
   {
     std::vector<std::int64_t> per_wave(static_cast<std::size_t>(d.waves), 0);
@@ -434,17 +422,6 @@ PlanDecision Planner::decide(const GlobalLayout& layout, std::size_t elem_size,
   d.backend = best->backend;
   d.predicted_s = best->predicted_s;
   d.predicted_peak_staging = best->predicted_peak_staging;
-
-  // Parallel packing: only for the fused-lane executor, and only when some
-  // rank packs enough inter-node bytes to amortize the executor handoff in
-  // at least two lanes that clear the inline threshold — the executor splits
-  // work by lane, so a single lane gains nothing from a second thread.
-  if (d.backend == Backend::point_to_point_pipelined)
-    for (std::size_t r = 0; r < p; ++r)
-      if (a.inter_bytes_out[r] >= kParallelPackMinTotalBytes &&
-          a.big_inter_lanes_out[r] >= 2)
-        d.pack_threads = 2;
-
   return d;
 }
 

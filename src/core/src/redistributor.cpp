@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
+#include <limits>
 #include <numeric>
 #include <thread>
 
@@ -39,6 +40,79 @@ Chunk from_wire(const ChunkWire& w) {
     c.offsets[k] = w.offsets[k];
   }
   return c;
+}
+
+/// Why `c` cannot join a layout of `nd`-dimensional chunks, or "" when it
+/// can: another dimensionality, or a negative extent (zero is legal).
+std::string chunk_defect(const Chunk& c, int nd) {
+  if (c.ndims != nd)
+    return "is " + std::to_string(c.ndims) + "D but this rank declared " +
+           std::to_string(nd) +
+           "D chunks — all ranks must use the same dimensionality";
+  for (int d = 0; d < nd; ++d)
+    if (c.dims[static_cast<std::size_t>(d)] < 0)
+      return "has a negative extent (" +
+             std::to_string(c.dims[static_cast<std::size_t>(d)]) +
+             " in dimension " + std::to_string(d) + ")";
+  return {};
+}
+
+/// Largest element size: setup's header allgather carries it as int32.
+constexpr std::size_t kMaxElemSize = std::numeric_limits<std::int32_t>::max();
+
+/// Collective. Allgathers every member's chunk declarations into the global
+/// layout, identical on every member: one allgather of a header (owned
+/// count, needed count, element size), then one allgatherv of the chunk
+/// geometry. Throws the same error on every member when the members
+/// disagree on the element size — before the allgatherv, so no member is
+/// left inside it.
+GlobalLayout gather_layout(const mpi::Comm& comm, const char* what,
+                           std::size_t elem_size, const OwnedLayout& owned,
+                           const NeededLayout& needed) {
+  const auto p = static_cast<std::size_t>(comm.size());
+  const mpi::Datatype ints = mpi::Datatype::of<std::int32_t>();
+  const std::array<std::int32_t, 3> my_hdr{
+      static_cast<std::int32_t>(owned.size()),
+      static_cast<std::int32_t>(needed.size()),
+      static_cast<std::int32_t>(elem_size)};
+  std::vector<std::int32_t> hdrs(3 * p, 0);
+  comm.allgather(my_hdr.data(), 3, ints, hdrs.data(), 3, ints);
+
+  std::vector<int> recvcounts, displs;
+  int total = 0;
+  for (std::size_t r = 0; r < p; ++r) {
+    require(hdrs[3 * r + 2] == hdrs[2],
+            std::string(what) + ": rank 0 declared " +
+                std::to_string(hdrs[2]) + "-byte elements but rank " +
+                std::to_string(r) + " declared " +
+                std::to_string(hdrs[3 * r + 2]) +
+                " — all ranks must agree on the element size");
+    recvcounts.push_back(hdrs[3 * r] + hdrs[3 * r + 1]);
+    displs.push_back(total);
+    total += recvcounts.back();
+  }
+
+  const mpi::Datatype wire = mpi::Datatype::bytes(sizeof(ChunkWire));
+  std::vector<ChunkWire> mine;
+  mine.reserve(owned.size() + needed.size());
+  for (const Chunk& c : owned) mine.push_back(to_wire(c));
+  for (const Chunk& c : needed) mine.push_back(to_wire(c));
+  std::vector<ChunkWire> all(static_cast<std::size_t>(total));
+  ChunkWire none{};  // non-null buffer stand-in for empty contributions
+  comm.allgatherv(mine.empty() ? &none : mine.data(), mine.size(), wire,
+                  all.empty() ? &none : all.data(), recvcounts, displs, wire);
+
+  GlobalLayout layout;
+  layout.owned.resize(p);
+  layout.needed.resize(p);
+  for (std::size_t r = 0; r < p; ++r) {
+    auto cursor = static_cast<std::size_t>(displs[r]);
+    for (int k = 0; k < hdrs[3 * r]; ++k)
+      layout.owned[r].push_back(from_wire(all[cursor++]));
+    for (int k = 0; k < hdrs[3 * r + 1]; ++k)
+      layout.needed[r].push_back(from_wire(all[cursor++]));
+  }
+  return layout;
 }
 
 // --- point-to-point tag space ------------------------------------------------
@@ -153,7 +227,8 @@ void agree_preconditions(const mpi::Comm& comm, int code) {
 Redistributor::Redistributor(mpi::Comm comm, std::size_t elem_size)
     : comm_(std::move(comm)), elem_size_(elem_size) {
   require(comm_.valid(), "Redistributor: invalid communicator");
-  require(elem_size_ > 0, "Redistributor: element size must be positive");
+  require(elem_size_ > 0 && elem_size_ <= kMaxElemSize,
+          "Redistributor: element size must be in [1, 2^31)");
 }
 
 void Redistributor::setup(const OwnedLayout& owned, const Chunk& needed,
@@ -199,74 +274,32 @@ void Redistributor::setup(const OwnedLayout& owned, const NeededLayout& needed,
     require(code == kPrecondOk, precond_message(code, comm_.rank()));
   }
 
-  const mpi::Datatype wire = mpi::Datatype::bytes(sizeof(ChunkWire));
-  const mpi::Datatype ints = mpi::Datatype::of<std::int32_t>();
-
   {
+    // 1-3. Share everyone's chunk geometry and reassemble the global layout
+    // (identical on every rank).
     DDR_TRACE_SPAN(xspan, "ddr.setup.exchange");
-
-    // 1. Share how many chunks everyone owns and needs.
-    const std::array<std::int32_t, 2> my_counts{
-        static_cast<std::int32_t>(owned.size()),
-        static_cast<std::int32_t>(needed.size())};
-    std::vector<std::int32_t> counts(static_cast<std::size_t>(2 * p), 0);
-    comm_.allgather(my_counts.data(), 2, ints, counts.data(), 2, ints);
-
-    // 2. Share the chunk geometry itself (owned chunks then needed chunks).
-    std::vector<int> recvcounts, displs;
-    int total = 0;
-    for (int r = 0; r < p; ++r) {
-      const auto ri = static_cast<std::size_t>(r);
-      const int n = counts[2 * ri] + counts[2 * ri + 1];
-      recvcounts.push_back(n);
-      displs.push_back(total);
-      total += n;
-    }
-    std::vector<ChunkWire> mine;
-    mine.reserve(owned.size() + needed.size());
-    for (const auto& c : owned) mine.push_back(to_wire(c));
-    for (const auto& c : needed) mine.push_back(to_wire(c));
-    std::vector<ChunkWire> all(static_cast<std::size_t>(total));
-    comm_.allgatherv(mine.data(), mine.size(), wire, all.data(), recvcounts,
-                     displs, wire);
-
-    // 3. Reassemble the global layout (identical on every rank).
-    layout_ = GlobalLayout{};
-    layout_.owned.resize(static_cast<std::size_t>(p));
-    layout_.needed.resize(static_cast<std::size_t>(p));
-    for (int r = 0; r < p; ++r) {
-      const auto ri = static_cast<std::size_t>(r);
-      int cursor = displs[ri];
-      for (int k = 0; k < counts[2 * ri]; ++k)
-        layout_.owned[ri].push_back(
-            from_wire(all[static_cast<std::size_t>(cursor++)]));
-      for (int k = 0; k < counts[2 * ri + 1]; ++k)
-        layout_.needed[ri].push_back(
-            from_wire(all[static_cast<std::size_t>(cursor++)]));
-    }
+    layout_ = gather_layout(comm_, "setup", elem_size_, owned, needed);
   }
 
-  // 4. Cross-rank dimensionality agreement. Every rank checked its own
-  // declarations above, but mixed dimensionality ACROSS ranks would silently
-  // produce a garbage GlobalLayout (a 1D box and a 2D box intersect
-  // meaninglessly). The check runs on the allgathered layout, which is
-  // identical everywhere, so all ranks throw the identical error.
+  // 4. Cross-rank checks. Every rank checked its own declarations above,
+  // but mixed dimensionality ACROSS ranks would silently produce a garbage
+  // GlobalLayout (a 1D box and a 2D box intersect meaninglessly), and a
+  // negative extent would wrap the byte counts. Zero extents are legal. The
+  // checks run on the allgathered layout, which is identical everywhere,
+  // so all ranks throw the identical error.
   for (int r = 0; r < p; ++r) {
     const auto ri = static_cast<std::size_t>(r);
-    for (const auto& c : layout_.owned[ri])
-      require(c.ndims == nd,
-              "setup: rank " + std::to_string(r) + " declared " +
-                  std::to_string(c.ndims) + "D chunks but rank " +
-                  std::to_string(comm_.rank()) + " declared " +
-                  std::to_string(nd) +
-                  "D chunks — all ranks must use the same dimensionality");
-    for (const auto& c : layout_.needed[ri])
-      require(c.ndims == nd,
-              "setup: rank " + std::to_string(r) + " declared " +
-                  std::to_string(c.ndims) + "D chunks but rank " +
-                  std::to_string(comm_.rank()) + " declared " +
-                  std::to_string(nd) +
-                  "D chunks — all ranks must use the same dimensionality");
+    for (const bool is_owned : {true, false}) {
+      const std::vector<Chunk>& chunks =
+          is_owned ? layout_.owned[ri] : layout_.needed[ri];
+      for (std::size_t k = 0; k < chunks.size(); ++k) {
+        const std::string defect = chunk_defect(chunks[k], nd);
+        if (!defect.empty())
+          throw Error("setup: rank " + std::to_string(r) + "'s " +
+                      (is_owned ? "owned" : "needed") + " chunk " +
+                      std::to_string(k) + " " + defect);
+      }
+    }
   }
 
   finish_setup();
@@ -349,10 +382,6 @@ void Redistributor::finish_setup() {
   // count against the budget.
   send_waves_.clear();
   recv_waves_.clear();
-  // This setup's own pack thread count — never the communicator's at call
-  // time, which another Redistributor's setup on the same communicator
-  // may have changed.
-  pack_threads_ = 0;
   if (resolved_backend_ == Backend::point_to_point_pipelined) {
     const auto p = static_cast<std::size_t>(mapping_.nranks);
     std::vector<int> send_wave(p, 0), recv_wave(p, 0);  // by peer
@@ -378,20 +407,12 @@ void Redistributor::finish_setup() {
     if (!plan_.post_all)
       while (first < sends.size() && sends[first].peer <= mapping_.rank)
         ++first;
-    bool parallel_pays = false;
     for (std::size_t n = 0; n < sends.size(); ++n) {
       const std::size_t i = (first + n) % sends.size();
       if (fused_send_class_[i] != LaneClass::inter) continue;
       const auto peer = static_cast<std::size_t>(sends[i].peer);
       send_waves_[static_cast<std::size_t>(send_wave[peer])].push_back(i);
-      // Parallel packing pays off only when some lane clears the inline
-      // threshold; below it the executor handoff costs more than the pack.
-      if (sends[i].bytes >= kParallelPackThresholdBytes) parallel_pays = true;
     }
-    if (parallel_pays)
-      pack_threads_ = options_.backend == Backend::automatic
-                          ? plan_.pack_threads
-                          : comm_.pack_threads();
     for (std::size_t i = 0; i < mapping_.fused_recv.size(); ++i) {
       if (fused_recv_class_[i] != LaneClass::inter) continue;
       const auto peer = static_cast<std::size_t>(mapping_.fused_recv[i].peer);
@@ -490,48 +511,10 @@ Redistributor::TransferResult Redistributor::resize_transfer(
           trace::Keys{.comm = static_cast<std::int64_t>(tcomm.trace_id()),
                       .value = new_members});
 
-      // Share how many chunks each member held before the resize, plus its
-      // element size (one header allgather; joiners contribute zero chunks).
-      const mpi::Datatype i64 = mpi::Datatype::of<std::int64_t>();
-      const std::array<std::int64_t, 2> my_hdr{
-          static_cast<std::int64_t>(my_owned.size()),
-          static_cast<std::int64_t>(elem_size)};
-      std::vector<std::int64_t> hdrs(static_cast<std::size_t>(2 * p), 0);
-      tcomm.allgather(my_hdr.data(), 2, i64, hdrs.data(), 2, i64);
-
-      std::vector<int> recvcounts, displs;
-      int total = 0;
-      for (int r = 0; r < p; ++r) {
-        const auto ri = static_cast<std::size_t>(r);
-        require(hdrs[2 * ri + 1] == static_cast<std::int64_t>(elem_size),
-                "resize: rank " + std::to_string(r) + " declared " +
-                    std::to_string(hdrs[2 * ri + 1]) +
-                    "-byte elements but rank " + std::to_string(me) +
-                    " declared " + std::to_string(elem_size) +
-                    " — all members must agree on the element size");
-        recvcounts.push_back(static_cast<int>(hdrs[2 * ri]));
-        displs.push_back(total);
-        total += recvcounts.back();
-      }
-
-      // Share the chunk geometry itself.
-      const mpi::Datatype wire = mpi::Datatype::bytes(sizeof(ChunkWire));
-      std::vector<ChunkWire> mine;
-      mine.reserve(my_owned.size());
-      for (const Chunk& c : my_owned) mine.push_back(to_wire(c));
-      std::vector<ChunkWire> all(static_cast<std::size_t>(total));
-      ChunkWire none{};  // non-null buffer stand-in for empty contributions
-      tcomm.allgatherv(mine.empty() ? &none : mine.data(), mine.size(), wire,
-                       all.empty() ? &none : all.data(), recvcounts, displs,
-                       wire);
-      std::vector<OwnedLayout> old_owned(static_cast<std::size_t>(p));
-      for (int r = 0; r < p; ++r) {
-        const auto ri = static_cast<std::size_t>(r);
-        int cursor = displs[ri];
-        for (int k = 0; k < recvcounts[ri]; ++k)
-          old_owned[ri].push_back(
-              from_wire(all[static_cast<std::size_t>(cursor++)]));
-      }
+      // Share the chunks each member held before the resize (joiners
+      // contribute none).
+      const std::vector<OwnedLayout> old_owned =
+          gather_layout(tcomm, "resize", elem_size, my_owned, {}).owned;
 
       // Every member derives the identical balanced target layout and the
       // identical old->new transition — no negotiation messages. Under a
@@ -686,7 +669,8 @@ ResizeOutcome Redistributor::resize_join(const mpi::Comm& comm,
                                          std::size_t elem_size,
                                          const ResizeOptions& options) {
   require(comm.valid(), "resize_join: invalid communicator");
-  require(elem_size > 0, "resize_join: element size must be positive");
+  require(elem_size > 0 && elem_size <= kMaxElemSize,
+          "resize_join: element size must be in [1, 2^31)");
   DDR_TRACE_SPAN(tspan, "ddr.resize",
                  trace::Keys{.comm = static_cast<std::int64_t>(comm.trace_id()),
                              .value = comm.size()});
@@ -813,7 +797,7 @@ void Redistributor::execute_p2p_pipelined(
   // inter-node lanes go through the staging pool under the completion
   // discipline setup() fixed for every rank (plan_.post_all):
   //
-  //  * post-all, when every inter lane is below kParallelPackThresholdBytes:
+  //  * post-all, when every inter lane is below kPostAllLaneBytes:
   //    the receive window is posted, the lanes are sent in ascending peer
   //    order, and one wait_all completes them in posting order. Packing a
   //    small lane costs less than polling the outstanding receives between
@@ -847,10 +831,8 @@ void Redistributor::execute_p2p_pipelined(
   const int tag = p2p_tag(kLaneWindow, epoch);
   const int ptr_tag = p2p_tag(kIntraPtrWindow, epoch);
   const int ack_tag = p2p_tag(kIntraAckWindow, epoch);
-  const bool parallel = pack_threads_ > 0;
   const bool fenced = options_.peak_staging_bytes > 0;
   const std::vector<PeerLane>& sends = mapping_.fused_send;
-  if (parallel) payloads_.resize(sends.size());
 
   for (std::size_t w = 0; w < send_waves_.size(); ++w) {
     reqs_.clear();
@@ -905,38 +887,15 @@ void Redistributor::execute_p2p_pipelined(
     // Phase 2: send this wave's lanes one at a time in the order of the
     // lowering table. Each pack span covers one peer's pack + post. Under
     // the pipeline, whatever landed between two lanes is drained and
-    // unpacked — overlap, not a barrier: nothing here waits. With pack
-    // threads the wave's lanes are packed concurrently up front on the
-    // PackExecutor (only the pipeline's lanes are large enough); the loop
-    // then just posts the prepacked payloads (posting charges the clock,
-    // which stays on this thread).
-    const std::vector<std::size_t>& wave = send_waves_[w];
-    if (parallel) {
-      DDR_TRACE_SPAN(kspan, "ddr.pack.parallel",
-                     trace::Keys{.value = static_cast<std::int64_t>(
-                                     wave.size())});
-      const std::vector<std::size_t> counts = comm_.parallel_for_lanes(
-          pack_threads_, wave.size(), [&](std::size_t k) {
-            const PeerLane& l = sends[wave[k]];
-            payloads_[wave[k]] =
-                comm_.pack_to_staging(owned_data.data() + l.displ, 1, l.type);
-          });
-      for (std::size_t slot = 0; slot < counts.size(); ++slot)
-        DDR_TRACE_INSTANT("ddr.pack.worker",
-                          {.peer = static_cast<int>(slot),
-                           .value = static_cast<std::int64_t>(counts[slot])});
-    }
-    for (const std::size_t i : wave) {
+    // unpacked — overlap, not a barrier: nothing here waits.
+    for (const std::size_t i : send_waves_[w]) {
       const PeerLane& l = sends[i];
       {
         DDR_TRACE_SPAN(kspan, "ddr.pipeline.pack", trace::Keys{.peer = l.peer});
         DDR_TRACE_INSTANT("ddr.msg.send", {.peer = l.peer, .bytes = l.bytes});
         // Sends are buffered-eager: the request is born complete, so only
         // the receive window in reqs_ ever needs waiting on.
-        if (parallel)
-          comm_.isend_packed(std::move(payloads_[i]), l.peer, tag);
-        else
-          comm_.isend(owned_data.data() + l.displ, 1, l.type, l.peer, tag);
+        comm_.isend(owned_data.data() + l.displ, 1, l.type, l.peer, tag);
       }
       if (!plan_.post_all) drain_ready();
     }

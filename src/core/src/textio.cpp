@@ -40,6 +40,8 @@ Chunk parse_chunk(const std::string& token, int ndims, int line) {
       static_cast<int>(offs.size()) != ndims)
     fail(line, "chunk '" + token + "' must have " + std::to_string(ndims) +
                    " dims and offsets");
+  for (const int d : dims)
+    if (d < 0) fail(line, "chunk '" + token + "' has a negative extent");
   return Chunk(ndims, dims, offs);
 }
 

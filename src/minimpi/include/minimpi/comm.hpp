@@ -241,42 +241,8 @@ class Comm {
 
   [[nodiscard]] Comm dup() const;
 
-  // --- parallel lane packing ----------------------------------------------
-  // Opt-in helpers for libraries that pack many independent lanes (DDR's
-  // fused-lane executor). Packing is pure memory work, so it can fan
-  // out to a per-rank PackExecutor thread pool; everything that touches the
-  // simulation (virtual-clock charging, fault fates, mailbox posts) stays on
-  // the rank thread via isend_packed.
-
-  /// Sets the communicator-wide PackExecutor size an application asks
-  /// libraries to pack with: `n` pool threads alongside the calling rank
-  /// thread, 0 (the default) for serial packing. A library reads it when it
-  /// plans (DDR at setup()); call it before any setup that prewarms staging
-  /// so per-lane buffers are planted for the parallel path.
-  void set_pack_threads(int n) const;
-  [[nodiscard]] int pack_threads() const;
-
-  /// Runs fn(i) for every lane i in [0, n), on this rank's PackExecutor with
-  /// `threads` pool threads (caller participates; serial when `threads` is
-  /// 0). Returns lanes processed per slot (slot 0 = the calling thread, slot
-  /// w+1 = pool worker w) so callers can emit per-worker trace events. `fn`
-  /// must be safe to run concurrently for distinct lanes and must not touch
-  /// this Comm except through the thread-safe helpers below.
-  std::vector<std::size_t> parallel_for_lanes(
-      int threads, std::size_t n,
-      const std::function<void(std::size_t)>& fn) const;
-
-  /// Packs `count` elements of `type` from `buf` into a staging buffer from
-  /// the communicator pool. Thread-safe (PackExecutor workers call it); pair
-  /// with isend_packed on the rank thread.
-  [[nodiscard]] std::vector<std::byte> pack_to_staging(
-      const void* buf, std::size_t count, const Datatype& type) const;
-
-  /// Sends an already-packed payload (from pack_to_staging) to `dest`. This
-  /// charges the sender clock and runs fault fates, so it must be called
-  /// from the owning rank thread, never from a PackExecutor worker.
-  Request isend_packed(std::vector<std::byte> payload, int dest,
-                       int tag) const;
+  /// Always 0: every rank packs its own messages on its own thread.
+  [[nodiscard]] int pack_threads() const { return 0; }
 
   // --- topology -------------------------------------------------------------
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <functional>
 #include <thread>
 #include <cstring>
 #include <numeric>
@@ -105,8 +106,7 @@ CommImpl::CommImpl(std::shared_ptr<World> w, std::vector<int> group_world_ranks)
       split_seq(group.size(), 0),
       shrink_seq(group.size(), 0),
       resize_seq(group.size(), 0),
-      agree_seq(group.size(), 0),
-      pack_exec(group.size()) {
+      agree_seq(group.size(), 0) {
   user_box.reserve(group.size());
   coll_box.reserve(group.size());
   for (std::size_t i = 0; i < group.size(); ++i) {
@@ -310,15 +310,12 @@ void charge_recv(const CommImpl& impl, int my_rank, const Message& msg) {
   }
 }
 
-/// Shared blocking-receive implementation (used by Comm::recv and
-/// Request::wait).
-Status do_recv(const CommImpl& impl, int my_rank, void* buf, std::size_t count,
-               const Datatype& type, int src, int tag, bool collective) {
-  Mailbox& box = collective ? *impl.coll_box[static_cast<std::size_t>(my_rank)]
-                            : *impl.user_box[static_cast<std::size_t>(my_rank)];
-  const int my_world = impl.group[static_cast<std::size_t>(my_rank)];
-  fault_checkpoint(*impl.world, my_world);
-  Message msg = take(box, *impl.world, my_world, src, tag);
+/// Completes a matched receive: charges the clock, rejects a message that
+/// does not fit the receive as whole elements, unpacks it and returns its
+/// payload to the pool. Every receive path ends here (do_recv and
+/// Request::test), so none can accept a message another rejects.
+Status complete_recv(const CommImpl& impl, int my_rank, Message msg, void* buf,
+                     std::size_t count, const Datatype& type) {
   charge_recv(impl, my_rank, msg);
 
   const std::size_t capacity = count * type.size();
@@ -339,6 +336,18 @@ Status do_recv(const CommImpl& impl, int my_rank, void* buf, std::size_t count,
   const Status st{msg.src, msg.tag, msg.payload.size()};
   impl.staging.release(std::move(msg.payload));
   return st;
+}
+
+/// Shared blocking-receive implementation (used by Comm::recv and
+/// Request::wait).
+Status do_recv(const CommImpl& impl, int my_rank, void* buf, std::size_t count,
+               const Datatype& type, int src, int tag, bool collective) {
+  Mailbox& box = collective ? *impl.coll_box[static_cast<std::size_t>(my_rank)]
+                            : *impl.user_box[static_cast<std::size_t>(my_rank)];
+  const int my_world = impl.group[static_cast<std::size_t>(my_rank)];
+  fault_checkpoint(*impl.world, my_world);
+  return complete_recv(impl, my_rank, take(box, *impl.world, my_world, src, tag),
+                       buf, count, type);
 }
 
 std::vector<std::byte> pack_elements(const CommImpl& impl, const void* buf,
@@ -511,17 +520,8 @@ std::optional<Status> Request::test() {
     if (impl_->world->aborted.load(std::memory_order_acquire)) throw_aborted();
     return std::nullopt;
   }
-  // Re-inject and complete through the common path so truncation checks and
-  // clock charging stay in one place.
-  charge_recv(*impl_, rank_, *msg);
-  const std::size_t capacity = count_ * type_.size();
-  require(msg->payload.size() <= capacity, ErrorClass::truncate,
-          "test: message larger than receive buffer");
-  if (type_.size() > 0 && !msg->payload.empty())
-    type_.unpack(msg->payload.data(), msg->payload.size() / type_.size(),
-                 static_cast<std::byte*>(buf_));
-  Status s{msg->src, msg->tag, msg->payload.size()};
-  impl_->staging.release(std::move(msg->payload));
+  Status s =
+      complete_recv(*impl_, rank_, std::move(*msg), buf_, count_, type_);
   kind_ = Kind::invalid;
   return s;
 }
@@ -1502,59 +1502,6 @@ void Comm::reserve_staging(const std::vector<std::size_t>& sizes) const {
   // must not perturb the pool's live/peak-byte accounting (StagingStats).
   for (const std::size_t n : sizes)
     if (n > 0) impl_->staging.deposit(std::vector<std::byte>(n));
-}
-
-void Comm::set_pack_threads(int n) const {
-  require(valid(), ErrorClass::invalid_comm,
-          "set_pack_threads: invalid communicator");
-  require(n >= 0, ErrorClass::invalid_argument,
-          "set_pack_threads: thread count must be >= 0");
-  impl_->pack_threads.store(n, std::memory_order_relaxed);
-}
-
-int Comm::pack_threads() const {
-  require(valid(), ErrorClass::invalid_comm,
-          "pack_threads: invalid communicator");
-  return impl_->pack_threads.load(std::memory_order_relaxed);
-}
-
-std::vector<std::size_t> Comm::parallel_for_lanes(
-    int want, std::size_t n, const std::function<void(std::size_t)>& fn) const {
-  require(valid(), ErrorClass::invalid_comm,
-          "parallel_for_lanes: invalid communicator");
-  if (want <= 0) {
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-    return std::vector<std::size_t>(1, n);
-  }
-  std::unique_ptr<detail::PackExecutor>& slot =
-      impl_->pack_exec[static_cast<std::size_t>(rank_)];
-  if (slot == nullptr || slot->workers() != want)
-    slot = std::make_unique<detail::PackExecutor>(want);
-  return slot->parallel_for(n, fn);
-}
-
-std::vector<std::byte> Comm::pack_to_staging(const void* buf,
-                                             std::size_t count,
-                                             const Datatype& type) const {
-  require(valid(), ErrorClass::invalid_comm,
-          "pack_to_staging: invalid communicator");
-  return pack_elements(*impl_, buf, count, type);
-}
-
-Request Comm::isend_packed(std::vector<std::byte> payload, int dest,
-                           int tag) const {
-  require(valid(), ErrorClass::invalid_comm,
-          "isend_packed: invalid communicator");
-  check_rank(*impl_, dest, "isend_packed");
-  require(tag >= 0 && tag < tag_upper_bound, ErrorClass::invalid_tag,
-          "isend_packed: tag must be in [0, tag_upper_bound)");
-  const std::size_t bytes = payload.size();
-  send_packed(*impl_, rank_, std::move(payload), dest, tag,
-              /*collective=*/false);
-  Request r;
-  r.kind_ = Request::Kind::done_send;
-  r.done_status_ = Status{rank_, tag, bytes};
-  return r;
 }
 
 const NetworkModel* Comm::network_model() const {

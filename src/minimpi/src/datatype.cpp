@@ -529,7 +529,8 @@ void Datatype::for_each_segment(
 void Datatype::pack(const std::byte* src, std::size_t count,
                     std::byte* dst) const {
   if (node_->contiguous) {
-    std::memcpy(dst, src, count * node_->size);
+    // memcpy with a null pointer is undefined even for zero bytes.
+    if (count * node_->size > 0) std::memcpy(dst, src, count * node_->size);
     return;
   }
   if (detail::g_plan_enabled.load(std::memory_order_relaxed)) {
@@ -557,7 +558,7 @@ void Datatype::pack(const std::byte* src, std::size_t count,
 void Datatype::unpack(const std::byte* src, std::size_t count,
                       std::byte* dst) const {
   if (node_->contiguous) {
-    std::memcpy(dst, src, count * node_->size);
+    if (count * node_->size > 0) std::memcpy(dst, src, count * node_->size);
     return;
   }
   if (detail::g_plan_enabled.load(std::memory_order_relaxed)) {

@@ -2,8 +2,8 @@
 // planner must reproduce the measured winners), the wave scheduler of the
 // fused-lane executor's inter-node lanes, the budget-forced wave sequence,
 // and property tests that every lowering — flat and two-ranks-per-node
-// topology, with and without a staging budget, serial and parallel packing
-// — is byte-identical to the paper's alltoallw path on random layouts while
+// topology, with and without a staging budget, both completion orders — is
+// byte-identical to the paper's alltoallw path on random layouts while
 // keeping the staging pool's peak under the requested budget.
 
 #include <gtest/gtest.h>
@@ -20,7 +20,6 @@
 #include "minimpi/minimpi.hpp"
 #include "simnet/models.hpp"
 #include "test_util.hpp"
-#include "trace/trace.hpp"
 
 namespace {
 
@@ -85,10 +84,6 @@ TEST(PlannerGolden, Strided3dPicksPipelined) {
   EXPECT_EQ(d.backend, Backend::point_to_point_pipelined);
   EXPECT_EQ(d.shape, ddr::CollectiveShape::none);
   EXPECT_EQ(d.waves, 1);
-  // 192 KB of inter bytes per rank is far below the 4 MB parallel-pack
-  // floor: threads would cost more than they save (the parallel-pack
-  // regression the bench measured).
-  EXPECT_EQ(d.pack_threads, 0);
   // 64 KB lanes clear the 32 KB threshold: the pipeline completion order.
   EXPECT_FALSE(d.post_all);
   ASSERT_EQ(d.candidates.size(), 2u);
@@ -107,40 +102,7 @@ TEST(PlannerGolden, Rows2dPicksPostAllFusedLanes) {
   EXPECT_EQ(d.backend, Backend::point_to_point_pipelined);
   EXPECT_TRUE(d.post_all);
   EXPECT_STREQ(d.class_plans[2].lowering, "post_all");
-  EXPECT_EQ(d.pack_threads, 0);
   EXPECT_EQ(d.shape, ddr::CollectiveShape::none);
-}
-
-// 1D byte domain of `chunks` * `nranks` chunks of `chunk` bytes dealt
-// round-robin; every rank needs the whole domain (an allgather).
-ddr::GlobalLayout interleaved_allgather(int nranks, int chunks, int chunk) {
-  ddr::GlobalLayout layout;
-  for (int r = 0; r < nranks; ++r) {
-    ddr::OwnedLayout own;
-    for (int c = 0; c < chunks; ++c)
-      own.push_back(Chunk::d1(chunk, (r + nranks * c) * chunk));
-    layout.owned.push_back(own);
-    layout.needed.push_back({Chunk::d1(nranks * chunks * chunk, 0)});
-  }
-  return layout;
-}
-
-TEST(PlannerGolden, PackThreadsOnlyForTwoOrMoreLargeLanes) {
-  // Parallel packing splits work by lane. Two ranks that each own 8
-  // interleaved 512 KiB chunks and need the whole domain send one 4 MiB
-  // inter lane each: a second thread has nothing to pack.
-  const ddr::PlanDecision one =
-      ddr::Planner::decide(interleaved_allgather(2, 8, 512 * 1024), 1,
-                           nullptr, 0);
-  EXPECT_EQ(one.backend, Backend::point_to_point_pipelined);
-  EXPECT_EQ(one.pack_threads, 0);
-  // Three ranks with 8 chunks of 256 KiB each: every rank sends two 2 MiB
-  // lanes, 4 MiB in all — threads pay.
-  const ddr::PlanDecision two =
-      ddr::Planner::decide(interleaved_allgather(3, 8, 256 * 1024), 1,
-                           nullptr, 0);
-  EXPECT_EQ(two.backend, Backend::point_to_point_pipelined);
-  EXPECT_EQ(two.pack_threads, 2);
 }
 
 TEST(PlannerGolden, BroadcastShapeDetectedAsAllgather) {
@@ -189,7 +151,6 @@ TEST(PlannerGolden, ResizeSlabLayoutIsDeterministic) {
   const ddr::PlanDecision b =
       ddr::Planner::decide(layout, sizeof(float), nullptr, 0);
   EXPECT_EQ(a.backend, b.backend);
-  EXPECT_EQ(a.pack_threads, b.pack_threads);
   EXPECT_EQ(a.waves, b.waves);
   ASSERT_EQ(a.candidates.size(), b.candidates.size());
   for (std::size_t i = 0; i < a.candidates.size(); ++i)
@@ -284,7 +245,7 @@ struct RunResult {
 
 RunResult run_backend(const ddr::GlobalLayout& layout, Backend backend,
                 std::size_t budget, const mpi::NetworkModel* net = nullptr,
-                int pack_threads = 0, std::size_t elem_size = sizeof(float)) {
+                std::size_t elem_size = sizeof(float)) {
   const int nranks = layout.nranks();
   RunResult run;
   run.out.resize(static_cast<std::size_t>(nranks));
@@ -295,7 +256,6 @@ RunResult run_backend(const ddr::GlobalLayout& layout, Backend backend,
       nranks,
       [&](mpi::Comm& comm) {
         const auto rank = static_cast<std::size_t>(comm.rank());
-        comm.set_pack_threads(pack_threads);
         ddr::Redistributor rd(comm, elem_size);
         ddr::SetupOptions opts;
         opts.backend = backend;
@@ -327,11 +287,10 @@ RunResult run_backend(const ddr::GlobalLayout& layout, Backend backend,
 TEST(PlannerProperty, CollectiveByteIdenticalToP2pUnderBudget) {
   // Every lowering of the fused-lane executor on seeded random layouts:
   // flat and two-ranks-per-node topology, no budget / the one-lane floor /
-  // a mid budget, inline and parallel packing (waves with parallel packing
-  // pack one wave at a time), and both completion orders — each layout runs
-  // with 4-byte elements, where every lane is below the 32 KiB threshold
-  // and completes post-all, and again with 128-byte elements, which push
-  // lanes over it into the pipeline. Each must deliver exactly the bytes
+  // a mid budget, and both completion orders — each layout runs with 4-byte
+  // elements, where every lane is below the 32 KiB threshold and completes
+  // post-all, and again with 128-byte elements, which push lanes over it
+  // into the pipeline. Each must deliver exactly the bytes
   // the paper's alltoallw path delivers, agree on plan().waves across
   // ranks, and — under a budget — keep the pool's peak within the largest
   // wave (at most max(budget, largest inter lane)) plus the 8-byte pointers
@@ -340,7 +299,7 @@ TEST(PlannerProperty, CollectiveByteIdenticalToP2pUnderBudget) {
   cp.ranks_per_node = 2;
   const simnet::LinkModel cooley(cp);
   std::mt19937 rng(818181);
-  bool saw_parallel_lane = false;
+  bool saw_pipeline = false;
   bool saw_post_all = false;
   for (int trial = 0; trial < 6; ++trial) {
     const int nranks = 3 + static_cast<int>(rng() % 4);
@@ -348,7 +307,7 @@ TEST(PlannerProperty, CollectiveByteIdenticalToP2pUnderBudget) {
     domain.ndims = 2 + trial % 2;
     // Sized so the whole float domain stays below 32 KiB (every lane
     // completes post-all) while 128-byte elements push lanes over it and
-    // the parallel packing path actually runs.
+    // the pipeline actually runs.
     const int base = domain.ndims == 2 ? 45 : 10;
     for (int k = 0; k < domain.ndims; ++k) {
       domain.lo[static_cast<std::size_t>(k)] = 0;
@@ -366,7 +325,7 @@ TEST(PlannerProperty, CollectiveByteIdenticalToP2pUnderBudget) {
 
     for (const std::size_t elem : {sizeof(float), std::size_t{128}}) {
       const auto want =
-          run_backend(layout, Backend::alltoallw, 0, nullptr, 0, elem).out;
+          run_backend(layout, Backend::alltoallw, 0, nullptr, elem).out;
       for (const mpi::NetworkModel* net :
            {static_cast<const mpi::NetworkModel*>(nullptr),
             static_cast<const mpi::NetworkModel*>(&cooley)}) {
@@ -377,12 +336,12 @@ TEST(PlannerProperty, CollectiveByteIdenticalToP2pUnderBudget) {
           inter_bytes += l.bytes;
           largest = std::max(largest, l.bytes);
         }
-        const bool post_all = largest < ddr::kParallelPackThresholdBytes;
+        const bool post_all = largest < ddr::kPostAllLaneBytes;
         if (elem == sizeof(float)) {
           EXPECT_TRUE(post_all) << "trial " << trial;
         }
         saw_post_all = saw_post_all || (post_all && !inter.empty());
-        saw_parallel_lane = saw_parallel_lane || !post_all;
+        saw_pipeline = saw_pipeline || !post_all;
         const std::int64_t intra_lanes =
             static_cast<std::int64_t>(
                 ddr::inter_node_lanes(layout, elem).size()) -
@@ -393,78 +352,35 @@ TEST(PlannerProperty, CollectiveByteIdenticalToP2pUnderBudget) {
              {std::size_t{0}, std::size_t{1},
               static_cast<std::size_t>(std::max<std::int64_t>(
                   1, inter_bytes / 2))}) {
-          for (const int threads : {0, 2}) {
-            const std::string where =
-                "trial " + std::to_string(trial) + " elem " +
-                std::to_string(elem) + (net ? " cooley" : " flat") +
-                " budget " + std::to_string(budget) + " threads " +
-                std::to_string(threads);
-            const RunResult got =
-                run_backend(layout, Backend::point_to_point_pipelined, budget,
-                            net, threads, elem);
-            ASSERT_EQ(got.out.size(), want.size()) << where;
-            for (std::size_t r = 0; r < got.out.size(); ++r) {
-              ASSERT_EQ(got.out[r].size(), want[r].size()) << where;
-              EXPECT_EQ(std::memcmp(got.out[r].data(), want[r].data(),
-                                    got.out[r].size()),
-                        0)
-                  << where << " rank " << r;
-            }
-            for (const int w : got.waves) EXPECT_EQ(w, got.waves[0]) << where;
-            std::vector<ddr::ExchangeLane> sched = inter;
-            EXPECT_EQ(got.waves[0], ddr::assign_waves(sched, budget)) << where;
-            if (budget != 0) {
-              const std::int64_t bound =
-                  std::max(largest, static_cast<std::int64_t>(budget)) +
-                  8 * intra_lanes;
-              EXPECT_LE(got.peak, static_cast<std::uint64_t>(bound)) << where;
-            }
+          const std::string where =
+              "trial " + std::to_string(trial) + " elem " +
+              std::to_string(elem) + (net ? " cooley" : " flat") +
+              " budget " + std::to_string(budget);
+          const RunResult got = run_backend(
+              layout, Backend::point_to_point_pipelined, budget, net, elem);
+          ASSERT_EQ(got.out.size(), want.size()) << where;
+          for (std::size_t r = 0; r < got.out.size(); ++r) {
+            ASSERT_EQ(got.out[r].size(), want[r].size()) << where;
+            EXPECT_EQ(std::memcmp(got.out[r].data(), want[r].data(),
+                                  got.out[r].size()),
+                      0)
+                << where << " rank " << r;
+          }
+          for (const int w : got.waves) EXPECT_EQ(w, got.waves[0]) << where;
+          std::vector<ddr::ExchangeLane> sched = inter;
+          EXPECT_EQ(got.waves[0], ddr::assign_waves(sched, budget)) << where;
+          if (budget != 0) {
+            const std::int64_t bound =
+                std::max(largest, static_cast<std::int64_t>(budget)) +
+                8 * intra_lanes;
+            EXPECT_LE(got.peak, static_cast<std::uint64_t>(bound)) << where;
           }
         }
       }
     }
   }
   EXPECT_TRUE(saw_post_all) << "no layout completed post-all";
-  EXPECT_TRUE(saw_parallel_lane)
-      << "no layout had a lane large enough to pipeline and pack in parallel";
-}
-
-TEST(PlannerProperty, PackThreadsStayWithTheirRedistributor) {
-  // Two automatic Redistributors on one communicator. A's rank 0 sends two
-  // 2 MiB lanes, so A is planned with pack threads; B's E1-sized lanes get
-  // none. Setting up B after A must not change how A packs: A's exchange
-  // still packs in parallel.
-  constexpr int kHalf = 2 << 20;
-  constexpr int kSmall = 1024;
-  const ddr::OwnedLayout a_owned[] = {{Chunk::d1(2 * kHalf, 0)},
-                                      {Chunk::d1(kSmall, 2 * kHalf)},
-                                      {Chunk::d1(kSmall, 2 * kHalf + kSmall)}};
-  const Chunk a_needed[] = {Chunk::d1(2 * kSmall, 2 * kHalf),
-                            Chunk::d1(kHalf, 0), Chunk::d1(kHalf, kHalf)};
-  std::vector<trace::Recorder> recs;
-  recs.reserve(3);
-  for (int r = 0; r < 3; ++r) recs.emplace_back(r);
-  mpi::run(3, [&](mpi::Comm& comm) {
-    const auto r = static_cast<std::size_t>(comm.rank());
-    ddr::SetupOptions opts;
-    opts.backend = Backend::automatic;
-    ddr::Redistributor a(comm, 1);
-    a.setup(a_owned[r], a_needed[r], opts);
-    ddr::Redistributor b(comm, 1);
-    b.setup({Chunk::d1(16, 16 * comm.rank())},
-            Chunk::d1(16, 16 * ((comm.rank() + 1) % 3)), opts);
-    EXPECT_EQ(a.plan().pack_threads, 2);
-    EXPECT_EQ(b.plan().pack_threads, 0);
-    std::vector<std::byte> own(a.owned_bytes(), std::byte{7});
-    std::vector<std::byte> need(a.needed_bytes());
-    a.trace_sink(&recs[r]);
-    a.redistribute(own, need);
-    a.trace_sink(nullptr);
-    for (const std::byte x : need) ASSERT_EQ(x, std::byte{7});
-  });
-  EXPECT_EQ(trace::count_events(recs[0].events(), "ddr.pack.parallel",
-                                trace::Phase::begin),
-            1u);
+  EXPECT_TRUE(saw_pipeline) << "no layout had a lane large enough to pipeline";
 }
 
 TEST(PlannerProperty, AllgatherLoweringCutsPeakStagingAtEqualBytes) {
@@ -683,7 +599,6 @@ TEST(PlannerWaves, CrossRankAgreementUnderTwoRanksPerNode) {
                    std::to_string(r));
       const ddr::PlanDecision& got = plans[static_cast<std::size_t>(r)];
       EXPECT_EQ(got.backend, want.backend);
-      EXPECT_EQ(got.pack_threads, want.pack_threads);
       EXPECT_EQ(got.predicted_s, want.predicted_s);
       EXPECT_EQ(got.predicted_peak_staging, want.predicted_peak_staging);
       EXPECT_EQ(got.shape, want.shape);

@@ -324,6 +324,54 @@ TEST(Redistributor, RedistributeBeforeSetupThrows) {
                ddr::Error);
 }
 
+TEST(Redistributor, MismatchedElementSizeThrowsOnEveryRank) {
+  // Rank 0 moves 4-byte elements, rank 1 8-byte ones: setup() must fail on
+  // both ranks with one error naming both sizes, not let the exchange
+  // misread the bytes later.
+  std::vector<std::string> errors(2);
+  mpi::run(2, [&](mpi::Comm& comm) {
+    const int rank = comm.rank();
+    Redistributor r(comm, rank == 0 ? 4 : 8);
+    try {
+      r.setup({Chunk::d1(8, 8 * rank)}, Chunk::d1(16, 0));
+      ADD_FAILURE() << "rank " << rank << " accepted mismatched element sizes";
+    } catch (const ddr::Error& e) {
+      errors[static_cast<std::size_t>(rank)] = e.what();
+    }
+  });
+  EXPECT_EQ(errors[0], errors[1]);
+  EXPECT_NE(errors[0].find("rank 0 declared 4-byte elements but rank 1 "
+                           "declared 8"),
+            std::string::npos)
+      << errors[0];
+}
+
+TEST(Redistributor, NegativeExtentThrowsOnEveryRank) {
+  // A negative extent, owned or needed, fails setup() on every rank with
+  // one error naming the rank and the chunk (zero extents stay legal).
+  for (const bool owned_side : {false, true}) {
+    std::vector<std::string> errors(2);
+    mpi::run(2, [&](mpi::Comm& comm) {
+      const int rank = comm.rank();
+      Redistributor r(comm, sizeof(float));
+      const Chunk bad = Chunk::d1(-8, 0);
+      const Chunk own = rank == 1 && owned_side ? bad : Chunk::d1(8, 8 * rank);
+      const Chunk need = rank == 1 && !owned_side ? bad : Chunk::d1(16, 0);
+      try {
+        r.setup({own, Chunk::d1(0, 16)}, need);
+        ADD_FAILURE() << "rank " << rank << " accepted a negative extent";
+      } catch (const ddr::Error& e) {
+        errors[static_cast<std::size_t>(rank)] = e.what();
+      }
+    });
+    EXPECT_EQ(errors[0], errors[1]);
+    const std::string want = std::string("rank 1's ") +
+                             (owned_side ? "owned" : "needed") +
+                             " chunk 0 has a negative extent (-8";
+    EXPECT_NE(errors[0].find(want), std::string::npos) << errors[0];
+  }
+}
+
 TEST(Redistributor, FailedSetupVoidsThePreviousMapping) {
   // A setup() that throws must not leave the previous mapping executable:
   // every rank's next redistribute() fails with the collective "call

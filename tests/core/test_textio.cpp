@@ -103,6 +103,9 @@ TEST(TextIo, RejectsMalformedInput) {
   EXPECT_THROW(
       (void)ddr::parse_layout(std::string("ndims 1\nrank own 4@zz\n")),
       ddr::Error);  // bad integer
+  EXPECT_THROW((void)ddr::parse_layout(
+                   std::string("ndims 1\nrank own 8@0 need -8@8\n")),
+               ddr::Error);  // negative extent
 }
 
 TEST(TextIo, CommentsAndBlankLinesIgnored) {

@@ -1,12 +1,10 @@
-// Topology-aware two-level exchange and parallel lane packing: with a
-// simnet::LinkModel installed (consecutive ranks share a node), the
-// fused-lane executor (point_to_point_pipelined) must classify lanes
-// self/intra/inter, move the intra-node lanes zero-copy through shared
-// memory, and still produce bit-identical results — with or without the
-// PackExecutor packing lanes concurrently, and under any forced pack
-// kernel. The 20x loops run under
-// TSan in CI, which is what proves the pointer-publish/ack protocol and the
-// executor handoff race-free.
+// Topology-aware two-level exchange: with a simnet::LinkModel installed
+// (consecutive ranks share a node), the fused-lane executor
+// (point_to_point_pipelined) must classify lanes self/intra/inter, move the
+// intra-node lanes zero-copy through shared memory, and still produce
+// bit-identical results — under any forced pack kernel. The 20x loops run
+// under TSan in CI, which is what proves the pointer-publish/ack protocol
+// race-free.
 
 #include <gtest/gtest.h>
 
@@ -60,13 +58,11 @@ simnet::LinkParams two_per_node() {
 
 /// E1 with 4 ranks and ranks_per_node=2: ranks {0,1} and {2,3} pair up, so
 /// every rank has exactly one self lane, one intra lane and two inter lanes.
-void run_e1(Backend backend, const mpi::RunOptions& opts, int pack_threads,
-            int repeats) {
+void run_e1(Backend backend, const mpi::RunOptions& opts, int repeats) {
   mpi::run(
       4,
       [&](mpi::Comm& comm) {
         const int rank = comm.rank();
-        if (pack_threads > 0) comm.set_pack_threads(pack_threads);
         Redistributor r(comm, sizeof(float));
         const ddr::OwnedLayout own{Chunk::d2(8, 1, 0, rank),
                                    Chunk::d2(8, 1, 0, rank + 4)};
@@ -108,24 +104,25 @@ TEST_P(TwoLevelBackends, IntraNodeLanesGoZeroCopy) {
   const simnet::LinkModel model(two_per_node());
   mpi::RunOptions opts;
   opts.network = &model;
-  run_e1(GetParam(), opts, /*pack_threads=*/0, /*repeats=*/3);
+  run_e1(GetParam(), opts, /*repeats=*/3);
 }
 
 TEST_P(TwoLevelBackends, FlatWithoutModelAllLanesInter) {
-  run_e1(GetParam(), {}, /*pack_threads=*/0, /*repeats=*/1);
+  run_e1(GetParam(), {}, /*repeats=*/1);
 }
 
-TEST_P(TwoLevelBackends, ParallelPackStress20x) {
-  // The TSan target: two pool workers plus the rank thread pack and unpack
-  // lanes concurrently for 20 consecutive redistributions.
-  run_e1(GetParam(), {}, /*pack_threads=*/2, /*repeats=*/20);
+TEST_P(TwoLevelBackends, FlatStress20x) {
+  // The TSan target: 20 consecutive redistributions whose inter lanes race
+  // each other through the mailboxes and the shared staging pool.
+  run_e1(GetParam(), {}, /*repeats=*/20);
 }
 
-TEST_P(TwoLevelBackends, ParallelPackPlusTopologyStress20x) {
+TEST_P(TwoLevelBackends, TopologyStress20x) {
+  // Adds the intra lanes' pointer publish, zero-copy read and ack.
   const simnet::LinkModel model(two_per_node());
   mpi::RunOptions opts;
   opts.network = &model;
-  run_e1(GetParam(), opts, /*pack_threads=*/2, /*repeats=*/20);
+  run_e1(GetParam(), opts, /*repeats=*/20);
 }
 
 INSTANTIATE_TEST_SUITE_P(Exchange, TwoLevelBackends,
@@ -139,7 +136,7 @@ TEST(TwoLevel, PerRoundBackendsUnaffectedByTopology) {
   const simnet::LinkModel model(two_per_node());
   mpi::RunOptions opts;
   opts.network = &model;
-  run_e1(Backend::alltoallw, opts, 0, 1);
+  run_e1(Backend::alltoallw, opts, 1);
 }
 
 // Acceptance check: a forced-scalar run and the autodetected-kernel run must
@@ -184,16 +181,6 @@ TEST(TwoLevel, ForcedScalarMatchesAutodetect) {
   mpi::set_pack_kernel("auto");
   ASSERT_EQ(results.size(), 2u);
   EXPECT_EQ(results[0], results[1]);
-}
-
-TEST(TwoLevel, NegativePackThreadsRejected) {
-  mpi::run(1, [](mpi::Comm& comm) {
-    EXPECT_THROW(comm.set_pack_threads(-1), mpi::Error);
-    comm.set_pack_threads(0);
-    EXPECT_EQ(comm.pack_threads(), 0);
-    comm.set_pack_threads(3);
-    EXPECT_EQ(comm.pack_threads(), 3);
-  });
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "minimpi/minimpi.hpp"
@@ -99,6 +100,41 @@ TEST(P2P, TruncationThrows) {
                  }
                }),
       mpi::Error);
+
+  // A message that fits the buffer but is not a whole number of receive-type
+  // elements (6 B into 2 floats) is rejected by every completion path alike:
+  // recv(), wait(), a test() poll and wait_any().
+  for (const char* path : {"recv", "wait", "test", "wait_any"}) {
+    mpi::run(2, [&](Comm& comm) {
+      if (comm.rank() == 0) {
+        const std::vector<std::byte> six(6);
+        comm.send(six.data(), six.size(), Datatype::bytes(1), 1, 0);
+        return;
+      }
+      const Datatype f = Datatype::of<float>();
+      std::vector<float> two(2, -1.0f);
+      try {
+        const std::string p = path;
+        if (p == "recv") {
+          comm.recv(two.data(), two.size(), f, 0, 0);
+        } else if (p == "wait") {
+          comm.irecv(two.data(), two.size(), f, 0, 0).wait();
+        } else if (p == "test") {
+          mpi::Request r = comm.irecv(two.data(), two.size(), f, 0, 0);
+          while (!r.test()) {
+          }
+        } else {
+          std::vector<mpi::Request> r;
+          r.push_back(comm.irecv(two.data(), two.size(), f, 0, 0));
+          (void)mpi::wait_any(r);
+        }
+        ADD_FAILURE() << path << " accepted 6 B into 2 floats";
+      } catch (const mpi::Error& e) {
+        EXPECT_EQ(e.error_class(), mpi::ErrorClass::truncate)
+            << path << ": " << e.what();
+      }
+    });
+  }
 }
 
 TEST(P2P, ReceiveFewerElementsThanCapacityIsFine) {

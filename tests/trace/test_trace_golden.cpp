@@ -121,10 +121,8 @@ ddr::Chunk strided3d_needed(int rank) {
 }
 
 /// Like run_e1 but on the strided3d layout (the pipelined backend's bench
-/// case, 8 rounds deep), optionally packing with PackExecutor threads and
-/// under a staging budget.
-TracedRun run_strided3d(ddr::Backend backend, int pack_threads = 0,
-                        std::size_t budget = 0) {
+/// case, 8 rounds deep).
+TracedRun run_strided3d(ddr::Backend backend) {
   TracedRun out;
   std::vector<trace::Recorder> recs;
   recs.reserve(kRanks);
@@ -133,13 +131,11 @@ TracedRun run_strided3d(ddr::Backend backend, int pack_threads = 0,
 
   mpi::run(kRanks, [&](mpi::Comm& comm) {
     const int r = comm.rank();
-    comm.set_pack_threads(pack_threads);
     ddr::Redistributor rd(comm, sizeof(float));
     rd.trace_sink(&recs[static_cast<std::size_t>(r)]);
     ddr::SetupOptions opt;
     opt.backend = backend;
     opt.collective_error_agreement = false;
-    opt.peak_staging_bytes = budget;
     rd.setup(strided3d_owned(r), strided3d_needed(r), opt);
     recs[static_cast<std::size_t>(r)].clear();
     if (r == 0) rounds = rd.rounds();
@@ -195,7 +191,7 @@ TEST(TraceGolden, AlltoallwRoundSpansMatchSchedule) {
 }
 
 TEST(TraceGolden, PostAllCompletesSmallLanesWithOneWaitAll) {
-  // E1's lanes (16 B) are far below the 32 KiB parallel-pack threshold, so
+  // E1's lanes (16 B) are far below the 32 KiB post-all threshold, so
   // the fused-lane executor runs its post-all discipline: the receive
   // window, the lanes sent in ascending peer order, and one wait_all that
   // completes the receives in posting (ascending peer) order — no
@@ -351,45 +347,4 @@ TEST(TraceGolden, PipelinedStrided3dConservesBytesOutOfOrder) {
                 recvd[static_cast<std::size_t>(q)].at(r))
           << "bytes " << r << " -> " << q;
     }
-}
-
-TEST(TraceGolden, ParallelPackSpanPerWaveCoversInterLanes) {
-  // With PackExecutor threads, each wave packs its inter lanes inside one
-  // ddr.pack.parallel span whose value is the lanes it packed, and the
-  // per-worker ddr.pack.worker instants split that count. Across the waves
-  // the spans cover every inter-node send lane of the rank exactly once
-  // (strided3d: 3 lanes of 64 KiB, above the inline threshold). Without a
-  // budget that is one wave; 200000 B splits the 12 lanes into 4 waves.
-  for (const auto& [budget, waves] :
-       {std::pair<std::size_t, std::size_t>{0, 1}, {200000, 4}}) {
-    const TracedRun run =
-        run_strided3d(ddr::Backend::point_to_point_pipelined, 2, budget);
-    for (int r = 0; r < kRanks; ++r) {
-      const auto& ev = run.events[static_cast<std::size_t>(r)];
-      EXPECT_EQ(
-          trace::count_events(ev, "ddr.pack.parallel", trace::Phase::begin),
-          waves)
-          << "budget " << budget << " rank " << r;
-      std::int64_t packed = 0, by_workers = 0;
-      for (std::size_t i = 0; i < ev.size(); ++i) {
-        const std::string name = ev[i].name;
-        if (name == "ddr.pack.worker") by_workers += ev[i].keys.value;
-        if (name != "ddr.pack.parallel" || ev[i].phase != trace::Phase::begin)
-          continue;
-        packed += ev[i].keys.value;
-        // The pack runs inside the span.
-        for (std::size_t j = i + 1; j < ev.size(); ++j)
-          if (std::string(ev[j].name) == "ddr.pack.parallel") {
-            EXPECT_EQ(ev[j].phase, trace::Phase::end);
-            if (ev[i].keys.value > 0) {
-              EXPECT_GT(ev[j].ts_us, ev[i].ts_us);
-            }
-            break;
-          }
-      }
-      EXPECT_EQ(packed, 3) << "budget " << budget << " rank " << r;
-      EXPECT_EQ(by_workers, 3) << "budget " << budget << " rank " << r;
-      EXPECT_EQ(trace::total_bytes(ev, "ddr.msg.send"), 196608);
-    }
-  }
 }

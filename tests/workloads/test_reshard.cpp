@@ -121,7 +121,6 @@ TEST(ReshardProperty, ChangesConserveBytesAndPlannerAgreesAcrossRanks) {
         const auto& pr = plans[static_cast<std::size_t>(r)];
         EXPECT_EQ(p0.backend, pr.backend) << "rank " << r;
         EXPECT_EQ(p0.waves, pr.waves) << "rank " << r;
-        EXPECT_EQ(p0.pack_threads, pr.pack_threads) << "rank " << r;
       }
     }
   }

@@ -25,7 +25,7 @@
 //                 the two views reconcile by construction)
 //     --plan      run the cost-model planner (ddr::Planner) over the layout
 //                 and print its decision — chosen backend, collective shape,
-//                 pack threads, wave count, and the per-class lowering the
+//                 wave count, and the per-class lowering the
 //                 fused-lane executor runs — plus a per-candidate table of
 //                 predicted vs MEASURED cost: each candidate backend is
 //                 actually executed under the threaded runtime and its
@@ -463,7 +463,6 @@ int run_plan(const ddr::LayoutSpec& spec, int ranks_per_node,
                 "node):\n");
   std::printf("  chosen backend   : %s\n", ddr::backend_name(d.backend));
   std::printf("  collective shape : %s\n", shape_name(d.shape));
-  std::printf("  pack threads     : %d\n", d.pack_threads);
   if (budget > 0)
     std::printf("  staging budget   : %zu B -> %d wave(s)\n", budget, d.waves);
   else
@@ -474,8 +473,8 @@ int run_plan(const ddr::LayoutSpec& spec, int ranks_per_node,
   // The per-peer-class partition of the fused lane set and the lowering the
   // fused-lane executor gives each class (self lanes count ranks with self
   // traffic; intra lanes ride the zero-copy pointer publication; inter
-  // lanes complete post_all below the parallel-pack threshold, pipelined
-  // above it, in fenced waves when a budget is set).
+  // lanes complete post_all below kPostAllLaneBytes, pipelined above it,
+  // in fenced waves when a budget is set).
   std::printf("\nper-peer-class partition (fused-lane lowering, %d inter "
               "wave(s)):\n",
               d.waves);
