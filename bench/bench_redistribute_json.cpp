@@ -16,8 +16,8 @@
 //   pipelined_scalar_kernel pipelined backend with the copy-train kernel
 //                           forced to scalar (the SIMD-vs-scalar ablation;
 //                           every other config uses the autodetected kernel)
-//   automatic               ddr::Planner picks the backend at setup()
-//                           (Backend::automatic); the bench exits
+//   automatic               Backend::automatic, which setup() resolves to
+//                           the fused-lane executor; the bench exits
 //                           non-zero unless its median lands within 5% (plus
 //                           a 0.010 ms noise floor) of the best hand-picked
 //                           config on EVERY case — the planner's exit gate

@@ -9,7 +9,7 @@
 namespace ddr {
 
 /// Thrown on API misuse or when the paper's layout contract is violated
-/// (e.g. owned chunks that overlap or leave holes when validation is on).
+/// (e.g. owned chunks that overlap or leave holes).
 class Error : public std::runtime_error {
  public:
   explicit Error(const std::string& what) : std::runtime_error(what) {}

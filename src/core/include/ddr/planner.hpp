@@ -1,18 +1,14 @@
 #pragma once
 
 /// \file planner.hpp
-/// Cost-model-driven backend planning (ROADMAP item 2).
+/// The lowering of the fused-lane executor.
 ///
-/// The paper's per-round alltoallw and the fused-lane executor are priced
-/// against each other. ddr::Planner replaces the manual Backend choice:
-/// at setup() time it
-/// consumes the redistribution's compiled-plan statistics — transfer counts,
-/// per-lane bytes, round structure, the self/intra-node/inter-node split
-/// under the installed mpi::NetworkModel — and emits a PlanDecision: the
-/// backend to run, the completion order of the fused-lane executor, and the
-/// wave schedule of its inter-node lanes under a caller-settable
-/// peak-staging budget (the memory-efficient redistribution axis of Rink et
-/// al., arXiv:2112.01075).
+/// At setup() time ddr::Planner derives how the fused-lane executor
+/// (Backend::point_to_point_pipelined, which Backend::automatic resolves to)
+/// runs a redistribution: which of its lanes cross nodes under the installed
+/// mpi::NetworkModel, the completion order of those inter-node lanes, and
+/// their wave schedule under a caller-settable peak-staging budget (the
+/// memory-efficient redistribution axis of Rink et al., arXiv:2112.01075).
 ///
 /// Everything the decision depends on is GLOBAL knowledge (the allgathered
 /// layout and the run-wide NetworkModel), so every rank derives the
@@ -57,9 +53,10 @@ enum class Backend {
   /// receiver-driven retry protocol re-requests until it lands. (Value 1,
   /// the per-round point-to-point executor, is retired.)
   point_to_point_pipelined = 3,
-  /// Let ddr::Planner choose: setup() runs the cost model over every
-  /// candidate above and redistribute() executes the winner (see
-  /// Redistributor::plan() for the decision and per-candidate predictions).
+  /// The library's choice: today the fused-lane executor, which setup()
+  /// resolves it to on every layout (Redistributor::effective_backend()
+  /// reports the resolution). A caller that wants the paper's per-round
+  /// exchange requests alltoallw.
   automatic = 6,
 };
 
@@ -75,23 +72,6 @@ enum class LaneClass { self, intra, inter };
 /// packing a small lane costs less than polling the outstanding receives
 /// between sends would.
 inline constexpr std::int64_t kPostAllLaneBytes = 32 * 1024;
-
-/// Collective shape detected on the src->dst sharding pair (drives the
-/// explain output and documents which classic collective a budgeted wave
-/// sequence corresponds to).
-enum class CollectiveShape {
-  /// No special structure; the wave sequence is a generic bounded scatter
-  /// sequence over the fused lanes.
-  none,
-  /// Every rank needs the identical chunk set (broadcast shape): the lane
-  /// streams per sender are identical for every receiver and the sequence
-  /// is an allgather executed as one scatter wave per sender.
-  allgather,
-  /// A single rank feeds everyone (scatter shape).
-  scatter,
-  /// A single rank drains everyone (gather / reduce-scatter shape).
-  gather,
-};
 
 /// One directed non-self lane of the exchange: everything rank `sender`
 /// sends rank `receiver`, all rounds fused (the unit a staging budget
@@ -123,88 +103,34 @@ struct ExchangeLane {
 int assign_waves(std::vector<ExchangeLane>& lanes,
                  std::size_t peak_staging_bytes);
 
-/// One evaluated backend candidate: the predicted cost and footprint the
-/// planner compared (ddrinfo --plan prints these against measured numbers).
-struct CandidateCost {
-  Backend backend = Backend::alltoallw;
-  /// Predicted makespan of one redistribute() call, in seconds: the max
-  /// over ranks of modeled per-rank cost (NetworkModel-derived when a model
-  /// is installed, calibrated software constants otherwise).
-  double predicted_s = 0.0;
-  std::int64_t messages = 0;          ///< data messages posted per call
-  std::int64_t inter_node_bytes = 0;  ///< payload bytes crossing nodes
-  std::int64_t intra_node_bytes = 0;  ///< payload bytes staying on-node
-  std::int64_t self_bytes = 0;        ///< bytes that never leave the rank
-  /// Predicted pool-wide peak of concurrently live staging bytes.
-  std::size_t predicted_peak_staging = 0;
-  /// False when the planner may not choose this candidate; see
-  /// infeasible_reason.
-  bool feasible = true;
-  /// Why the candidate is infeasible, "" when it is feasible: "over budget"
-  /// when a peak_staging_bytes budget is set and the predicted peak exceeds
-  /// it. Backend::point_to_point_pipelined is always feasible: its waves
-  /// honor any budget down to the one-lane floor.
-  const char* infeasible_reason = "";
-};
-
-/// Per-peer-class row of a decision: how many fused lanes fall in the class,
-/// the payload bytes they carry, the lowering the fused-lane executor gives
-/// them, and the predicted per-class makespan contribution. Derived from
-/// global aggregates only, so identical on every rank.
-struct ClassPlan {
-  LaneClass cls = LaneClass::self;
-  std::int64_t lanes = 0;       ///< fused lanes in this class (self: ranks
-                                ///< with self traffic)
-  std::int64_t bytes = 0;       ///< payload bytes the class carries
-  double predicted_s = 0.0;     ///< predicted makespan of this class alone
-  const char* lowering = "";    ///< "copy_regions" / "ptr_publish" /
-                                ///< "post_all" or "pipelined" (no budget,
-                                ///< see PlanDecision::post_all) /
-                                ///< "fenced_waves" (under a budget)
-};
-
-/// The planner's verdict, identical on every rank of the communicator.
+/// The fused-lane executor's lowering, identical on every rank of the
+/// communicator.
 struct PlanDecision {
-  Backend backend = Backend::alltoallw;
   /// Always 0: every rank packs its own lanes on its own thread.
   static constexpr int pack_threads = 0;
-  /// Predicted pool-wide peak staging of the chosen backend.
-  std::size_t predicted_peak_staging = 0;
-  /// Predicted makespan of the chosen backend (see CandidateCost).
-  double predicted_s = 0.0;
-  /// Detected collective shape of the sharding pair.
-  CollectiveShape shape = CollectiveShape::none;
-  /// Wave count of the fused-lane executor's inter-node lanes under the
-  /// budget (assign_waves over inter_node_lanes; 1 when no budget is set or
-  /// no inter lanes exist). Intra-node lanes move zero-copy and never
-  /// compete for the budget.
+  /// Wave count of the inter-node lanes under the budget (assign_waves over
+  /// inter_node_lanes; 1 when no budget is set or no inter lanes exist).
+  /// Intra-node lanes move zero-copy and never compete for the budget.
   int waves = 1;
-  /// Completion discipline of the fused-lane executor's inter-node lanes,
-  /// decided from one global aggregate so every rank runs the same one:
-  /// true when the largest inter-node lane is below
-  /// kPostAllLaneBytes — every receive is posted, the lanes are
-  /// sent in ascending peer order and one wait_all completes them in posting
-  /// order; false — the pipeline: shifted send order, a drain of the landed
-  /// receives between sends, arrival-order completion.
+  /// Completion discipline of the inter-node lanes, decided from one global
+  /// aggregate so every rank runs the same one: true when the largest
+  /// inter-node lane is below kPostAllLaneBytes — every receive is posted,
+  /// the lanes are sent in ascending peer order and one wait_all completes
+  /// them in posting order; false — the pipeline: shifted send order, a
+  /// drain of the landed receives between sends, arrival-order completion.
   bool post_all = true;
-  /// The self/intra/inter partition of the fused lane set, in that order
-  /// (always 3 entries), with the lowering the fused-lane executor gives
-  /// each class. Populated from global aggregates on every decision.
-  std::vector<ClassPlan> class_plans;
-  /// Every candidate evaluated, in evaluation order (ddrinfo --plan).
-  std::vector<CandidateCost> candidates;
 };
 
-/// Cost-model-driven backend planner (see file comment).
+/// Derives the fused-lane executor's lowering (see file comment).
 class Planner {
  public:
-  /// Derives the plan for `layout`: a pure function of its arguments, so
-  /// every rank of a setup() — and ddrinfo --plan, offline — derives the
+  /// Derives the lowering for `layout`: a pure function of its arguments,
+  /// so every rank of a setup() — and ddrinfo --plan, offline — derives the
   /// identical decision.
   ///
-  /// \param net                the run's NetworkModel (nullptr = cost-free
-  ///                           run; all non-self lanes count as inter-node
-  ///                           and calibrated software constants price them)
+  /// \param net                the run's NetworkModel (nullptr = every rank
+  ///                           is its own node, so all non-self lanes count
+  ///                           as inter-node)
   /// \param peak_staging_bytes staging budget (SetupOptions), 0 = unlimited
   /// \param world_ranks        world rank per COMMUNICATOR rank (for
   ///                           sub-communicators whose ranks are not world

@@ -38,9 +38,9 @@ namespace ddr {
 // intra/inter locality partition of the fused lanes, derived at setup()
 // time from the installed NetworkModel's node mapping via
 // mpi::Comm::same_node) live in ddr/planner.hpp, next to the planner that
-// chooses between backends and prices the lowering of each lane class.
-// Without a network model every rank is its own node, so all non-self lanes
-// are inter and behaviour is exactly the flat exchange.
+// derives the fused-lane executor's lowering. Without a network model every
+// rank is its own node, so all non-self lanes are inter and behaviour is
+// exactly the flat exchange.
 
 /// Options for the transactional elastic resize
 /// (Redistributor::resize_rebalance / Redistributor::resize_join).
@@ -82,14 +82,6 @@ struct ResizeOutcome {
 
 /// Options controlling setup behaviour.
 struct SetupOptions {
-  /// Validate the paper's send-side contract (owned chunks mutually
-  /// exclusive and complete). Every rank runs validate_owned() over all
-  /// ranks' owned chunks at setup time: a sort-and-sweep that tests each
-  /// chunk against a few neighbours on a regular tiling, not the
-  /// total_chunks^2/2 pairs of an all-pairs scan. Throws ddr-flavoured
-  /// mpi::Error when violated.
-  bool validate_owned_layout = true;
-
   Backend backend = Backend::alltoallw;
 
   /// Fail-safe collective error contract: before any data moves, setup() and
@@ -100,15 +92,12 @@ struct SetupOptions {
   /// are known to be checked identically already.
   bool collective_error_agreement = true;
 
-  /// Peak-staging budget in bytes, 0 = unlimited. Consumed two ways:
-  ///  * Backend::point_to_point_pipelined runs its inter-node lanes as
-  ///    waves, each closed by a barrier, so no wave's total payload exceeds
-  ///    the budget (floored at the largest single lane — the smallest
-  ///    schedulable unit); its intra lanes move zero-copy and stage only
-  ///    their 8-byte published pointers;
-  ///  * Backend::automatic treats candidates whose predicted peak staging
-  ///    exceeds the budget as infeasible, falling back to the waved
-  ///    pipelined executor (always feasible) when nothing else fits.
+  /// Peak-staging budget in bytes, 0 = unlimited. The fused-lane executor
+  /// (Backend::point_to_point_pipelined, and so Backend::automatic) runs its
+  /// inter-node lanes as waves, each closed by a barrier, so no wave's total
+  /// payload exceeds the budget (floored at the largest single lane — the
+  /// smallest schedulable unit); its intra lanes move zero-copy and stage
+  /// only their 8-byte published pointers. Backend::alltoallw ignores it.
   std::size_t peak_staging_bytes = 0;
 };
 
@@ -125,8 +114,12 @@ class Redistributor {
 
   /// Collective. Declares what this rank owns (any number of chunks, packed
   /// consecutively in the source buffer) and the one chunk it needs.
-  /// Gathers every rank's declaration and computes the geometric mapping.
-  /// If it throws, is_setup() is false until a later setup() succeeds.
+  /// Gathers every rank's declaration, validates the paper's send-side
+  /// contract (owned chunks mutually exclusive and complete — a
+  /// sort-and-sweep over every rank's owned chunks, see validate_owned()),
+  /// and computes the geometric mapping. Throws ddr::Error on every rank
+  /// when the contract is violated. If it throws, is_setup() is false until
+  /// a later setup() succeeds.
   void setup(const OwnedLayout& owned, const Chunk& needed,
              const SetupOptions& options = {});
 
@@ -238,14 +231,15 @@ class Redistributor {
 
   [[nodiscard]] const mpi::Comm& comm() const { return comm_; }
 
-  /// The backend redistribute() actually runs: the requested one, or the
-  /// planner's choice when Backend::automatic was requested (see plan()).
+  /// The backend redistribute() actually runs: the requested one, or
+  /// Backend::point_to_point_pipelined when Backend::automatic was
+  /// requested.
   [[nodiscard]] Backend effective_backend() const;
 
-  /// The planner's decision for the current mapping. Populated by every
-  /// setup() (so --plan style diagnostics can compare any requested backend
-  /// against the prediction), authoritative when the requested backend is
-  /// Backend::automatic.
+  /// The fused-lane executor's lowering for the current mapping (waves and
+  /// completion order; see Planner::decide). Derived by every setup(); it is
+  /// what redistribute() runs whenever the effective backend is
+  /// Backend::point_to_point_pipelined.
   [[nodiscard]] const PlanDecision& plan() const { return plan_; }
 
   /// Number of this rank's fused SEND lanes in the given locality class
@@ -265,11 +259,12 @@ class Redistributor {
 
  private:
   /// The communication-free tail of setup(): layout_ (and options_, comm_,
-  /// elem_size_) are already in place; derives mapping_, stats_, the lane
-  /// classes, the wave tables and the staging prewarm.
+  /// elem_size_) are already in place and validated; derives mapping_,
+  /// stats_, the lane classes, the wave tables and the staging prewarm.
   /// resize_rebalance() reuses it to compile the old->new transition layout
   /// directly — the transition has empty needed sides for retiring members,
-  /// which the public setup() rejects by design.
+  /// and holes on the owned side after a rolled-back attempt, which the
+  /// public setup() rejects by design.
   void finish_setup();
 
   /// One plan+transfer attempt of the resize protocol, collective over
@@ -320,12 +315,10 @@ class Redistributor {
   GlobalLayout layout_;
   DataMapping mapping_;
   MappingStats stats_;
-  /// The planner's verdict for the current mapping (see plan()).
+  /// The fused-lane executor's lowering for the current mapping (see plan()).
   PlanDecision plan_;
   /// What redistribute() dispatches on: the requested backend, or the
-  /// planner's choice when the request was Backend::automatic. Identical on
-  /// every rank — derived only from the allgathered layout and the run-wide
-  /// NetworkModel.
+  /// fused-lane executor when the request was Backend::automatic.
   Backend resolved_backend_ = Backend::alltoallw;
   /// Lowering table of the fused-lane executor, one entry per wave: the
   /// indices of the inter-node lanes in mapping_.fused_send (in the shifted

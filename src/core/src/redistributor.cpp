@@ -302,18 +302,18 @@ void Redistributor::setup(const OwnedLayout& owned, const NeededLayout& needed,
     }
   }
 
-  finish_setup();
-}
-
-void Redistributor::finish_setup() {
-  // 5. Enforce the paper's send-side contract if requested.
-  if (options_.validate_owned_layout) {
+  // 5. Enforce the paper's send-side contract.
+  {
     DDR_TRACE_SPAN(vspan, "ddr.setup.validate");
     const LayoutValidation v = validate_owned(layout_);
     require(v.ok(), "setup: owned layout violates the DDR contract — " +
                         v.detail);
   }
 
+  finish_setup();
+}
+
+void Redistributor::finish_setup() {
   // 6. Geometry -> per-round alltoallw plans and schedule statistics.
   mapping_ = build_mapping(layout_, comm_.rank(), elem_size_);
   stats_ = compute_stats(layout_, elem_size_);
@@ -349,12 +349,10 @@ void Redistributor::finish_setup() {
                            l.displ, l.type, l.bytes});
   }
 
-  // 6c. Plan. Every setup() runs the cost model — so plan() can always be
-  // compared against a manually requested backend (ddrinfo --plan) — and
-  // Backend::automatic resolves to its choice. Everything the resolution
-  // depends on (the allgathered layout, the run-wide NetworkModel, the
-  // world-rank node mapping) is identical on every rank, so the decision —
-  // and with it the resolved backend and wave schedule — is identical on
+  // 6c. Plan: the fused-lane executor's lowering, which Backend::automatic
+  // resolves to. Everything it depends on (the allgathered layout, the
+  // run-wide NetworkModel, the world-rank node mapping) is identical on
+  // every rank, so the waves and the completion order are identical on
   // every rank with no extra communication.
   std::vector<int> world_ranks(static_cast<std::size_t>(mapping_.nranks));
   for (int r = 0; r < mapping_.nranks; ++r)
@@ -364,12 +362,10 @@ void Redistributor::finish_setup() {
     plan_ = Planner::decide(layout_, elem_size_, comm_.network_model(),
                             options_.peak_staging_bytes, &world_ranks);
     resolved_backend_ = options_.backend == Backend::automatic
-                            ? plan_.backend
+                            ? Backend::point_to_point_pipelined
                             : options_.backend;
-    DDR_TRACE_INSTANT(
-        "ddr.plan.decision",
-        {.bytes = static_cast<std::int64_t>(plan_.predicted_peak_staging),
-         .value = static_cast<std::int64_t>(resolved_backend_)});
+    DDR_TRACE_INSTANT("ddr.plan.decision",
+                      {.value = static_cast<std::int64_t>(resolved_backend_)});
   }
 
   // 6d. Lowering table of the fused-lane executor: its inter-node lanes
@@ -549,12 +545,12 @@ Redistributor::TransferResult Redistributor::resize_transfer(
       // the self lane (copy_regions, no message). The transition has empty
       // needed sides for retiring members and — after a rolled-back attempt
       // in which a data-holding member died — an owned side with holes, so
-      // the public setup() preconditions are skipped on purpose. Under an
-      // active FaultModel the fused-lane executor runs its per-lane retry
-      // protocol, which fails fast when a peer dies mid-exchange.
+      // the public setup(), with its preconditions and its owned-layout
+      // validation, is skipped on purpose. Under an active FaultModel the
+      // fused-lane executor runs its per-lane retry protocol, which fails
+      // fast when a peer dies mid-exchange.
       Redistributor trans(tcomm, elem_size);
       trans.options_.backend = Backend::point_to_point_pipelined;
-      trans.options_.validate_owned_layout = false;
       trans.options_.collective_error_agreement = false;
       trans.layout_ = plan.transition;
       trans.finish_setup();
@@ -929,24 +925,11 @@ void Redistributor::execute_p2p_pipelined(
       mpi::wait_all(recvs);
       for (std::size_t i = 0; i < recvs.size(); ++i) trace_recv(i);
     } else {
-      // Strictly in arrival order. While several are outstanding, wait_any
-      // picks whichever lands first; once a single lane is left there is no
-      // order to choose, so it completes with a blocking wait() — a
-      // condition-variable sleep instead of a test() poll that would
-      // contend on the mailbox the sender is delivering into.
+      // Strictly in arrival order: wait_any sleeps on the mailbox until
+      // one of the outstanding lanes lands.
       DDR_TRACE_SPAN(cspan, "ddr.pipeline.complete");
-      while (nrecv_left > 1) {
-        const auto [i, st] = mpi::wait_any(recvs);
-        --nrecv_left;
-        trace_recv(i);
-      }
-      if (nrecv_left == 1)
-        for (std::size_t i = 0; i < recvs.size(); ++i) {
-          if (!recvs[i].valid()) continue;
-          recvs[i].wait();
-          trace_recv(i);
-          break;
-        }
+      for (; nrecv_left > 0; --nrecv_left)
+        trace_recv(mpi::wait_any(recvs).first);
     }
     if (fenced) comm_.barrier();
   }

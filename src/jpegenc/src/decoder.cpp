@@ -2,6 +2,7 @@
 #include <cmath>
 #include <memory>
 #include <optional>
+#include <string>
 
 #include "dct.hpp"
 #include "huffman.hpp"
@@ -267,6 +268,11 @@ img::RgbImage decode(std::span<const std::byte> file) {
             // Decode one block.
             std::array<int, 64> zz{};
             const int dc_cat = decode_symbol(br, dct_dc);
+            // 8-bit samples bound a DC difference to category 11 (T.81
+            // Table F.1); a larger symbol comes from a corrupt table.
+            if (dc_cat > 11)
+              throw Error("jpeg: DC category " + std::to_string(dc_cat) +
+                          " exceeds 11");
             const int diff = extend(br.bits(dc_cat), dc_cat);
             c.dc_pred += diff;
             zz[0] = c.dc_pred;

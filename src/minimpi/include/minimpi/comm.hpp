@@ -18,6 +18,8 @@
 ///
 /// Deviations from MPI, by design:
 ///   * sends are always buffered-eager (a send never blocks on the receiver);
+///   * the pending receives one wait_any() waits on must share one
+///     communicator;
 ///   * datatypes are mpi::Datatype values, not handles requiring commit;
 ///   * errors throw mpi::Error instead of returning codes.
 
@@ -73,6 +75,7 @@ class Request {
 
  private:
   friend class Comm;
+  friend std::pair<std::size_t, Status> wait_any(std::span<Request> reqs);
   enum class Kind { invalid, done_send, pending_recv };
 
   Kind kind_ = Kind::invalid;
@@ -111,7 +114,10 @@ struct StagingStats {
 std::vector<Status> wait_all(std::span<Request> reqs);
 
 /// Waits until at least one valid request completes; returns its index and
-/// status (MPI_Waitany). Throws if no request in `reqs` is valid.
+/// status (MPI_Waitany). Like wait(), it sleeps on the receiving rank's
+/// mailbox and is covered by the deadlock watchdog, so its pending receives
+/// must share one communicator (a deviation from MPI). Throws if no request
+/// in `reqs` is valid.
 std::pair<std::size_t, Status> wait_any(std::span<Request> reqs);
 
 /// Per-rank communicator handle.

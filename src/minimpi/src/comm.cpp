@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <functional>
-#include <thread>
 #include <cstring>
 #include <numeric>
 
@@ -189,7 +188,22 @@ class BlockGuard {
   bool on_ = false;
 };
 
-/// Blocks until a message matching (src, tag) is available and removes it.
+/// Returned by a wait's matcher for a message none of its receives accepts.
+constexpr std::size_t kNoMatch = static_cast<std::size_t>(-1);
+
+/// What await_match() found: which of the waiter's receives matched, the
+/// message's envelope, and the message itself (empty after a peek).
+struct Matched {
+  std::size_t which = 0;
+  Status status;
+  Message msg;
+};
+
+/// The blocking wait of every mailbox receive and probe: sleeps on `box`
+/// until it holds a message that `match` accepts — the first in arrival
+/// order for which match(msg) returns the index of a receive instead of
+/// kNoMatch — and returns it, removed from the mailbox or, with `peek`,
+/// left in it. `where` and `tag` label the wait in a deadlock report.
 ///
 /// Doubles as the deadlock watchdog: every waiter tracks the global progress
 /// counter, and when ALL live ranks are blocked while no message has been
@@ -197,20 +211,25 @@ class BlockGuard {
 /// progress again (only rank threads post messages). The first waiter to
 /// observe that declares an incident and every blocked rank throws
 /// ErrorClass::deadlock instead of hanging the process.
-Message take(Mailbox& box, World& w, int my_world, int src, int tag) {
+template <class Match>
+Matched await_match(Mailbox& box, World& w, int my_world, const char* where,
+                    int tag, bool peek, const Match& match) {
   using steady = std::chrono::steady_clock;
-  BlockGuard guard(w, my_world, "recv", tag);
+  BlockGuard guard(w, my_world, where, tag);
   std::uint64_t seen_progress = w.progress.load(std::memory_order_acquire);
   steady::time_point stable_since = steady::now();
   std::unique_lock lk(box.m);
   for (;;) {
     for (auto it = box.q.begin(); it != box.q.end(); ++it) {
-      if (matches(*it, src, tag)) {
-        Message m = std::move(*it);
+      const std::size_t which = match(*it);
+      if (which == kNoMatch) continue;
+      Matched m{which, Status{it->src, it->tag, it->payload.size()}, {}};
+      if (!peek) {
+        m.msg = std::move(*it);
         box.q.erase(it);
         w.note_progress();
-        return m;
       }
+      return m;
     }
     w.throw_if_deadlocked(my_world);
     if (w.aborted.load(std::memory_order_acquire)) throw_aborted();
@@ -233,6 +252,20 @@ Message take(Mailbox& box, World& w, int my_world, int src, int tag) {
     }
     box.cv.wait_for(lk, kAbortPollInterval);
   }
+}
+
+/// The matcher of one (src, tag) receive, for await_match().
+auto one_receive(int src, int tag) {
+  return [src, tag](const Message& m) {
+    return matches(m, src, tag) ? std::size_t{0} : kNoMatch;
+  };
+}
+
+/// Blocks until a message matching (src, tag) is available and removes it.
+Message take(Mailbox& box, World& w, int my_world, int src, int tag) {
+  return await_match(box, w, my_world, "recv", tag, /*peek=*/false,
+                     one_receive(src, tag))
+      .msg;
 }
 
 /// Non-blocking variant of take().
@@ -452,35 +485,13 @@ Status Comm::sendrecv(const void* sendbuf, std::size_t sendcount,
 
 Status Comm::probe(int source, int tag) const {
   require(valid(), ErrorClass::invalid_comm, "probe: invalid communicator");
-  using steady = std::chrono::steady_clock;
   World& w = *impl_->world;
   const int my_world = impl_->group[static_cast<std::size_t>(rank_)];
   fault_checkpoint(w, my_world);
   Mailbox& box = *impl_->user_box[static_cast<std::size_t>(rank_)];
-  BlockGuard guard(w, my_world, "probe", tag);
-  std::uint64_t seen_progress = w.progress.load(std::memory_order_acquire);
-  steady::time_point stable_since = steady::now();
-  std::unique_lock lk(box.m);
-  for (;;) {
-    for (const auto& m : box.q)
-      if (matches(m, source, tag)) return Status{m.src, m.tag, m.payload.size()};
-    w.throw_if_deadlocked(my_world);
-    if (w.aborted.load(std::memory_order_acquire)) throw_aborted();
-    guard.enter();
-    if (w.deadlock_grace_s > 0.0) {
-      const std::uint64_t p = w.progress.load(std::memory_order_acquire);
-      if (p != seen_progress) {
-        seen_progress = p;
-        stable_since = steady::now();
-      } else if (w.all_live_blocked() &&
-                 std::chrono::duration<double>(steady::now() - stable_since)
-                         .count() > w.deadlock_grace_s) {
-        w.declare_deadlock(my_world);
-        continue;
-      }
-    }
-    box.cv.wait_for(lk, kAbortPollInterval);
-  }
+  return await_match(box, w, my_world, "probe", tag, /*peek=*/true,
+                     one_receive(source, tag))
+      .status;
 }
 
 std::optional<Status> Comm::iprobe(int source, int tag) const {
@@ -515,8 +526,8 @@ std::optional<Status> Request::test() {
   Mailbox& box = *impl_->user_box[static_cast<std::size_t>(rank_)];
   std::optional<Message> msg = try_take(box, src_, tag_);
   if (!msg) {
-    // Keep test()-driven progress loops (wait_any, retry protocols) from
-    // spinning forever after another rank failed the run.
+    // Keep test()-driven progress loops (retry protocols) from spinning
+    // forever after another rank failed the run.
     if (impl_->world->aborted.load(std::memory_order_acquire)) throw_aborted();
     return std::nullopt;
   }
@@ -534,17 +545,36 @@ std::vector<Status> wait_all(std::span<Request> reqs) {
 }
 
 std::pair<std::size_t, Status> wait_any(std::span<Request> reqs) {
-  for (;;) {
-    bool any_valid = false;
-    for (std::size_t i = 0; i < reqs.size(); ++i) {
-      if (!reqs[i].valid()) continue;
-      any_valid = true;
-      if (auto s = reqs[i].test()) return {i, *s};
-    }
-    require(any_valid, ErrorClass::invalid_argument,
-            "wait_any: no valid requests");
-    std::this_thread::yield();
+  const Request* first = nullptr;
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    Request& r = reqs[i];
+    if (r.kind_ == Request::Kind::done_send) return {i, r.wait()};
+    if (r.kind_ != Request::Kind::pending_recv) continue;
+    if (first == nullptr) first = &r;
+    require(r.impl_ == first->impl_ && r.rank_ == first->rank_,
+            ErrorClass::invalid_argument,
+            "wait_any: pending receives must share one communicator");
   }
+  require(first != nullptr, ErrorClass::invalid_argument,
+          "wait_any: no valid requests");
+  const CommImpl& impl = *first->impl_;
+  const int rank = first->rank_;
+  const int my_world = impl.group[static_cast<std::size_t>(rank)];
+  fault_checkpoint(*impl.world, my_world);
+  Matched m = await_match(
+      *impl.user_box[static_cast<std::size_t>(rank)], *impl.world, my_world,
+      "wait_any", -1, /*peek=*/false, [&](const Message& msg) {
+        for (std::size_t i = 0; i < reqs.size(); ++i)
+          if (reqs[i].kind_ == Request::Kind::pending_recv &&
+              matches(msg, reqs[i].src_, reqs[i].tag_))
+            return i;
+        return kNoMatch;
+      });
+  Request& r = reqs[m.which];
+  const Status s =
+      complete_recv(impl, rank, std::move(m.msg), r.buf_, r.count_, r.type_);
+  r.kind_ = Request::Kind::invalid;
+  return {m.which, s};
 }
 
 // --- internal collective channel --------------------------------------------

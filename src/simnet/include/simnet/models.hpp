@@ -80,32 +80,6 @@ class LinkModel final : public mpi::NetworkModel {
     return world_rank / p_.ranks_per_node;
   }
 
-  // --- cost queries ---------------------------------------------------------
-  // Closed-form views of the model for planners and explain tools
-  // (ddrinfo --plan, the bench sweep): the same quantities the virtual
-  // clocks charge per message, but queryable without running an exchange.
-
-  /// End-to-end modeled cost of ONE message: sender injection + wire +
-  /// receiver drain. This is the per-lane quantity a cost-model planner sums
-  /// over a candidate backend's message schedule.
-  [[nodiscard]] double message_cost(std::size_t bytes, int src_world,
-                                    int dst_world) const {
-    return send_overhead(bytes) + transfer_time(bytes, src_world, dst_world) +
-           recv_overhead(bytes);
-  }
-
-  /// Bytes/second the model sustains for a message of this size between the
-  /// two ranks (saturation and link sharing included; infinite for 0 bytes).
-  [[nodiscard]] double effective_bandwidth_Bps(std::size_t bytes,
-                                               int src_world,
-                                               int dst_world) const {
-    if (bytes == 0) return p_.link_bandwidth_Bps;
-    const double wire = transfer_time(bytes, src_world, dst_world) -
-                        p_.latency_s;
-    return wire > 0.0 ? static_cast<double>(bytes) / wire
-                      : p_.link_bandwidth_Bps;
-  }
-
  private:
   LinkParams p_;
 };

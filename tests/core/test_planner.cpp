@@ -1,14 +1,17 @@
-// ddr::Planner tests: golden PlanDecision pins for the bench fixtures (the
-// planner must reproduce the measured winners), the wave scheduler of the
-// fused-lane executor's inter-node lanes, the budget-forced wave sequence,
-// and property tests that every lowering — flat and two-ranks-per-node
-// topology, with and without a staging budget, both completion orders — is
-// byte-identical to the paper's alltoallw path on random layouts while
-// keeping the staging pool's peak under the requested budget.
+// ddr::Planner tests: golden lowering pins for the bench fixtures (waves and
+// completion order), the wave scheduler of the fused-lane executor's
+// inter-node lanes, the budget-forced wave sequence, Backend::automatic
+// resolving to the fused-lane executor, and property tests that every
+// lowering — flat and two-ranks-per-node topology, with and without a
+// staging budget, both completion orders — is byte-identical to the paper's
+// alltoallw path on random layouts while keeping the staging pool's peak
+// under the requested budget.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <atomic>
 #include <cstring>
 #include <random>
 #include <span>
@@ -77,57 +80,117 @@ ddr::GlobalLayout bcast3d_layout(int side) {
   return layout;
 }
 
+/// The Cooley link model with two consecutive ranks per node.
+simnet::LinkModel two_per_node_cooley() {
+  simnet::LinkParams p = simnet::cooley_params();
+  p.ranks_per_node = 2;
+  return simnet::LinkModel(p);
+}
+
+/// One redistribute() over a layout: every rank's needed buffer (for
+/// byte-identity checks), every rank's plan().waves and effective_backend(),
+/// and the staging pool's peak over the exchange alone. The peak is
+/// restarted after setup, whose metadata allgathers would otherwise dominate
+/// small layouts, and the precondition agreement is off: its allreduce's
+/// 8-byte control messages are not exchange staging.
+struct RunResult {
+  std::vector<std::vector<std::byte>> out;
+  std::vector<int> waves;
+  std::vector<Backend> backend;
+  std::uint64_t peak = 0;
+};
+
+RunResult run_backend(const ddr::GlobalLayout& layout, Backend backend,
+                std::size_t budget, const mpi::NetworkModel* net = nullptr,
+                std::size_t elem_size = sizeof(float)) {
+  const int nranks = layout.nranks();
+  RunResult run;
+  run.out.resize(static_cast<std::size_t>(nranks));
+  run.waves.resize(static_cast<std::size_t>(nranks));
+  run.backend.resize(static_cast<std::size_t>(nranks));
+  mpi::RunOptions ropts;
+  ropts.network = net;
+  mpi::run(
+      nranks,
+      [&](mpi::Comm& comm) {
+        const auto rank = static_cast<std::size_t>(comm.rank());
+        ddr::Redistributor rd(comm, elem_size);
+        ddr::SetupOptions opts;
+        opts.backend = backend;
+        opts.peak_staging_bytes = budget;
+        opts.collective_error_agreement = false;
+        rd.setup(layout.owned[rank], layout.needed[rank], opts);
+        run.waves[rank] = rd.plan().waves;
+        run.backend[rank] = rd.effective_backend();
+
+        // An element is elem_size / 4 floats: the oracle value, then
+        // distinct offsets of it, so a misplaced float shows.
+        std::vector<float> own_data;
+        for (const auto& c : layout.owned[rank])
+          for (const float v : fill_chunk(c))
+            for (std::size_t j = 0; j < elem_size / sizeof(float); ++j)
+              own_data.push_back(v + 0.25f * static_cast<float>(j));
+        run.out[rank].resize(rd.needed_bytes());
+        comm.barrier();
+        if (rank == 0) comm.reset_staging_peak();
+        comm.barrier();
+        rd.redistribute(std::as_bytes(std::span<const float>(own_data)),
+                        std::span<std::byte>(run.out[rank]));
+        comm.barrier();
+        if (rank == 0) run.peak = comm.staging_stats().peak_live_bytes;
+      },
+      ropts);
+  return run;
+}
+
+/// Total payload of `lanes`.
+std::int64_t lane_bytes(const std::vector<ddr::ExchangeLane>& lanes) {
+  std::int64_t n = 0;
+  for (const ddr::ExchangeLane& l : lanes) n += l.bytes;
+  return n;
+}
+
 TEST(PlannerGolden, Strided3dPicksPipelined) {
   const ddr::GlobalLayout layout = strided3d_layout();
   const ddr::PlanDecision d =
       ddr::Planner::decide(layout, sizeof(float), nullptr, 0);
-  EXPECT_EQ(d.backend, Backend::point_to_point_pipelined);
-  EXPECT_EQ(d.shape, ddr::CollectiveShape::none);
   EXPECT_EQ(d.waves, 1);
   // 64 KB lanes clear the 32 KB threshold: the pipeline completion order.
   EXPECT_FALSE(d.post_all);
-  ASSERT_EQ(d.candidates.size(), 2u);
-  for (const ddr::CandidateCost& c : d.candidates) {
-    // Without a budget nothing is over budget; without a NetworkModel every
-    // peer is a different node, so every non-self byte is inter-node.
-    EXPECT_TRUE(c.feasible) << ddr::backend_name(c.backend);
-    EXPECT_EQ(c.inter_node_bytes, 786432) << ddr::backend_name(c.backend);
-    EXPECT_EQ(c.intra_node_bytes, 0) << ddr::backend_name(c.backend);
-  }
+  // Without a NetworkModel every peer is a different node, so every
+  // non-self byte rides an inter-node lane.
+  EXPECT_EQ(lane_bytes(ddr::inter_node_lanes(layout, sizeof(float))), 786432);
 }
 
 TEST(PlannerGolden, Rows2dPicksPostAllFusedLanes) {
   const ddr::PlanDecision d =
       ddr::Planner::decide(rows2d_layout(), sizeof(float), nullptr, 0);
-  EXPECT_EQ(d.backend, Backend::point_to_point_pipelined);
   EXPECT_TRUE(d.post_all);
-  EXPECT_STREQ(d.class_plans[2].lowering, "post_all");
-  EXPECT_EQ(d.shape, ddr::CollectiveShape::none);
+  EXPECT_EQ(d.waves, 1);
 }
 
-TEST(PlannerGolden, BroadcastShapeDetectedAsAllgather) {
-  const ddr::PlanDecision d =
-      ddr::Planner::decide(bcast3d_layout(32), sizeof(float), nullptr, 0);
-  EXPECT_EQ(d.shape, ddr::CollectiveShape::allgather);
-}
-
-TEST(PlannerGolden, ScatterAndGatherShapes) {
-  // One owner feeding per-rank slices: scatter. The transpose: gather.
-  ddr::GlobalLayout scatter;
-  scatter.owned = {{Chunk::d1(16, 0)}, {}, {}, {}};
-  for (int r = 0; r < 4; ++r)
-    scatter.needed.push_back({Chunk::d1(4, 4 * r)});
-  EXPECT_EQ(ddr::Planner::decide(scatter, 4, nullptr, 0).shape,
-            ddr::CollectiveShape::scatter);
-
-  ddr::GlobalLayout gather;
-  for (int r = 0; r < 4; ++r) {
-    gather.owned.push_back({Chunk::d1(4, 4 * r)});
-    gather.needed.push_back(r == 0 ? ddr::NeededLayout{Chunk::d1(16, 0)}
-                                   : ddr::NeededLayout{});
+TEST(PlannerGolden, AutomaticRunsFusedLanesOnATwoRankNode) {
+  // Two ranks on one node swap 8-float halves: rank 0 owns [0,8) and needs
+  // [8,16), rank 1 the reverse. The only non-self lanes are intra-node, and
+  // automatic still runs them through the fused-lane executor — byte for
+  // byte what alltoallw delivers.
+  const simnet::LinkModel model = two_per_node_cooley();
+  ddr::GlobalLayout layout;
+  for (int r = 0; r < 2; ++r) {
+    layout.owned.push_back({Chunk::d1(8, 8 * r)});
+    layout.needed.push_back({Chunk::d1(8, 8 * (1 - r))});
   }
-  EXPECT_EQ(ddr::Planner::decide(gather, 4, nullptr, 0).shape,
-            ddr::CollectiveShape::gather);
+  const auto want = run_backend(layout, Backend::alltoallw, 0, &model).out;
+  const RunResult got = run_backend(layout, Backend::automatic, 0, &model);
+  ASSERT_EQ(got.out.size(), want.size());
+  for (std::size_t r = 0; r < got.out.size(); ++r) {
+    EXPECT_EQ(got.backend[r], Backend::point_to_point_pipelined)
+        << "rank " << r;
+    ASSERT_EQ(got.out[r].size(), want[r].size()) << "rank " << r;
+    EXPECT_EQ(
+        std::memcmp(got.out[r].data(), want[r].data(), got.out[r].size()), 0)
+        << "rank " << r;
+  }
 }
 
 TEST(PlannerGolden, ResizeSlabLayoutIsDeterministic) {
@@ -150,26 +213,20 @@ TEST(PlannerGolden, ResizeSlabLayoutIsDeterministic) {
       ddr::Planner::decide(layout, sizeof(float), nullptr, 0);
   const ddr::PlanDecision b =
       ddr::Planner::decide(layout, sizeof(float), nullptr, 0);
-  EXPECT_EQ(a.backend, b.backend);
   EXPECT_EQ(a.waves, b.waves);
-  ASSERT_EQ(a.candidates.size(), b.candidates.size());
-  for (std::size_t i = 0; i < a.candidates.size(); ++i)
-    EXPECT_DOUBLE_EQ(a.candidates[i].predicted_s, b.candidates[i].predicted_s);
+  EXPECT_EQ(a.post_all, b.post_all);
 }
 
 TEST(PlannerGolden, LinkModelSplitsIntraNodeBytes) {
   // Under a two-ranks-per-node model, strided3d's lane to the node
-  // neighbour leaves the inter-node byte count: the planner must price it
-  // as zero-copy intra traffic, not link traffic.
-  simnet::LinkParams p = simnet::cooley_params();
-  p.ranks_per_node = 2;
-  const simnet::LinkModel model(p);
-  const ddr::PlanDecision d =
-      ddr::Planner::decide(strided3d_layout(), sizeof(float), &model, 0);
-  ASSERT_FALSE(d.candidates.empty());
-  EXPECT_EQ(d.candidates[0].inter_node_bytes + d.candidates[0].intra_node_bytes,
-            786432);
-  EXPECT_GT(d.candidates[0].intra_node_bytes, 0);
+  // neighbour leaves the inter-node lanes: it moves as zero-copy intra
+  // traffic, not link traffic, so the inter lanes carry part of the
+  // 786432 non-self bytes but not all of them.
+  const simnet::LinkModel model = two_per_node_cooley();
+  const std::int64_t inter = lane_bytes(
+      ddr::inter_node_lanes(strided3d_layout(), sizeof(float), &model));
+  EXPECT_GT(inter, 0);
+  EXPECT_LT(inter, 786432);
 }
 
 TEST(PlannerWaves, BudgetPartitionsLanes) {
@@ -213,75 +270,16 @@ TEST(PlannerWaves, BudgetPartitionsLanes) {
 }
 
 TEST(PlannerBudget, TightBudgetForcesCollective) {
-  // 90000 B is below the 98304 B one alltoallw round stages and the
-  // 786432 B every inter lane stages at once, so only the collective
-  // (wave-sequenced) lowering stays feasible: the fused-lane executor with
-  // its 64 KB inter lanes fenced one per wave.
-  const ddr::PlanDecision d =
-      ddr::Planner::decide(strided3d_layout(), sizeof(float), nullptr, 90000);
-  EXPECT_EQ(d.backend, Backend::point_to_point_pipelined);
-  EXPECT_EQ(d.waves, 12);
-  EXPECT_LE(d.predicted_peak_staging, 90000u);
-  EXPECT_STREQ(d.class_plans[2].lowering, "fenced_waves");
-  for (const ddr::CandidateCost& c : d.candidates) {
-    if (c.backend == Backend::alltoallw)
-      EXPECT_STREQ(c.infeasible_reason, "over budget");
-    else
-      EXPECT_TRUE(c.feasible) << ddr::backend_name(c.backend);
-  }
-}
-
-/// One redistribute() over a layout: every rank's needed buffer (for
-/// byte-identity checks), every rank's plan().waves, and the staging pool's
-/// peak over the exchange alone. The peak is restarted after setup, whose
-/// metadata allgathers would otherwise dominate small layouts, and the
-/// precondition agreement is off: its allreduce's 8-byte control messages
-/// are not exchange staging.
-struct RunResult {
-  std::vector<std::vector<std::byte>> out;
-  std::vector<int> waves;
-  std::uint64_t peak = 0;
-};
-
-RunResult run_backend(const ddr::GlobalLayout& layout, Backend backend,
-                std::size_t budget, const mpi::NetworkModel* net = nullptr,
-                std::size_t elem_size = sizeof(float)) {
-  const int nranks = layout.nranks();
-  RunResult run;
-  run.out.resize(static_cast<std::size_t>(nranks));
-  run.waves.resize(static_cast<std::size_t>(nranks));
-  mpi::RunOptions ropts;
-  ropts.network = net;
-  mpi::run(
-      nranks,
-      [&](mpi::Comm& comm) {
-        const auto rank = static_cast<std::size_t>(comm.rank());
-        ddr::Redistributor rd(comm, elem_size);
-        ddr::SetupOptions opts;
-        opts.backend = backend;
-        opts.peak_staging_bytes = budget;
-        opts.collective_error_agreement = false;
-        rd.setup(layout.owned[rank], layout.needed[rank], opts);
-        run.waves[rank] = rd.plan().waves;
-
-        // An element is elem_size / 4 floats: the oracle value, then
-        // distinct offsets of it, so a misplaced float shows.
-        std::vector<float> own_data;
-        for (const auto& c : layout.owned[rank])
-          for (const float v : fill_chunk(c))
-            for (std::size_t j = 0; j < elem_size / sizeof(float); ++j)
-              own_data.push_back(v + 0.25f * static_cast<float>(j));
-        run.out[rank].resize(rd.needed_bytes());
-        comm.barrier();
-        if (rank == 0) comm.reset_staging_peak();
-        comm.barrier();
-        rd.redistribute(std::as_bytes(std::span<const float>(own_data)),
-                        std::span<std::byte>(run.out[rank]));
-        comm.barrier();
-        if (rank == 0) run.peak = comm.staging_stats().peak_live_bytes;
-      },
-      ropts);
-  return run;
+  // 90000 B is below the 786432 B every inter lane stages at once, so the
+  // fused-lane executor runs the collective (wave-sequenced) lowering: its
+  // 64 KB inter lanes fenced one per wave, and the measured peak within the
+  // budget.
+  const ddr::GlobalLayout layout = strided3d_layout();
+  EXPECT_EQ(ddr::Planner::decide(layout, sizeof(float), nullptr, 90000).waves,
+            12);
+  const RunResult got = run_backend(layout, Backend::automatic, 90000);
+  for (const int w : got.waves) EXPECT_EQ(w, 12);
+  EXPECT_LE(got.peak, 90000u);
 }
 
 TEST(PlannerProperty, CollectiveByteIdenticalToP2pUnderBudget) {
@@ -388,9 +386,6 @@ TEST(PlannerProperty, AllgatherLoweringCutsPeakStagingAtEqualBytes) {
   // with and without a budget, but the budgeted wave fences keep the pool's
   // concurrent footprint at a fraction of the all-at-once peak.
   const ddr::GlobalLayout layout = bcast3d_layout(32);
-  const ddr::PlanDecision d =
-      ddr::Planner::decide(layout, sizeof(float), nullptr, 0);
-  EXPECT_EQ(d.shape, ddr::CollectiveShape::allgather);
 
   // 12 lanes x 32 KB: unbudgeted, all 384 KB stage at once; a 64 KB budget
   // fences the sequence into waves of two lanes.
@@ -408,9 +403,9 @@ TEST(PlannerProperty, AllgatherLoweringCutsPeakStagingAtEqualBytes) {
 }
 
 TEST(PlannerProperty, AutomaticMatchesOracleAndExposesPlan) {
-  // Backend::automatic resolves at setup() and must stay oracle-correct on
-  // random layouts; the resolved decision is exposed through plan() and
-  // effective_backend().
+  // Backend::automatic resolves at setup() to the fused-lane executor and
+  // must stay oracle-correct on random layouts; the resolution is exposed
+  // through effective_backend() and the lowering through plan().
   std::mt19937 rng(929292);
   for (int trial = 0; trial < 5; ++trial) {
     const int nranks = 3 + static_cast<int>(rng() % 4);
@@ -435,9 +430,8 @@ TEST(PlannerProperty, AutomaticMatchesOracleAndExposesPlan) {
       ddr::SetupOptions opts;
       opts.backend = Backend::automatic;
       rd.setup(owned[rank], needed[rank], opts);
-      EXPECT_EQ(rd.effective_backend(), rd.plan().backend);
-      EXPECT_NE(rd.plan().backend, Backend::automatic);
-      EXPECT_EQ(rd.plan().candidates.size(), 2u);
+      EXPECT_EQ(rd.effective_backend(), Backend::point_to_point_pipelined);
+      EXPECT_EQ(rd.plan().waves, 1);
 
       std::vector<float> own_data;
       for (const auto& c : owned[rank]) {
@@ -469,73 +463,78 @@ TEST(PlannerProperty, AutomaticMatchesOracleAndExposesPlan) {
   }
 }
 
-simnet::LinkModel two_per_node_cooley() {
-  simnet::LinkParams p = simnet::cooley_params();
-  p.ranks_per_node = 2;
-  return simnet::LinkModel(p);
+/// Every rank's fused send lanes by class (self, intra, inter), summed over
+/// the communicator, and the wave count every rank agreed on, after an
+/// automatic setup() under `net` and `budget`.
+struct LaneCensus {
+  std::array<int, 3> lanes{};
+  int waves = 0;
+};
+
+LaneCensus lane_census(const ddr::GlobalLayout& layout,
+                       const mpi::NetworkModel* net, std::size_t budget) {
+  const int nranks = layout.nranks();
+  std::array<std::atomic<int>, 3> lanes{};
+  std::vector<int> waves(static_cast<std::size_t>(nranks));
+  mpi::RunOptions ropts;
+  ropts.network = net;
+  mpi::run(
+      nranks,
+      [&](mpi::Comm& comm) {
+        const auto rank = static_cast<std::size_t>(comm.rank());
+        ddr::Redistributor rd(comm, sizeof(float));
+        ddr::SetupOptions opts;
+        opts.backend = Backend::automatic;
+        opts.peak_staging_bytes = budget;
+        rd.setup(layout.owned[rank], layout.needed[rank], opts);
+        waves[rank] = rd.plan().waves;
+        for (const ddr::LaneClass c :
+             {ddr::LaneClass::self, ddr::LaneClass::intra,
+              ddr::LaneClass::inter})
+          lanes[static_cast<std::size_t>(c)] += rd.fused_lane_count(c);
+      },
+      ropts);
+  for (const int w : waves) EXPECT_EQ(w, waves[0]);
+  return {{lanes[0].load(), lanes[1].load(), lanes[2].load()}, waves[0]};
 }
 
 TEST(PlannerWaves, ClassPlansUnderTwoRanksPerNode) {
   // Two ranks per node on strided3d: the fused lane set splits across all
-  // three classes and the decision must expose a consistent partition —
-  // class rows in self/intra/inter order, bytes partitioning the total
-  // payload, the lowering per class, and a wave count over the inter lanes
-  // alone (the intra lanes move zero-copy and never compete for the budget).
+  // three classes — each rank's self lane, 4 intra-node and 8 inter-node
+  // lanes over the communicator — and the waves cover the inter lanes alone
+  // (the intra lanes move zero-copy and never compete for the budget).
   const simnet::LinkModel model = two_per_node_cooley();
-  const ddr::PlanDecision d = ddr::Planner::decide(
-      strided3d_layout(), sizeof(float), &model, 200000);
-  const ddr::CandidateCost* pipelined = nullptr;
-  for (const ddr::CandidateCost& c : d.candidates)
-    if (c.backend == Backend::point_to_point_pipelined) pipelined = &c;
-  ASSERT_NE(pipelined, nullptr);
-  EXPECT_TRUE(pipelined->feasible);
+  const ddr::GlobalLayout layout = strided3d_layout();
 
-  ASSERT_EQ(d.class_plans.size(), 3u);
-  EXPECT_EQ(d.class_plans[0].cls, ddr::LaneClass::self);
-  EXPECT_EQ(d.class_plans[1].cls, ddr::LaneClass::intra);
-  EXPECT_EQ(d.class_plans[2].cls, ddr::LaneClass::inter);
-  EXPECT_STREQ(d.class_plans[0].lowering, "copy_regions");
-  EXPECT_STREQ(d.class_plans[1].lowering, "ptr_publish");
-  EXPECT_STREQ(d.class_plans[2].lowering, "fenced_waves");
-  EXPECT_EQ(d.class_plans[1].lanes, 4);
-  EXPECT_EQ(d.class_plans[2].lanes, 8);
-  // Each rank's gathered brick covers its own interleaved slabs too: 64 KB
-  // of self traffic per rank, 256 KB across the communicator. Self + intra
-  // + inter partition the full 64^3 float payload.
-  EXPECT_EQ(d.class_plans[0].bytes, 262144);
-  EXPECT_EQ(d.class_plans[0].bytes + d.class_plans[1].bytes +
-                d.class_plans[2].bytes,
-            1048576);
-  // The intra/inter rows partition the non-self payload exactly as the
-  // candidate table's locality split does.
-  EXPECT_EQ(d.class_plans[1].bytes, pipelined->intra_node_bytes);
-  EXPECT_EQ(d.class_plans[2].bytes, pipelined->inter_node_bytes);
   // 8 inter lanes of 64 KB, three per 200000 B wave.
-  EXPECT_EQ(d.waves, 3);
+  const LaneCensus two = lane_census(layout, &model, 200000);
+  EXPECT_EQ(two.lanes, (std::array<int, 3>{4, 4, 8}));
+  EXPECT_EQ(two.waves, 3);
+  EXPECT_EQ(ddr::Planner::decide(layout, sizeof(float), &model, 200000).waves,
+            3);
 
-  // Without a NetworkModel every non-self peer is another node: the intra
-  // row stays empty, and without a budget the inter lanes are one
-  // pipelined wave.
-  const ddr::PlanDecision flat =
-      ddr::Planner::decide(strided3d_layout(), sizeof(float), nullptr, 0);
-  ASSERT_EQ(flat.class_plans.size(), 3u);
-  EXPECT_EQ(flat.class_plans[1].lanes, 0);
-  EXPECT_EQ(flat.class_plans[1].bytes, 0);
-  EXPECT_STREQ(flat.class_plans[2].lowering, "pipelined");
+  // Without a NetworkModel every non-self peer is another node: no intra
+  // lanes, and without a budget the inter lanes are one pipelined wave.
+  const LaneCensus flat = lane_census(layout, nullptr, 0);
+  EXPECT_EQ(flat.lanes, (std::array<int, 3>{4, 0, 12}));
   EXPECT_EQ(flat.waves, 1);
+  EXPECT_FALSE(
+      ddr::Planner::decide(layout, sizeof(float), nullptr, 0).post_all);
 }
 
 TEST(PlannerWaves, AutomaticUnderBudgetPicksWavedPipelined) {
   // Under a staging budget that rules out staging every inter lane at
-  // once, automatic picks the fused-lane executor with its inter lanes in
-  // waves; the intra lanes' bytes never stage, so the predicted peak is the
-  // largest wave plus one published pointer per intra lane.
+  // once, automatic runs the fused-lane executor with its inter lanes in
+  // waves; the intra lanes' bytes never stage, so the measured peak stays
+  // within the largest wave plus one published pointer per intra lane.
   const simnet::LinkModel model = two_per_node_cooley();
-  const ddr::PlanDecision d = ddr::Planner::decide(
-      strided3d_layout(), sizeof(float), &model, 200000);
-  EXPECT_EQ(d.backend, Backend::point_to_point_pipelined);
-  EXPECT_EQ(d.waves, 3);
-  EXPECT_EQ(d.predicted_peak_staging, 3u * 65536u + 4u * 8u);
+  const RunResult got =
+      run_backend(strided3d_layout(), Backend::automatic, 200000, &model);
+  for (std::size_t r = 0; r < got.waves.size(); ++r) {
+    EXPECT_EQ(got.backend[r], Backend::point_to_point_pipelined);
+    EXPECT_EQ(got.waves[r], 3);
+  }
+  EXPECT_LE(got.peak, 3u * 65536u + 4u * 8u);
 }
 
 TEST(PlannerWaves, ByteIdenticalOnBenchCasesUnderTwoRanksPerNode) {
@@ -568,7 +567,7 @@ TEST(PlannerWaves, ByteIdenticalOnBenchCasesUnderTwoRanksPerNode) {
 
 TEST(PlannerWaves, CrossRankAgreementUnderTwoRanksPerNode) {
   // Protocol consistency: every rank must resolve the identical backend,
-  // wave count and per-class partition — a divergent wave schedule would
+  // wave count and completion order — a divergent wave schedule would
   // deadlock the fenced execution. The decision is a pure function of the
   // allgathered layout, so every rank's plan() must equal, field by field,
   // the offline decide() that ddrinfo --plan prints.
@@ -589,7 +588,7 @@ TEST(PlannerWaves, CrossRankAgreementUnderTwoRanksPerNode) {
           opts.peak_staging_bytes = budget;
           rd.setup(layout.owned[rank], layout.needed[rank], opts);
           plans[rank] = rd.plan();
-          EXPECT_EQ(rd.effective_backend(), rd.plan().backend);
+          EXPECT_EQ(rd.effective_backend(), Backend::point_to_point_pipelined);
         },
         ropts);
     const ddr::PlanDecision want =
@@ -598,36 +597,8 @@ TEST(PlannerWaves, CrossRankAgreementUnderTwoRanksPerNode) {
       SCOPED_TRACE("budget " + std::to_string(budget) + " rank " +
                    std::to_string(r));
       const ddr::PlanDecision& got = plans[static_cast<std::size_t>(r)];
-      EXPECT_EQ(got.backend, want.backend);
-      EXPECT_EQ(got.predicted_s, want.predicted_s);
-      EXPECT_EQ(got.predicted_peak_staging, want.predicted_peak_staging);
-      EXPECT_EQ(got.shape, want.shape);
       EXPECT_EQ(got.waves, want.waves);
       EXPECT_EQ(got.post_all, want.post_all);
-      ASSERT_EQ(got.class_plans.size(), want.class_plans.size());
-      for (std::size_t i = 0; i < want.class_plans.size(); ++i) {
-        const ddr::ClassPlan& a = got.class_plans[i];
-        const ddr::ClassPlan& b = want.class_plans[i];
-        EXPECT_EQ(a.cls, b.cls);
-        EXPECT_EQ(a.lanes, b.lanes);
-        EXPECT_EQ(a.bytes, b.bytes);
-        EXPECT_EQ(a.predicted_s, b.predicted_s);
-        EXPECT_STREQ(a.lowering, b.lowering);
-      }
-      ASSERT_EQ(got.candidates.size(), want.candidates.size());
-      for (std::size_t i = 0; i < want.candidates.size(); ++i) {
-        const ddr::CandidateCost& a = got.candidates[i];
-        const ddr::CandidateCost& b = want.candidates[i];
-        EXPECT_EQ(a.backend, b.backend);
-        EXPECT_EQ(a.predicted_s, b.predicted_s);
-        EXPECT_EQ(a.messages, b.messages);
-        EXPECT_EQ(a.inter_node_bytes, b.inter_node_bytes);
-        EXPECT_EQ(a.intra_node_bytes, b.intra_node_bytes);
-        EXPECT_EQ(a.self_bytes, b.self_bytes);
-        EXPECT_EQ(a.predicted_peak_staging, b.predicted_peak_staging);
-        EXPECT_EQ(a.feasible, b.feasible);
-        EXPECT_STREQ(a.infeasible_reason, b.infeasible_reason);
-      }
     }
   }
 }

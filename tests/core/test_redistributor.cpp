@@ -295,25 +295,6 @@ TEST(Redistributor, SetupRejectsIncompleteOwnedLayout) {
                ddr::Error);
 }
 
-TEST(Redistributor, ValidationCanBeDisabled) {
-  // With validation off, a hole on the owned side is legal; the uncovered
-  // part of the needed box simply keeps its previous contents.
-  mpi::run(2, [](mpi::Comm& comm) {
-    Redistributor r(comm, sizeof(float));
-    const ddr::OwnedLayout own{comm.rank() == 0 ? Chunk::d1(8, 0)
-                                                : Chunk::d1(4, 12)};
-    ddr::SetupOptions opts;
-    opts.validate_owned_layout = false;
-    r.setup(own, Chunk::d1(16, 0), opts);
-    std::vector<float> own_data = fill_chunk(own[0]);
-    std::vector<float> need(16, -7.0f);
-    r.redistribute(bytes_of(own_data), bytes_of(need));
-    EXPECT_EQ(need[0], oracle_value(0, 0, 0));
-    EXPECT_EQ(need[8], -7.0f);  // hole untouched
-    EXPECT_EQ(need[12], oracle_value(12, 0, 0));
-  });
-}
-
 TEST(Redistributor, RedistributeBeforeSetupThrows) {
   EXPECT_THROW(mpi::run(1,
                         [](mpi::Comm& comm) {

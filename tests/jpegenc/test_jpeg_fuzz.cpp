@@ -6,6 +6,7 @@
 
 #include <cmath>
 #include <random>
+#include <string>
 
 #include "jpegenc/jpeg.hpp"
 
@@ -85,6 +86,47 @@ TEST(JpegFuzz, GarbageWithForgedSoi) {
     junk[0] = std::byte{0xff};
     junk[1] = std::byte{0xd8};
     decode_must_not_crash(junk);
+  }
+}
+
+TEST(JpegFuzz, OversizedDcCategoryRejected) {
+  // A corrupt DHT segment can carry any byte as a DC symbol; the decoder
+  // must reject a category past 11 before reading its magnitude bits, not
+  // shift an int by it.
+  auto file = sample_stream();
+  int rewritten = 0;
+  for (std::size_t pos = 2; pos + 4 <= file.size();) {
+    ASSERT_EQ(file[pos], std::byte{0xff});
+    const auto code = static_cast<std::uint8_t>(file[pos + 1]);
+    const std::size_t len = (static_cast<std::size_t>(file[pos + 2]) << 8) |
+                            static_cast<std::size_t>(file[pos + 3]);
+    if (code == 0xda) break;  // SOS: the tables are all behind us
+    if (code == 0xc4) {
+      // DHT: [class/id][16 code-length counts][symbols], possibly repeated.
+      std::size_t t = pos + 4;
+      while (t < pos + 2 + len) {
+        const bool dc = (static_cast<std::uint8_t>(file[t]) >> 4) == 0;
+        std::size_t nsym = 0;
+        for (std::size_t i = 1; i <= 16; ++i)
+          nsym += static_cast<std::size_t>(file[t + i]);
+        if (dc)
+          for (std::size_t i = 0; i < nsym; ++i) {
+            file[t + 17 + i] = std::byte{174};
+            ++rewritten;
+          }
+        t += 17 + nsym;
+      }
+    }
+    pos += 2 + len;
+  }
+  ASSERT_GT(rewritten, 0) << "no DC table found in the sample stream";
+  try {
+    (void)jpeg::decode(file);
+    FAIL() << "a DC category of 174 decoded";
+  } catch (const jpeg::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("DC category 174"),
+              std::string::npos)
+        << e.what();
   }
 }
 

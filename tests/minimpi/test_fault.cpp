@@ -113,6 +113,36 @@ TEST(Fault, ApplicationDeadlockDetectedWithoutFaultModel) {
   EXPECT_EQ(deadlocked.load(), 2);
 }
 
+TEST(Fault, WaitAnyDeadlockDetectedWithoutFaultModel) {
+  // wait_any blocks like recv: rank 0 waits on two receives from rank 1,
+  // which never sends, and the watchdog must name the wait instead of
+  // letting it poll forever.
+  mpi::RunOptions opts;
+  opts.deadlock_grace_s = 0.1;
+  std::atomic<int> deadlocked{0};
+  mpi::run(
+      2,
+      [&](Comm& comm) {
+        if (comm.rank() == 1) return;
+        int a = -1, b = -1;
+        std::vector<mpi::Request> r;
+        r.push_back(comm.irecv(&a, 1, Datatype::of<int>(), 1, 5));
+        r.push_back(comm.irecv(&b, 1, Datatype::of<int>(), 1, 6));
+        try {
+          (void)mpi::wait_any(r);
+          FAIL() << "wait_any with no matching send returned";
+        } catch (const mpi::Error& e) {
+          EXPECT_EQ(e.error_class(), mpi::ErrorClass::deadlock);
+          EXPECT_NE(std::string(e.what()).find("0:wait_any"),
+                    std::string::npos)
+              << e.what();
+          deadlocked.fetch_add(1);
+        }
+      },
+      opts);
+  EXPECT_EQ(deadlocked.load(), 1);
+}
+
 TEST(Fault, WatchdogDisabledLeavesAbortSemanticsIntact) {
   // With the watchdog off, the classic abort path must still work: one rank
   // throws, the blocked rank is woken with the abort error.

@@ -72,9 +72,9 @@ TEST(ReshardAccounting, MatchesComputeStatsOnRandomChanges) {
 TEST(ReshardProperty, ChangesConserveBytesAndPlannerAgreesAcrossRanks) {
   // Live end-to-end on >= 3 rank counts: every destination shard receives
   // exactly the oracle values its chunk covers, the measured MappingStats
-  // equal the analytic accounting, and the PlanDecision every rank derived
-  // under Backend::automatic is identical (the protocol-consistency
-  // invariant the planner documents).
+  // equal the analytic accounting, and the backend and PlanDecision every
+  // rank derived under Backend::automatic are identical (the
+  // protocol-consistency invariant the planner documents).
   for (const int nranks : {2, 4, 6}) {
     ReshardSampler sampler(9100u + static_cast<unsigned>(nranks), nranks, 3,
                            {nranks + 9, nranks + 5, nranks + 7},
@@ -86,6 +86,7 @@ TEST(ReshardProperty, ChangesConserveBytesAndPlannerAgreesAcrossRanks) {
 
       std::mutex mu;
       std::vector<ddr::PlanDecision> plans(static_cast<std::size_t>(nranks));
+      std::vector<Backend> backends(static_cast<std::size_t>(nranks));
       mpi::run(nranks, [&](mpi::Comm& comm) {
         const int rank = comm.rank();
         ddr::Redistributor rd(comm, p.elem_size);
@@ -114,12 +115,14 @@ TEST(ReshardProperty, ChangesConserveBytesAndPlannerAgreesAcrossRanks) {
 
         std::lock_guard lk(mu);
         plans[static_cast<std::size_t>(rank)] = rd.plan();
+        backends[static_cast<std::size_t>(rank)] = rd.effective_backend();
       });
 
       for (int r = 1; r < nranks; ++r) {
         const auto& p0 = plans[0];
         const auto& pr = plans[static_cast<std::size_t>(r)];
-        EXPECT_EQ(p0.backend, pr.backend) << "rank " << r;
+        EXPECT_EQ(backends[0], backends[static_cast<std::size_t>(r)])
+            << "rank " << r;
         EXPECT_EQ(p0.waves, pr.waves) << "rank " << r;
       }
     }

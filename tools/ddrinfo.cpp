@@ -18,34 +18,31 @@
 //                 run-compressed quad totals for the per-round alltoallw
 //                 backend and the pipelined backend's fused per-peer lanes
 //                 side by side, plus its per-rank receive-window depth,
-//                 each fused lane's locality class (self/intra/inter), the
-//                 pack kernel runtime dispatch selected on this host, and
-//                 the planner's per-candidate self/intra/inter byte split
-//                 (the same ddr::Planner numbers --plan decides from, so
-//                 the two views reconcile by construction)
-//     --plan      run the cost-model planner (ddr::Planner) over the layout
-//                 and print its decision — chosen backend, collective shape,
-//                 wave count, and the per-class lowering the
-//                 fused-lane executor runs — plus a per-candidate table of
-//                 predicted vs MEASURED cost: each candidate backend is
-//                 actually executed under the threaded runtime and its
-//                 median wall-clock (or virtual makespan when a link model
-//                 is installed via --ranks-per-node > 1) and measured peak
-//                 staging are printed next to the predictions
+//                 each fused lane's locality class (self/intra/inter) with
+//                 per-class lane and byte totals, and the pack kernel the
+//                 runtime dispatch selected on this host
+//     --plan      print the lowering ddr::Planner derives for the
+//                 fused-lane executor (what Backend::automatic runs) —
+//                 inter-node lanes and bytes, waves, completion order, and
+//                 the per-class lowering — then execute both executors
+//                 (the fused lanes and alltoallw) under the threaded
+//                 runtime and print each one's measured time per call
+//                 (median wall-clock, or virtual makespan when a link model
+//                 is installed via --ranks-per-node > 1), data messages per
+//                 call and measured peak staging
 //     --budget BYTES
 //                 peak-staging budget handed to the planner and to every
 //                 measured run (SetupOptions::peak_staging_bytes): bounds
-//                 the pipelined backend's wave payloads and marks
-//                 over-budget candidates infeasible
+//                 the fused-lane executor's wave payloads; --plan marks
+//                 each measured peak within or over it
 //     --ranks-per-node N
-//                 node topology for the --cost locality classes and the
-//                 --plan cost model: consecutive ranks share a node in
-//                 groups of N (the blocked placement simnet::LinkModel
-//                 models). Default 1: every rank is its own node, so every
-//                 non-self lane is inter-node and --plan prices with the
-//                 calibrated software constants. With N > 1 a Cooley-preset
-//                 simnet::LinkModel drives both the planner and the
-//                 measured runs' virtual clocks.
+//                 node topology for the --cost locality classes and --plan:
+//                 consecutive ranks share a node in groups of N (the
+//                 blocked placement simnet::LinkModel models). Default 1:
+//                 every rank is its own node, so every non-self lane is
+//                 inter-node. With N > 1 a Cooley-preset simnet::LinkModel
+//                 drives both the planner's node map and the measured
+//                 runs' virtual clocks.
 //     --trace F   actually run one redistribute() per backend (alltoallw,
 //                 pipelined) under the threaded runtime with
 //                 tracing on, write the merged Chrome-trace JSON to F (load
@@ -73,6 +70,7 @@
 //   rank own 8x1@0,3 own 8x1@0,7 need 4x4@4,4
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -158,18 +156,53 @@ ddr::LayoutSpec make_workload(const std::string& name, int gx, int gy, int gz,
                    "' (expected pencil or reshard)");
 }
 
-const char* shape_name(ddr::CollectiveShape s) {
-  switch (s) {
-    case ddr::CollectiveShape::none:
-      return "none";
-    case ddr::CollectiveShape::allgather:
-      return "allgather";
-    case ddr::CollectiveShape::scatter:
-      return "scatter";
-    case ddr::CollectiveShape::gather:
-      return "gather";
+/// Locality class of the fused lane rank `r` sends to `peer` when
+/// consecutive ranks share a node in groups of `ranks_per_node` (the blocked
+/// placement simnet::LinkModel models): 0 self, 1 intra, 2 inter.
+std::size_t lane_class(int r, int peer, int ranks_per_node) {
+  if (peer == r) return 0;
+  return peer / ranks_per_node == r / ranks_per_node ? 1 : 2;
+}
+
+const char* const kClassNames[] = {"self", "intra", "inter"};
+
+/// Every rank's fused send lanes and their payload bytes by locality class,
+/// and the non-empty per-round sends the alltoallw backend posts instead.
+struct LaneTotals {
+  std::array<std::int64_t, 3> lanes{};
+  std::array<std::int64_t, 3> bytes{};
+  std::int64_t round_messages = 0;
+};
+
+LaneTotals lane_totals(const ddr::LayoutSpec& spec, int ranks_per_node) {
+  LaneTotals t;
+  for (int r = 0; r < spec.layout.nranks(); ++r) {
+    const ddr::DataMapping m =
+        ddr::build_mapping(spec.layout, r, spec.elem_size);
+    for (const ddr::PeerLane& lane : m.fused_send) {
+      const std::size_t c = lane_class(r, lane.peer, ranks_per_node);
+      ++t.lanes[c];
+      t.bytes[c] += lane.bytes;
+    }
+    for (const ddr::RoundPlan& rp : m.rounds)
+      for (std::size_t q = 0; q < rp.sendcounts.size(); ++q)
+        if (rp.sendcounts[q] > 0 && static_cast<int>(q) != r)
+          ++t.round_messages;
   }
-  return "unknown";
+  return t;
+}
+
+/// Prints one row per locality class; `lowering` (optional) names what the
+/// fused-lane executor does with each class.
+void print_classes(const LaneTotals& t, const char* const* lowering) {
+  std::printf("  %-6s %6s %12s%s\n", "class", "lanes", "bytes",
+              lowering != nullptr ? "  lowering" : "");
+  for (std::size_t c = 0; c < 3; ++c)
+    std::printf("  %-6s %6lld %12lld%s%s\n", kClassNames[c],
+                static_cast<long long>(t.lanes[c]),
+                static_cast<long long>(t.bytes[c]),
+                lowering != nullptr ? "  " : "",
+                lowering != nullptr ? lowering[c] : "");
 }
 
 /// Detailed check of the paper's send-side contract: owned chunks must be
@@ -283,8 +316,8 @@ int run_validate(const ddr::LayoutSpec& spec) {
 /// pipelined backend's receive-window depth: how many per-peer lane receives
 /// it posts up front (every round stitched per peer) before any data moves.
 /// After the table, each fused lane's locality class under a
-/// `ranks_per_node`-blocked topology and the pack kernel the runtime
-/// dispatch selected on this host.
+/// `ranks_per_node`-blocked topology, the lanes and bytes per class, and the
+/// pack kernel the runtime dispatch selected on this host.
 int run_cost(const ddr::LayoutSpec& spec, int ranks_per_node) {
   const ddr::GlobalLayout& layout = spec.layout;
   std::printf("layout: %d ranks, %dD, %zu-byte elements\n", layout.nranks(),
@@ -387,59 +420,37 @@ int run_cost(const ddr::LayoutSpec& spec, int ranks_per_node) {
     std::printf("  rank %d:", r);
     bool any = false;
     for (const ddr::PeerLane& lane : m.fused_send) {
-      const char* cls = lane.peer == r ? "self"
-                        : lane.peer / ranks_per_node == r / ranks_per_node
-                            ? "intra"
-                            : "inter";
-      std::printf("%s ->%d %s%s", any ? "," : "", lane.peer, cls,
-                  std::strcmp(cls, "inter") != 0 ? " (zero-copy)" : "");
+      const std::size_t c = lane_class(r, lane.peer, ranks_per_node);
+      std::printf("%s ->%d %s%s", any ? "," : "", lane.peer, kClassNames[c],
+                  c != 2 ? " (zero-copy)" : "");
       any = true;
     }
     std::printf("%s\n", any ? "" : " (no send lanes)");
   }
+  std::printf("\nfused lane totals (ranks_per_node=%d; intra-node bytes move "
+              "zero-copy on the pipelined backend, so only inter-node bytes "
+              "are packed and pay the link):\n",
+              ranks_per_node);
+  print_classes(lane_totals(spec, ranks_per_node), nullptr);
 
   std::printf("\npack kernel: %s (runtime-dispatched; override with "
               "MINIMPI_PACK_KERNEL=scalar|sse2|avx2|auto)\n",
               mpi::pack_kernel_name().c_str());
 
-  // Planner's per-candidate byte split under the same blocked topology as
-  // the locality section above. --cost's static accounting and --plan's
-  // decision come from the same ddr::Planner call, so the self/intra/inter
-  // partition printed here is exactly what the planner priced.
-  simnet::LinkParams lp = simnet::cooley_params();
-  lp.ranks_per_node = ranks_per_node;
-  const simnet::LinkModel lm(lp);
-  const ddr::PlanDecision d = ddr::Planner::decide(
-      layout, spec.elem_size, ranks_per_node > 1 ? &lm : nullptr, 0);
-  std::printf("\ncandidate byte split (ranks_per_node=%d):\n", ranks_per_node);
-  std::printf("  %-26s %6s %10s %10s %10s %12s\n", "backend", "msgs", "self B",
-              "intra B", "inter B", "pred peak B");
-  for (const ddr::CandidateCost& c : d.candidates)
-    std::printf("  %c %-24s %6lld %10lld %10lld %10lld %12zu\n",
-                c.backend == d.backend ? '*' : ' ',
-                ddr::backend_name(c.backend),
-                static_cast<long long>(c.messages),
-                static_cast<long long>(c.self_bytes),
-                static_cast<long long>(c.intra_node_bytes),
-                static_cast<long long>(c.inter_node_bytes),
-                c.predicted_peak_staging);
-  std::printf("  * = the backend --plan chooses here (shape %s); intra-node "
-              "bytes move zero-copy on the pipelined backend, so only "
-              "inter-node bytes are packed and pay the link\n",
-              shape_name(d.shape));
   return 0;
 }
 
-/// --plan: runs the cost-model planner over the layout, prints its decision,
-/// then EXECUTES every candidate backend under the threaded runtime to put a
-/// measured number next to each prediction. Without --ranks-per-node the
-/// measurement is median host wall-clock per call (compare rankings, not
-/// magnitudes — the predictions use the calibrated software constants); with
-/// --ranks-per-node N > 1 a Cooley-preset simnet::LinkModel is installed and
-/// both columns live in the same regime: predicted model cost vs the virtual
-/// makespan the model's clocks actually charged. The measured peak column is
-/// the staging pool's high-water mark (mpi::StagingStats::peak_live_bytes),
-/// the quantity a --budget bounds.
+/// --plan: prints the lowering ddr::Planner derives for the fused-lane
+/// executor — the executor Backend::automatic runs — then EXECUTES both
+/// executors under the threaded runtime and prints what each one measured.
+/// Without --ranks-per-node the measurement is median host wall-clock per
+/// call (compare executors, not hosts); with --ranks-per-node N > 1 a
+/// Cooley-preset simnet::LinkModel is installed and the measurement is the
+/// virtual makespan the model's clocks charged. The msgs column counts data
+/// messages per call (alltoallw's non-empty per-round sends; one payload per
+/// inter-node lane plus a pointer and an ack per intra-node lane), and the
+/// peak column is the staging pool's high-water mark
+/// (mpi::StagingStats::peak_live_bytes), the quantity a --budget bounds.
 int run_plan(const ddr::LayoutSpec& spec, int ranks_per_node,
              std::size_t budget) {
   const ddr::GlobalLayout& layout = spec.layout;
@@ -454,40 +465,43 @@ int run_plan(const ddr::LayoutSpec& spec, int ranks_per_node,
 
   const ddr::PlanDecision d =
       ddr::Planner::decide(layout, spec.elem_size, net, budget);
+  std::int64_t largest = 0;
+  for (const ddr::ExchangeLane& l :
+       ddr::inter_node_lanes(layout, spec.elem_size, net))
+    largest = std::max(largest, l.bytes);
+  const LaneTotals t = lane_totals(spec, ranks_per_node);
 
   if (net != nullptr)
     std::printf("\nplan (cooley link model, ranks_per_node=%d):\n",
                 ranks_per_node);
   else
-    std::printf("\nplan (software-regime constants; every rank its own "
-                "node):\n");
-  std::printf("  chosen backend   : %s\n", ddr::backend_name(d.backend));
-  std::printf("  collective shape : %s\n", shape_name(d.shape));
+    std::printf("\nplan (every rank its own node):\n");
+  std::printf("  automatic runs   : %s\n",
+              ddr::backend_name(ddr::Backend::point_to_point_pipelined));
+  std::printf("  inter lanes      : %lld lanes, %lld B (largest %lld B)\n",
+              static_cast<long long>(t.lanes[2]),
+              static_cast<long long>(t.bytes[2]),
+              static_cast<long long>(largest));
   if (budget > 0)
     std::printf("  staging budget   : %zu B -> %d wave(s)\n", budget, d.waves);
   else
     std::printf("  staging budget   : unlimited -> %d wave(s)\n", d.waves);
-  std::printf("  predicted        : %.3f ms/call, peak staging %zu B\n",
-              d.predicted_s * 1e3, d.predicted_peak_staging);
+  std::printf("  completion order : %s (largest inter lane %s %lld B)\n",
+              d.post_all ? "post_all" : "pipelined",
+              d.post_all ? "<" : ">=",
+              static_cast<long long>(ddr::kPostAllLaneBytes));
 
-  // The per-peer-class partition of the fused lane set and the lowering the
-  // fused-lane executor gives each class (self lanes count ranks with self
-  // traffic; intra lanes ride the zero-copy pointer publication; inter
-  // lanes complete post_all below kPostAllLaneBytes, pipelined above it,
-  // in fenced waves when a budget is set).
+  // The lowering the fused-lane executor gives each class: self lanes copy
+  // in place, intra lanes ride the zero-copy pointer publication, inter
+  // lanes complete post_all below kPostAllLaneBytes, pipelined above it, in
+  // fenced waves when a budget is set.
+  const char* const lowering[] = {
+      "copy_regions", "ptr_publish",
+      budget > 0 ? "fenced_waves" : d.post_all ? "post_all" : "pipelined"};
   std::printf("\nper-peer-class partition (fused-lane lowering, %d inter "
               "wave(s)):\n",
               d.waves);
-  std::printf("  %-6s %6s %12s %9s  %s\n", "class", "lanes", "bytes",
-              "pred ms", "lowering");
-  const char* cls_names[] = {"self", "intra", "inter"};
-  for (std::size_t i = 0; i < d.class_plans.size() && i < 3; ++i) {
-    const ddr::ClassPlan& cp = d.class_plans[i];
-    std::printf("  %-6s %6lld %12lld %9.3f  %s\n", cls_names[i],
-                static_cast<long long>(cp.lanes),
-                static_cast<long long>(cp.bytes), cp.predicted_s * 1e3,
-                cp.lowering);
-  }
+  print_classes(t, lowering);
 
   const int reps = 15;
   struct Measured {
@@ -531,9 +545,8 @@ int run_plan(const ddr::LayoutSpec& spec, int ranks_per_node,
         },
         ro);
     if (net != nullptr) {
-      // Virtual makespan per call (inter-rep barriers included): the same
-      // quantity the model's clocks charge, directly comparable to the
-      // planner's prediction under the same model.
+      // Virtual makespan per call (inter-rep barriers included): the
+      // quantity the model's clocks charge.
       double mk = 0.0;
       for (const double x : vdelta) mk = std::max(mk, x);
       out.ms = mk / reps * 1e3;
@@ -544,28 +557,26 @@ int run_plan(const ddr::LayoutSpec& spec, int ranks_per_node,
     return out;
   };
 
-  std::printf("\ncandidates (measured = %s over %d calls; peak = staging-pool "
+  std::printf("\nexecutors (measured = %s over %d calls; peak = staging-pool "
               "high-water bytes):\n",
               net != nullptr ? "virtual makespan" : "median wall-clock", reps);
-  std::printf("  %-26s %9s %9s %6s %10s %10s %12s %12s\n", "backend",
-              "pred ms", "meas ms", "msgs", "inter B", "intra B", "pred peak",
+  std::printf("  %-26s %9s %6s %12s\n", "backend", "meas ms", "msgs",
               "meas peak");
-  for (const ddr::CandidateCost& c : d.candidates) {
-    const Measured m = measure(c.backend);
-    const std::string note =
-        c.feasible ? "" : std::string("  (") + c.infeasible_reason + ")";
-    std::printf("  %c %-24s %9.3f %9.3f %6lld %10lld %10lld %12zu %12llu%s\n",
-                c.backend == d.backend ? '*' : ' ',
-                ddr::backend_name(c.backend), c.predicted_s * 1e3, m.ms,
-                static_cast<long long>(c.messages),
-                static_cast<long long>(c.inter_node_bytes),
-                static_cast<long long>(c.intra_node_bytes),
-                c.predicted_peak_staging,
-                static_cast<unsigned long long>(m.peak), note.c_str());
+  const std::pair<ddr::Backend, std::int64_t> executors[] = {
+      {ddr::Backend::point_to_point_pipelined, t.lanes[2] + 2 * t.lanes[1]},
+      {ddr::Backend::alltoallw, t.round_messages}};
+  for (const auto& [b, msgs] : executors) {
+    const Measured m = measure(b);
+    const char* note = budget == 0        ? ""
+                       : m.peak <= budget ? "  (within budget)"
+                                          : "  (over budget)";
+    std::printf("  %c %-24s %9.3f %6lld %12llu%s\n",
+                b == ddr::Backend::point_to_point_pipelined ? '*' : ' ',
+                ddr::backend_name(b), m.ms, static_cast<long long>(msgs),
+                static_cast<unsigned long long>(m.peak), note);
   }
-  std::printf("\n* = chosen backend. Without a link model the predictions use "
-              "calibrated software constants while measurements are host "
-              "wall-clock: compare the ordering, not the magnitudes.\n");
+  std::printf("\n* = what Backend::automatic runs. alltoallw ignores the "
+              "staging budget.\n");
   return 0;
 }
 
