@@ -190,7 +190,8 @@ ddr::Chunk reshard_needed(int rank) {
 
 struct ConfigResult {
   std::string name;
-  /// For the "automatic" config: the backend ddr::Planner resolved to.
+  /// For the "automatic" config: the backend setup() resolved it to
+  /// (Redistributor::effective_backend(); always the fused-lane executor).
   std::string planned_backend;
   double median_ms = 0.0;  ///< rank 0's per-call median (the gates read it)
   double p95_ms = 0.0;
@@ -904,8 +905,10 @@ MixedPoint run_mixed_point(int reps) {
 // baseline it beats is deciding again every step. Two regimes:
 //   steady          one persistent PencilTimestepper, per-step median
 //   replan_per_step a fresh timestepper per step (construct + 1 step), so
-//                   every step re-runs the cost model and recompiles all
-//                   four transposes — decide-per-step
+//                   every step sets up all four transposes again: it
+//                   gathers the layouts, rebuilds and recompiles the fused
+//                   lanes and re-derives the lowering (Planner::decide) —
+//                   decide-per-step
 // Exit gate: steady <= 0.75 x replan_per_step.
 
 struct AmortizePoint {

@@ -55,10 +55,10 @@ struct DDR_DataDescriptor;
 ///                      comm.size())
 /// \param data_type     1D / 2D / 3D
 /// \param element_type  element type tag
-/// \param element_size  bytes per element
+/// \param element_size  bytes per element, in [1, 2^31)
 /// \param comm          communicator spanning the application's ranks
 /// \returns a descriptor to pass to the other DDR calls; release with
-///          DDR_FreeDataDescriptor.
+///          DDR_FreeDataDescriptor. Throws ddr::Error on a bad argument.
 DDR_DataDescriptor* DDR_NewDataDescriptor(int nprocs, DDR_DataType data_type,
                                           DDR_ElementType element_type,
                                           std::size_t element_size,
@@ -76,6 +76,8 @@ DDR_DataDescriptor* DDR_NewDataDescriptor(int nprocs, DDR_DataType data_type,
 /// \param dims_need     dimensions of the one needed chunk, ndims ints (P6)
 /// \param offsets_need  offsets of the needed chunk, ndims ints (P7)
 /// \param desc          the descriptor (P8)
+/// Throws ddr::Error, before reading it, on a null array that describes a
+/// chunk (dims_own/offsets_own may be null when chunks_own is 0).
 void DDR_SetupDataMapping(int rank, int nprocs, int chunks_own,
                           const int* dims_own, const int* offsets_own,
                           const int* dims_need, const int* offsets_need,
@@ -84,7 +86,8 @@ void DDR_SetupDataMapping(int rank, int nprocs, int chunks_own,
 /// Extension beyond the paper (its §V future work): like
 /// DDR_SetupDataMapping but the calling process may need SEVERAL chunks,
 /// packed consecutively in the destination buffer. `dims_need` and
-/// `offsets_need` hold chunks_need * ndims entries, mirroring P4/P5.
+/// `offsets_need` hold chunks_need * ndims entries, mirroring P4/P5. Null
+/// arrays are rejected as in DDR_SetupDataMapping.
 void DDR_SetupDataMappingMulti(int rank, int nprocs, int chunks_own,
                                const int* dims_own, const int* offsets_own,
                                int chunks_need, const int* dims_need,
@@ -94,7 +97,8 @@ void DDR_SetupDataMappingMulti(int rank, int nprocs, int chunks_own,
 /// Exchanges the data between processes with MPI_Alltoallw rounds
 /// (paper §III-C). Collective. `data_own` holds the owned chunks packed
 /// consecutively; `data_need` receives the needed chunk(s). May be called
-/// repeatedly as the data changes.
+/// repeatedly as the data changes. A null buffer counts as empty, so every
+/// rank throws ddr::Error when the layout needs bytes there.
 void DDR_ReorganizeData(int nprocs, const void* data_own, void* data_need,
                         DDR_DataDescriptor* desc);
 

@@ -1,9 +1,11 @@
 #pragma once
 
 /// \file mapping.hpp
-/// The data mapping: per-round send/receive plans derived from geometric
-/// overlap (paper §III-B), plus the communication-schedule statistics that
-/// Table III of the paper reports.
+/// The data mapping (paper §III-B): one geometric join of every owned chunk
+/// against every needed chunk (for_each_transfer), lowered into the fused
+/// per-peer lanes the point-to-point executor moves, into per-round
+/// alltoallw plans (§III-C), and folded into the communication-schedule
+/// statistics that Table III of the paper reports.
 
 #include <cstddef>
 #include <cstdint>
@@ -24,6 +26,33 @@ struct Transfer {
   Box region;            ///< global-domain coordinates of the overlap
   std::int64_t bytes = 0;
 };
+
+/// The overlap join: calls fn(const Transfer&) for every non-empty overlap
+/// of rank `sender`'s owned chunks with rank `receiver`'s needed chunks, in
+/// (round, needed-index) order — the packing order of every lane built from
+/// it, at both ends, so their byte streams match by construction.
+template <typename Fn>
+void for_each_transfer(const GlobalLayout& layout, int sender, int receiver,
+                       std::size_t elem_size, Fn&& fn) {
+  const OwnedLayout& owned = layout.owned[static_cast<std::size_t>(sender)];
+  const NeededLayout& needed =
+      layout.needed[static_cast<std::size_t>(receiver)];
+  Transfer t;
+  t.sender = sender;
+  t.receiver = receiver;
+  for (std::size_t k = 0; k < owned.size(); ++k) {
+    const Box cb = owned[k].box();
+    for (std::size_t j = 0; j < needed.size(); ++j) {
+      t.region = intersect(cb, needed[j].box());
+      const std::int64_t v = t.region.volume();
+      if (v <= 0) continue;
+      t.round = static_cast<int>(k);
+      t.needed_index = static_cast<int>(j);
+      t.bytes = v * static_cast<std::int64_t>(elem_size);
+      fn(static_cast<const Transfer&>(t));
+    }
+  }
+}
 
 /// Everything one rank contributes to one MPI_Alltoallw call.
 /// Arrays are indexed by peer rank, exactly as alltoallw consumes them.
@@ -63,11 +92,10 @@ struct MappingStats {
   std::int64_t transfer_count = 0;
 };
 
-/// One peer's fused point-to-point lane: every round's traffic between this
-/// rank and `peer` coalesced into a single struct-typed message (pieces in
-/// round order, so the sender's packed stream and the receiver's expected
-/// stream match by construction). Cuts the p2p message count from
-/// rounds x peers to peers for multi-chunk producers.
+/// One peer's fused point-to-point lane: every transfer between this rank
+/// and `peer`, in join order, coalesced into a single struct-typed message.
+/// Cuts the p2p message count from rounds x peers to peers for multi-chunk
+/// producers.
 struct PeerLane {
   int peer = -1;
   std::ptrdiff_t displ = 0;
@@ -75,47 +103,44 @@ struct PeerLane {
   std::int64_t bytes = 0;  ///< packed payload size of the lane
 };
 
-/// The complete mapping one rank holds after setup: one RoundPlan per
-/// alltoallw round, ready to execute repeatedly on dynamic data
-/// (paper §III-C: "set up ... is only required once as long as the layout of
-/// data remains consistent").
+/// The mapping one rank holds after setup, ready to execute repeatedly on
+/// dynamic data (paper §III-C: "set up ... is only required once as long as
+/// the layout of data remains consistent").
 struct DataMapping {
   int rank = -1;
   int nranks = 0;
-  std::size_t elem_size = 0;
-  std::vector<RoundPlan> rounds;
 
-  /// Round-fused lanes (one per peer with any traffic, self included),
-  /// sorted by peer. Used by Backend::point_to_point_pipelined.
+  /// Fused lanes (one per peer with any traffic, self included), sorted by
+  /// peer. Moved by Backend::point_to_point_pipelined.
   std::vector<PeerLane> fused_send, fused_recv;
 
   /// Total bytes of the local owned buffer (all chunks concatenated).
   std::size_t owned_bytes = 0;
   /// Total bytes of the local needed buffer.
   std::size_t needed_bytes = 0;
-
-  /// The local owned / needed chunks the plans were built for.
-  OwnedLayout owned;
-  NeededLayout needed;
 };
 
 /// Builds rank `rank`'s mapping from the full layout. Deterministic, no
 /// communication: every rank derives identical global knowledge from
-/// `layout` (the communicator-based setup allgathers layouts first).
-/// Compiles the fused lanes' segment plans; a per-round lane compiles on
-/// first use, or in Redistributor::setup() when a per-round executor runs.
+/// `layout` (the communicator-based setup allgathers layouts first). Each
+/// fused lane collapses its pair's transfers straight from the join, typed
+/// on this rank's owned chunks (send) or needed chunks (receive). Compiles
+/// nothing; Redistributor::setup() compiles the lanes its executor moves.
 [[nodiscard]] DataMapping build_mapping(const GlobalLayout& layout, int rank,
                                         std::size_t elem_size);
 
-/// Rebuilds, on ANY rank, the fused send lane that rank `sender` aims at
-/// rank `receiver` — byte-stream-identical to the PeerLane with peer ==
-/// receiver that build_mapping(layout, sender, elem_size) produces, because
-/// both mirror the same deterministic send-side enumeration of the
-/// allgathered layout. Returns peer == -1 (empty type) when `sender` has no
-/// traffic toward `receiver`. This is what lets a RECEIVER execute an
+/// Rank `rank`'s alltoallw plans, one per round (layout.rounds()): the
+/// (round, peer) lane holds that round's transfers of the pair, in
+/// needed-index order, so a pair's round lanes packed round by round are
+/// byte-for-byte its fused lane.
+[[nodiscard]] std::vector<RoundPlan> build_round_plans(
+    const GlobalLayout& layout, int rank, std::size_t elem_size);
+
+/// Builds, on ANY rank, the fused send lane rank `sender` aims at rank
+/// `receiver` — build_mapping's own builder, so the lane is the sender's —
+/// or peer == -1 when there is no traffic. This lets a RECEIVER execute an
 /// intra-node lane zero-copy: it reads the sender's owned buffer directly
-/// through the sender's lane type (shared-memory semantics) without the
-/// sender shipping the type over.
+/// through the sender's lane type, without the sender shipping the type.
 [[nodiscard]] PeerLane build_peer_send_lane(const GlobalLayout& layout,
                                             int sender, int receiver,
                                             std::size_t elem_size);
@@ -126,8 +151,8 @@ struct DataMapping {
 [[nodiscard]] MappingStats compute_stats(const GlobalLayout& layout,
                                          std::size_t elem_size);
 
-/// Enumerates every non-empty transfer in the mapping (diagnostics and
-/// tests).
+/// Every non-empty transfer of the layout, in (sender, receiver, round,
+/// needed-index) order (diagnostics and tests).
 [[nodiscard]] std::vector<Transfer> enumerate_transfers(
     const GlobalLayout& layout, std::size_t elem_size);
 

@@ -33,10 +33,10 @@ enum class Backend {
   alltoallw = 0,
   /// The fused-lane executor — the paper's future-work point-to-point
   /// backend for sparse mappings (§V): direct sends and receives of only the
-  /// non-empty transfers, every peer's per-round pieces stitched into ONE
-  /// struct-typed lane, cutting the message count from rounds x peers to
-  /// peers. Each lane gets the lowering its LaneClass admits: the self lane
-  /// is a copy_regions, intra-node lanes are copied zero-copy out of the
+  /// non-empty transfers, all of a peer pair's transfers in ONE struct-typed
+  /// lane, cutting the message count from rounds x peers to peers. Each
+  /// lane gets the lowering its LaneClass admits: the self lane is a
+  /// copy_regions, intra-node lanes are copied zero-copy out of the
   /// sender's owned buffer through a published pointer, and inter-node lanes
   /// go through the staging pool with the whole receive window posted up
   /// front, completed in one of two orders fixed at setup

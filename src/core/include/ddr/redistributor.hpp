@@ -217,9 +217,7 @@ class Redistributor {
   }
 
   /// Number of alltoallw rounds (== max chunks owned by any rank).
-  [[nodiscard]] int rounds() const {
-    return static_cast<int>(mapping_.rounds.size());
-  }
+  [[nodiscard]] int rounds() const { return stats_.rounds; }
 
   /// Schedule statistics of the current mapping (Table III numbers).
   [[nodiscard]] const MappingStats& stats() const { return stats_; }
@@ -260,7 +258,9 @@ class Redistributor {
  private:
   /// The communication-free tail of setup(): layout_ (and options_, comm_,
   /// elem_size_) are already in place and validated; derives mapping_,
-  /// stats_, the lane classes, the wave tables and the staging prewarm.
+  /// stats_ and the lane classes, then builds and compiles only what the
+  /// resolved executor runs (rounds_, or the intra-node sender types and
+  /// the wave tables) and prewarms the staging pool for it.
   /// resize_rebalance() reuses it to compile the old->new transition layout
   /// directly — the transition has empty needed sides for retiring members,
   /// and holes on the owned side after a rolled-back attempt, which the
@@ -314,6 +314,9 @@ class Redistributor {
   bool setup_done_ = false;
   GlobalLayout layout_;
   DataMapping mapping_;
+  /// alltoallw's per-round plans (build_round_plans); empty under the
+  /// fused-lane executor, which never moves them.
+  std::vector<RoundPlan> rounds_;
   MappingStats stats_;
   /// The fused-lane executor's lowering for the current mapping (see plan()).
   PlanDecision plan_;
@@ -350,7 +353,8 @@ class Redistributor {
   /// One entry per intra-node SENDING peer: everything the receiver needs to
   /// execute that peer's lane zero-copy — the sender-side lane (rebuilt
   /// deterministically with build_peer_send_lane, read through the pointer
-  /// the sender publishes) and this rank's matching fused recv lane.
+  /// the sender publishes) and this rank's matching fused recv lane. Empty
+  /// unless the resolved backend is point_to_point_pipelined.
   struct IntraRecv {
     int peer = -1;
     std::ptrdiff_t peer_displ = 0;

@@ -2,6 +2,8 @@
 
 #include <memory>
 #include <span>
+#include <string>
+#include <vector>
 
 #include "ddr/error.hpp"
 #include "ddr/redistributor.hpp"
@@ -26,45 +28,70 @@ DDR_DataDescriptor* DDR_NewDataDescriptor(int nprocs, DDR_DataType data_type,
                    ")");
   ddr::require(data_type >= DDR_DATA_TYPE_1D && data_type <= DDR_DATA_TYPE_3D,
                "DDR_NewDataDescriptor: data_type must be 1D, 2D or 3D");
-  auto* desc = new DDR_DataDescriptor;
+  // The engine validates the element size and may throw: held by a
+  // unique_ptr until then, the descriptor cannot leak.
+  auto desc = std::make_unique<DDR_DataDescriptor>();
   desc->nprocs = nprocs;
   desc->data_type = data_type;
   desc->element_type = element_type;
   desc->element_size = element_size;
   desc->engine = std::make_unique<ddr::Redistributor>(comm, element_size);
-  return desc;
+  return desc.release();
 }
+
+namespace {
+
+/// The `chunks` chunks that the flattened arrays `dims` and `offsets`
+/// describe, chunks * nd ints each (paper §III-B: "the number of total
+/// elements in the sending dimensions and offsets parameters must be equal
+/// to the number of chunks owned ... multiplied by the number of
+/// dimensions"). A null array is rejected unless it describes no chunk.
+std::vector<ddr::Chunk> read_chunks(const std::string& what, int nd,
+                                    int chunks, const int* dims,
+                                    const int* offsets) {
+  ddr::require(chunks == 0 || (dims != nullptr && offsets != nullptr),
+               what + " is null but describes " + std::to_string(chunks) +
+                   " chunk(s)");
+  const auto n = static_cast<std::size_t>(nd);
+  std::vector<ddr::Chunk> out;
+  out.reserve(static_cast<std::size_t>(chunks));
+  for (int c = 0; c < chunks; ++c)
+    out.emplace_back(nd, std::span<const int>(dims + c * nd, n),
+                     std::span<const int>(offsets + c * nd, n));
+  return out;
+}
+
+/// Both setup entry points: checks the arguments, reads the chunk arrays
+/// and runs the collective setup.
+void setup_mapping(const std::string& what, int rank, int nprocs,
+                   int chunks_own, const int* dims_own, const int* offsets_own,
+                   int chunks_need, const int* dims_need,
+                   const int* offsets_need, DDR_DataDescriptor* desc) {
+  ddr::require(desc != nullptr && desc->engine != nullptr,
+               what + ": null descriptor");
+  ddr::require(nprocs == desc->nprocs,
+               what + ": nprocs differs from the descriptor's");
+  ddr::require(rank == desc->engine->comm().rank(),
+               what + ": rank differs from the communicator's");
+  ddr::require(chunks_own >= 0 && chunks_need >= 1,
+               what + ": bad chunk counts");
+  const int nd = static_cast<int>(desc->data_type);
+  const ddr::OwnedLayout owned = read_chunks(
+      what + ": dims_own/offsets_own", nd, chunks_own, dims_own, offsets_own);
+  const ddr::NeededLayout needed =
+      read_chunks(what + ": dims_need/offsets_need", nd, chunks_need,
+                  dims_need, offsets_need);
+  desc->engine->setup(owned, needed);
+}
+
+}  // namespace
 
 void DDR_SetupDataMapping(int rank, int nprocs, int chunks_own,
                           const int* dims_own, const int* offsets_own,
                           const int* dims_need, const int* offsets_need,
                           DDR_DataDescriptor* desc) {
-  ddr::require(desc != nullptr && desc->engine != nullptr,
-               "DDR_SetupDataMapping: null descriptor");
-  ddr::require(nprocs == desc->nprocs,
-               "DDR_SetupDataMapping: nprocs differs from the descriptor's");
-  ddr::require(rank == desc->engine->comm().rank(),
-               "DDR_SetupDataMapping: rank differs from the communicator's");
-  ddr::require(chunks_own >= 0, "DDR_SetupDataMapping: negative chunk count");
-  const int nd = static_cast<int>(desc->data_type);
-
-  // The flattened P4/P5 arrays hold chunks_own * ndims entries
-  // (paper §III-B: "the number of total elements in the sending dimensions
-  // and offsets parameters must be equal to the number of chunks owned ...
-  // multiplied by the number of dimensions").
-  ddr::OwnedLayout owned;
-  owned.reserve(static_cast<std::size_t>(chunks_own));
-  for (int c = 0; c < chunks_own; ++c) {
-    owned.emplace_back(
-        nd, std::span<const int>(dims_own + c * nd, static_cast<std::size_t>(nd)),
-        std::span<const int>(offsets_own + c * nd,
-                             static_cast<std::size_t>(nd)));
-  }
-  const ddr::Chunk needed(
-      nd, std::span<const int>(dims_need, static_cast<std::size_t>(nd)),
-      std::span<const int>(offsets_need, static_cast<std::size_t>(nd)));
-
-  desc->engine->setup(owned, needed);
+  setup_mapping("DDR_SetupDataMapping", rank, nprocs, chunks_own, dims_own,
+                offsets_own, 1, dims_need, offsets_need, desc);
 }
 
 void DDR_SetupDataMappingMulti(int rank, int nprocs, int chunks_own,
@@ -72,33 +99,9 @@ void DDR_SetupDataMappingMulti(int rank, int nprocs, int chunks_own,
                                int chunks_need, const int* dims_need,
                                const int* offsets_need,
                                DDR_DataDescriptor* desc) {
-  ddr::require(desc != nullptr && desc->engine != nullptr,
-               "DDR_SetupDataMappingMulti: null descriptor");
-  ddr::require(nprocs == desc->nprocs,
-               "DDR_SetupDataMappingMulti: nprocs differs from descriptor's");
-  ddr::require(rank == desc->engine->comm().rank(),
-               "DDR_SetupDataMappingMulti: rank differs from communicator's");
-  ddr::require(chunks_own >= 0 && chunks_need >= 1,
-               "DDR_SetupDataMappingMulti: bad chunk counts");
-  const int nd = static_cast<int>(desc->data_type);
-
-  ddr::OwnedLayout owned;
-  owned.reserve(static_cast<std::size_t>(chunks_own));
-  for (int c = 0; c < chunks_own; ++c)
-    owned.emplace_back(
-        nd, std::span<const int>(dims_own + c * nd, static_cast<std::size_t>(nd)),
-        std::span<const int>(offsets_own + c * nd,
-                             static_cast<std::size_t>(nd)));
-  ddr::NeededLayout needed;
-  needed.reserve(static_cast<std::size_t>(chunks_need));
-  for (int c = 0; c < chunks_need; ++c)
-    needed.emplace_back(
-        nd,
-        std::span<const int>(dims_need + c * nd, static_cast<std::size_t>(nd)),
-        std::span<const int>(offsets_need + c * nd,
-                             static_cast<std::size_t>(nd)));
-
-  desc->engine->setup(owned, needed);
+  setup_mapping("DDR_SetupDataMappingMulti", rank, nprocs, chunks_own,
+                dims_own, offsets_own, chunks_need, dims_need, offsets_need,
+                desc);
 }
 
 void DDR_ReorganizeData(int nprocs, const void* data_own, void* data_need,
@@ -108,11 +111,14 @@ void DDR_ReorganizeData(int nprocs, const void* data_own, void* data_need,
   ddr::require(nprocs == desc->nprocs,
                "DDR_ReorganizeData: nprocs differs from the descriptor's");
   const ddr::Redistributor& r = *desc->engine;
+  // A null buffer is passed on as an empty one, so redistribute()'s
+  // precondition check rejects it on every rank as a short buffer whenever
+  // the layout needs bytes there.
   r.redistribute(
       std::span<const std::byte>(static_cast<const std::byte*>(data_own),
-                                 r.owned_bytes()),
+                                 data_own != nullptr ? r.owned_bytes() : 0),
       std::span<std::byte>(static_cast<std::byte*>(data_need),
-                           r.needed_bytes()));
+                           data_need != nullptr ? r.needed_bytes() : 0));
 }
 
 void DDR_FreeDataDescriptor(DDR_DataDescriptor* desc) { delete desc; }

@@ -1,8 +1,6 @@
 #include "ddr/planner.hpp"
 
 #include <algorithm>
-#include <map>
-#include <utility>
 
 #include "ddr/mapping.hpp"
 
@@ -33,18 +31,18 @@ const char* backend_name(Backend b) {
 std::vector<ExchangeLane> inter_node_lanes(
     const GlobalLayout& layout, std::size_t elem_size,
     const mpi::NetworkModel* net, const std::vector<int>* world_ranks) {
-  std::map<std::pair<int, int>, std::int64_t> pair_bytes;
-  for (const Transfer& t : enumerate_transfers(layout, elem_size)) {
-    if (t.sender == t.receiver) continue;
-    if (net != nullptr && net->node_of(to_world(t.sender, world_ranks)) ==
-                              net->node_of(to_world(t.receiver, world_ranks)))
-      continue;
-    pair_bytes[{t.sender, t.receiver}] += t.bytes;
-  }
   std::vector<ExchangeLane> lanes;
-  lanes.reserve(pair_bytes.size());
-  for (const auto& [key, bytes] : pair_bytes)
-    lanes.push_back({key.first, key.second, bytes, 0});
+  for (int s = 0; s < layout.nranks(); ++s)
+    for (int r = 0; r < layout.nranks(); ++r) {
+      if (s == r) continue;
+      if (net != nullptr && net->node_of(to_world(s, world_ranks)) ==
+                                net->node_of(to_world(r, world_ranks)))
+        continue;
+      std::int64_t bytes = 0;
+      for_each_transfer(layout, s, r, elem_size,
+                        [&](const Transfer& t) { bytes += t.bytes; });
+      if (bytes > 0) lanes.push_back({s, r, bytes, 0});
+    }
   return lanes;
 }
 

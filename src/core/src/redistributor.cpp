@@ -314,18 +314,27 @@ void Redistributor::setup(const OwnedLayout& owned, const NeededLayout& needed,
 }
 
 void Redistributor::finish_setup() {
-  // 6. Geometry -> per-round alltoallw plans and schedule statistics.
+  // 6. Geometry -> the fused lanes (built for every backend:
+  // fused_lane_count() reports them) and the schedule statistics. Only
+  // alltoallw gets per-round plans: the fused-lane executor would leave
+  // them unused, yet their payloads would cost every rank, since the
+  // communicator's pool and its best-fit scan are shared.
   mapping_ = build_mapping(layout_, comm_.rank(), elem_size_);
   stats_ = compute_stats(layout_, elem_size_);
+  resolved_backend_ = options_.backend == Backend::automatic
+                          ? Backend::point_to_point_pipelined
+                          : options_.backend;
+  const bool per_round = resolved_backend_ == Backend::alltoallw;
+  rounds_ = per_round ? build_round_plans(layout_, comm_.rank(), elem_size_)
+                      : std::vector<RoundPlan>{};
 
-  // 6b. Classify the fused lanes by locality (see LaneClass). For every
-  // intra-node peer that sends to this rank, rebuild that peer's send lane
-  // locally: the receiver executes the lane zero-copy by reading the
-  // sender's owned buffer directly through the sender's own lane type, so it
-  // needs that type on its side — deterministically derivable from the
-  // allgathered layout, no extra communication. Without a NetworkModel
-  // same_node() is false for every peer and this reduces to the flat
-  // exchange (all non-self lanes inter, intra_recv_ empty).
+  // 6b. Classify the fused lanes by locality (see LaneClass). For the
+  // fused-lane executor, rebuild the send lane of every intra-node peer that
+  // sends to this rank: the receiver executes the lane zero-copy by reading
+  // the sender's owned buffer through the sender's own lane type, which the
+  // allgathered layout determines, so no extra communication. Without a
+  // NetworkModel same_node() is false for every peer and this reduces to
+  // the flat exchange (all non-self lanes inter, intra_recv_ empty).
   auto classify = [&](int peer) {
     if (peer == mapping_.rank) return LaneClass::self;
     return comm_.same_node(peer) ? LaneClass::intra : LaneClass::inter;
@@ -338,13 +347,12 @@ void Redistributor::finish_setup() {
   for (const PeerLane& l : mapping_.fused_recv) {
     const LaneClass cls = classify(l.peer);
     fused_recv_class_.push_back(cls);
-    if (cls != LaneClass::intra) continue;
+    if (per_round || cls != LaneClass::intra) continue;
     PeerLane peer_lane =
         build_peer_send_lane(layout_, l.peer, mapping_.rank, elem_size_);
     require(peer_lane.peer == mapping_.rank,
             "setup: internal error — intra-node recv lane from rank " +
                 std::to_string(l.peer) + " has no matching send lane");
-    peer_lane.type.precompile();
     intra_recv_.push_back({l.peer, peer_lane.displ, std::move(peer_lane.type),
                            l.displ, l.type, l.bytes});
   }
@@ -361,9 +369,6 @@ void Redistributor::finish_setup() {
     DDR_TRACE_SPAN(dspan, "ddr.plan.decide");
     plan_ = Planner::decide(layout_, elem_size_, comm_.network_model(),
                             options_.peak_staging_bytes, &world_ranks);
-    resolved_backend_ = options_.backend == Backend::automatic
-                            ? Backend::point_to_point_pipelined
-                            : options_.backend;
     DDR_TRACE_INSTANT("ddr.plan.decision",
                       {.value = static_cast<std::int64_t>(resolved_backend_)});
   }
@@ -378,7 +383,7 @@ void Redistributor::finish_setup() {
   // count against the budget.
   send_waves_.clear();
   recv_waves_.clear();
-  if (resolved_backend_ == Backend::point_to_point_pipelined) {
+  if (!per_round) {
     const auto p = static_cast<std::size_t>(mapping_.nranks);
     std::vector<int> send_wave(p, 0), recv_wave(p, 0);  // by peer
     int nwaves = 1;
@@ -416,19 +421,22 @@ void Redistributor::finish_setup() {
     }
   }
 
-  // 7. Compile and prewarm for the executor that runs. Only alltoallw sends
-  // per-round messages; the fused-lane executor moves only the fused lanes,
-  // so per-round plans would go unused and per-round payloads would never be
-  // acquired — yet those payloads would cost every rank, since the
-  // communicator's pool and its best-fit scan are shared.
-  const bool per_round = resolved_backend_ == Backend::alltoallw;
-  if (per_round) {
+  // 7. Compile for the executor that runs, so no redistribute() call ever
+  // pays the flattening cost: alltoallw's non-empty per-round lanes, or the
+  // fused lanes plus the sender-side type of each intra-node recv lane.
+  {
     DDR_TRACE_SPAN(pspan, "ddr.mapping.precompile");
-    for (const RoundPlan& rp : mapping_.rounds)
-      for (std::size_t q = 0; q < rp.sendtypes.size(); ++q) {
-        if (rp.sendcounts[q] > 0) rp.sendtypes[q].precompile();
-        if (rp.recvcounts[q] > 0) rp.recvtypes[q].precompile();
-      }
+    if (per_round) {
+      for (const RoundPlan& rp : rounds_)
+        for (std::size_t q = 0; q < rp.sendtypes.size(); ++q) {
+          if (rp.sendcounts[q] > 0) rp.sendtypes[q].precompile();
+          if (rp.recvcounts[q] > 0) rp.recvtypes[q].precompile();
+        }
+    } else {
+      for (const PeerLane& l : mapping_.fused_send) l.type.precompile();
+      for (const PeerLane& l : mapping_.fused_recv) l.type.precompile();
+      for (const IntraRecv& ir : intra_recv_) ir.peer_type.precompile();
+    }
   }
 
   // Prewarm the staging pool with this rank's peak concurrent send set:
@@ -443,7 +451,7 @@ void Redistributor::finish_setup() {
   std::vector<std::size_t> send_bytes;
   if (per_round) {
     const auto self = static_cast<std::size_t>(mapping_.rank);
-    for (const RoundPlan& rp : mapping_.rounds)
+    for (const RoundPlan& rp : rounds_)
       for (std::size_t q = 0; q < rp.sendcounts.size(); ++q)
         if (rp.sendcounts[q] > 0 && q != self)
           send_bytes.push_back(static_cast<std::size_t>(rp.sendcounts[q]) *
@@ -744,9 +752,9 @@ void Redistributor::execute_alltoallw(std::span<const std::byte> owned_data,
   // One MPI_Alltoallw per round; the number of rounds equals the maximum
   // number of chunks owned by any one process (paper §III-C).
   const auto self = static_cast<std::size_t>(mapping_.rank);
-  const int nrounds = static_cast<int>(mapping_.rounds.size());
+  const int nrounds = static_cast<int>(rounds_.size());
   for (int k = 0; k < nrounds; ++k) {
-    const RoundPlan& rp = mapping_.rounds[static_cast<std::size_t>(k)];
+    const RoundPlan& rp = rounds_[static_cast<std::size_t>(k)];
     DDR_TRACE_SPAN(rspan, "ddr.round", trace::Keys{.round = k});
     // Per-lane message instants for the logical (non-self, non-empty)
     // transfers this round moves, mirroring the fused-lane executor's so
@@ -786,12 +794,13 @@ int Redistributor::fused_lane_count(LaneClass cls) const {
 void Redistributor::execute_p2p_pipelined(
     std::span<const std::byte> owned_data,
     std::span<std::byte> needed_data) const {
-  // The fused-lane executor. Each peer's lane — every round stitched in —
-  // moves under the lowering its LaneClass admits: the self lane is a
-  // copy_regions, intra-node lanes are copied zero-copy straight out of the
-  // same-node sender's owned buffer through a published pointer, and
-  // inter-node lanes go through the staging pool under the completion
-  // discipline setup() fixed for every rank (plan_.post_all):
+  // The fused-lane executor. Each peer's lane — all of the pair's
+  // transfers, every round's included — moves under the lowering its
+  // LaneClass admits: the self lane is a copy_regions, intra-node lanes are
+  // copied zero-copy straight out of the same-node sender's owned buffer
+  // through a published pointer, and inter-node lanes go through the
+  // staging pool under the completion discipline setup() fixed for every
+  // rank (plan_.post_all):
   //
   //  * post-all, when every inter lane is below kPostAllLaneBytes:
   //    the receive window is posted, the lanes are sent in ascending peer

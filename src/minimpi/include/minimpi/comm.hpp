@@ -258,9 +258,9 @@ class Comm {
   [[nodiscard]] bool same_node(int rank_in_comm) const;
 
   /// The NetworkModel installed at mpi::run() time, or nullptr when the run
-  /// is cost-free. Planners use it for cost and topology queries
-  /// (send_overhead/transfer_time/recv_overhead/node_of); it is identical
-  /// for every rank of the run, so decisions derived from it are
+  /// is cost-free. ddr's setup and resize read its node map (node_of) to
+  /// find inter-node lanes, their waves and same-node receivers; it is
+  /// identical for every rank of the run, so decisions derived from it are
   /// protocol-consistent across the communicator.
   [[nodiscard]] const NetworkModel* network_model() const;
 

@@ -4,12 +4,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <random>
+#include <vector>
+
 #include "ddr/error.hpp"
 #include "ddr/mapping.hpp"
+#include "test_util.hpp"
 
 namespace {
 
 using ddr::build_mapping;
+using ddr::build_round_plans;
 using ddr::Chunk;
 using ddr::compute_stats;
 using ddr::enumerate_transfers;
@@ -27,7 +33,7 @@ GlobalLayout e1_layout() {
 
 TEST(Mapping, E1HasTwoRounds) {
   const auto m = build_mapping(e1_layout(), 0, sizeof(float));
-  EXPECT_EQ(m.rounds.size(), 2u);
+  EXPECT_EQ(build_round_plans(e1_layout(), 0, sizeof(float)).size(), 2u);
   EXPECT_EQ(m.owned_bytes, 2u * 8u * sizeof(float));
   EXPECT_EQ(m.needed_bytes, 16u * sizeof(float));
 }
@@ -35,11 +41,11 @@ TEST(Mapping, E1HasTwoRounds) {
 TEST(Mapping, E1Rank0SendsMatchFigure1B) {
   // Fig. 1B: rank 0's row 0 feeds quadrants 0 (left) and 1 (right); its
   // row 4 feeds quadrants 2 (left) and 3 (right).
-  const auto m = build_mapping(e1_layout(), 0, sizeof(float));
+  const auto rounds = build_round_plans(e1_layout(), 0, sizeof(float));
 
-  const auto& round0 = m.rounds[0];
+  const auto& round0 = rounds[0];
   EXPECT_EQ(round0.sendcounts, (std::vector<int>{1, 1, 0, 0}));
-  const auto& round1 = m.rounds[1];
+  const auto& round1 = rounds[1];
   EXPECT_EQ(round1.sendcounts, (std::vector<int>{0, 0, 1, 1}));
 
   // Each send moves half a row: 4 floats.
@@ -54,34 +60,34 @@ TEST(Mapping, E1Rank0SendsMatchFigure1B) {
 TEST(Mapping, E1Rank0ReceivesOneRowFragmentFromEveryRank) {
   // Rank 0 needs rows 0-3 of the left half; those rows are chunk 0 of ranks
   // 0..3 respectively, so all receives happen in round 0.
-  const auto m = build_mapping(e1_layout(), 0, sizeof(float));
-  EXPECT_EQ(m.rounds[0].recvcounts, (std::vector<int>{1, 1, 1, 1}));
-  EXPECT_EQ(m.rounds[1].recvcounts, (std::vector<int>{0, 0, 0, 0}));
+  const auto rounds = build_round_plans(e1_layout(), 0, sizeof(float));
+  EXPECT_EQ(rounds[0].recvcounts, (std::vector<int>{1, 1, 1, 1}));
+  EXPECT_EQ(rounds[1].recvcounts, (std::vector<int>{0, 0, 0, 0}));
   for (int q = 0; q < 4; ++q) {
-    EXPECT_EQ(m.rounds[0].recvtypes[static_cast<std::size_t>(q)].size(),
+    EXPECT_EQ(rounds[0].recvtypes[static_cast<std::size_t>(q)].size(),
               4 * sizeof(float));
-    EXPECT_EQ(m.rounds[0].rdispls[static_cast<std::size_t>(q)], 0);
+    EXPECT_EQ(rounds[0].rdispls[static_cast<std::size_t>(q)], 0);
   }
 }
 
 TEST(Mapping, E1Rank3ReceivesInRoundOne) {
   // Rank 3 needs rows 4-7 (right half); those are chunk 1 of every rank.
-  const auto m = build_mapping(e1_layout(), 3, sizeof(float));
-  EXPECT_EQ(m.rounds[0].recvcounts, (std::vector<int>{0, 0, 0, 0}));
-  EXPECT_EQ(m.rounds[1].recvcounts, (std::vector<int>{1, 1, 1, 1}));
+  const auto rounds = build_round_plans(e1_layout(), 3, sizeof(float));
+  EXPECT_EQ(rounds[0].recvcounts, (std::vector<int>{0, 0, 0, 0}));
+  EXPECT_EQ(rounds[1].recvcounts, (std::vector<int>{1, 1, 1, 1}));
 }
 
 TEST(Mapping, SendAndRecvByteTotalsBalancePerRankPair) {
   // For every (sender, receiver, round), sender's type size must equal
   // receiver's type size — this is what makes alltoallw well-formed.
   const GlobalLayout l = e1_layout();
-  std::vector<ddr::DataMapping> maps;
-  for (int r = 0; r < 4; ++r) maps.push_back(build_mapping(l, r, 4));
+  std::vector<std::vector<ddr::RoundPlan>> plans;
+  for (int r = 0; r < 4; ++r) plans.push_back(build_round_plans(l, r, 4));
   for (int s = 0; s < 4; ++s)
     for (int q = 0; q < 4; ++q)
       for (std::size_t k = 0; k < 2; ++k) {
-        const auto& sp = maps[static_cast<std::size_t>(s)].rounds[k];
-        const auto& rp = maps[static_cast<std::size_t>(q)].rounds[k];
+        const auto& sp = plans[static_cast<std::size_t>(s)][k];
+        const auto& rp = plans[static_cast<std::size_t>(q)][k];
         const auto qi = static_cast<std::size_t>(q);
         const auto si = static_cast<std::size_t>(s);
         const std::size_t sent =
@@ -95,8 +101,8 @@ TEST(Mapping, SendAndRecvByteTotalsBalancePerRankPair) {
 TEST(Mapping, RecvSubarrayPlacesFragmentAtCorrectRow) {
   // Rank 0's fragment from rank 2 is global row 2, which is local row 2 of
   // its 4x4 needed chunk.
-  const auto m = build_mapping(e1_layout(), 0, sizeof(float));
-  const std::string d = m.rounds[0].recvtypes[2].describe();
+  const auto rounds = build_round_plans(e1_layout(), 0, sizeof(float));
+  const std::string d = rounds[0].recvtypes[2].describe();
   // Normalized to C order ([y, x] slowest-first): starts should be [2, 0].
   EXPECT_NE(d.find("sizes=[4,4]"), std::string::npos) << d;
   EXPECT_NE(d.find("starts=[2,0]"), std::string::npos) << d;
@@ -182,8 +188,146 @@ TEST(Mapping, EmptyNeedReceivesNothing) {
   l.needed.push_back({Chunk::d1(0, 0)});   // rank 1 wants nothing
   const auto m1 = build_mapping(l, 1, 4);
   EXPECT_EQ(m1.needed_bytes, 0u);
-  for (const auto& rp : m1.rounds)
+  EXPECT_TRUE(m1.fused_recv.empty());
+  for (const auto& rp : build_round_plans(l, 1, 4))
     for (int c : rp.recvcounts) EXPECT_EQ(c, 0);
+}
+
+/// A seeded random layout: a partition of a random domain dealt to random
+/// owners (multi-chunk owners, an idle owner on every third trial),
+/// zero-extent chunks on both sides, and one to three overlapping needed
+/// boxes per rank.
+GlobalLayout random_layout(int trial, std::mt19937& rng) {
+  const int ndims = 1 + trial % 3;
+  const int nranks = 2 + static_cast<int>(rng() % 5);
+  ddr::Box domain;
+  domain.ndims = ndims;
+  for (int d = 0; d < ndims; ++d)
+    domain.hi[static_cast<std::size_t>(d)] = 3 + static_cast<int>(rng() % 10);
+  const int owners = trial % 3 == 0 ? nranks - 1 : nranks;
+  GlobalLayout l;
+  l.owned.resize(static_cast<std::size_t>(nranks));
+  l.needed.resize(static_cast<std::size_t>(nranks));
+  for (const ddr::Box& b :
+       ddr_test::random_partition(domain, 3 * nranks, rng)) {
+    auto& own = l.owned[rng() % static_cast<unsigned>(owners)];
+    own.push_back(ddr_test::box_to_chunk(b));
+    if (rng() % 4 == 0) {
+      Chunk empty = own.back();
+      empty.dims[rng() % static_cast<unsigned>(ndims)] = 0;
+      own.push_back(empty);
+    }
+  }
+  for (auto& need : l.needed) {
+    const int n = 1 + static_cast<int>(rng() % 3);
+    for (int k = 0; k < n; ++k)
+      need.push_back(
+          ddr_test::box_to_chunk(ddr_test::random_subbox(domain, rng)));
+    if (rng() % 4 == 0) {
+      Chunk empty = need.front();
+      empty.dims[0] = 0;
+      need.insert(need.begin() + static_cast<std::ptrdiff_t>(rng() % 2),
+                  empty);
+    }
+  }
+  return l;
+}
+
+/// What `lane` packs out of `buf`: one element of its type at its
+/// displacement.
+std::vector<std::byte> pack_lane(const std::byte* buf, std::ptrdiff_t displ,
+                                 const mpi::Datatype& type) {
+  std::vector<std::byte> out(type.size());
+  type.pack(buf + displ, 1, out.data());
+  return out;
+}
+
+TEST(FusedLanes, PackTheRoundLanesInRoundOrder) {
+  // At every pair (s, r), the fused lanes must move exactly the bytes of the
+  // per-round lanes, concatenated round by round: that is what keeps the
+  // fused-lane executor's output byte-identical to alltoallw's.
+  std::mt19937 rng(20261020);
+  for (int trial = 0; trial < 60; ++trial) {
+    const GlobalLayout l = random_layout(trial, rng);
+    const int p = l.nranks();
+    const std::size_t es = 1 + static_cast<std::size_t>(trial % 8);
+    std::vector<ddr::DataMapping> maps;
+    std::vector<std::vector<ddr::RoundPlan>> plans;
+    std::vector<std::vector<std::byte>> owned;
+    for (int r = 0; r < p; ++r) {
+      maps.push_back(build_mapping(l, r, es));
+      plans.push_back(build_round_plans(l, r, es));
+      std::vector<std::byte> buf(maps.back().owned_bytes);
+      for (std::byte& b : buf) b = static_cast<std::byte>(rng());
+      owned.push_back(std::move(buf));
+    }
+    const auto lane_to = [](const std::vector<ddr::PeerLane>& lanes,
+                            int peer) -> const ddr::PeerLane* {
+      for (const ddr::PeerLane& lane : lanes)
+        if (lane.peer == peer) return &lane;
+      return nullptr;
+    };
+
+    for (int s = 0; s < p; ++s)
+      for (int r = 0; r < p; ++r) {
+        const auto si = static_cast<std::size_t>(s);
+        const auto ri = static_cast<std::size_t>(r);
+        const std::string where = "trial " + std::to_string(trial) + " " +
+                                  std::to_string(s) + "->" + std::to_string(r);
+
+        // Send side: the fused lane packs the round lanes in round order.
+        std::vector<std::byte> rounds_stream;
+        for (const ddr::RoundPlan& rp : plans[si]) {
+          if (rp.sendcounts[ri] == 0) continue;
+          const auto piece =
+              pack_lane(owned[si].data(), rp.sdispls[ri], rp.sendtypes[ri]);
+          rounds_stream.insert(rounds_stream.end(), piece.begin(),
+                               piece.end());
+        }
+        const ddr::PeerLane* send = lane_to(maps[si].fused_send, r);
+        const ddr::PeerLane peer_send = ddr::build_peer_send_lane(l, s, r, es);
+        if (send == nullptr) {
+          EXPECT_TRUE(rounds_stream.empty()) << where;
+          EXPECT_EQ(peer_send.peer, -1) << where;
+          EXPECT_EQ(lane_to(maps[ri].fused_recv, s), nullptr) << where;
+          continue;
+        }
+        const std::vector<std::byte> stream =
+            pack_lane(owned[si].data(), send->displ, send->type);
+        ASSERT_EQ(stream, rounds_stream) << where;
+        EXPECT_EQ(send->bytes, static_cast<std::int64_t>(stream.size()))
+            << where;
+
+        // The receiver's rebuild of the lane is the sender's own lane.
+        EXPECT_EQ(peer_send.peer, r) << where;
+        EXPECT_EQ(peer_send.displ, send->displ) << where;
+        EXPECT_EQ(peer_send.bytes, send->bytes) << where;
+        EXPECT_EQ(peer_send.type.plan_segment_count(),
+                  send->type.plan_segment_count())
+            << where;
+        EXPECT_EQ(peer_send.type.plan_quad_count(),
+                  send->type.plan_quad_count())
+            << where;
+
+        // Receive side: unpacking the stream through the fused lane places
+        // the bytes where the round lanes, in round order, place them.
+        const ddr::PeerLane* recv = lane_to(maps[ri].fused_recv, s);
+        ASSERT_NE(recv, nullptr) << where;
+        std::vector<std::byte> fused_out(maps[ri].needed_bytes, std::byte{0});
+        std::vector<std::byte> rounds_out = fused_out;
+        ASSERT_EQ(recv->type.size(), stream.size()) << where;
+        recv->type.unpack(stream.data(), 1, fused_out.data() + recv->displ);
+        std::size_t cursor = 0;
+        for (const ddr::RoundPlan& rp : plans[ri]) {
+          if (rp.recvcounts[si] == 0) continue;
+          rp.recvtypes[si].unpack(stream.data() + cursor, 1,
+                                  rounds_out.data() + rp.rdispls[si]);
+          cursor += rp.recvtypes[si].size();
+        }
+        EXPECT_EQ(cursor, stream.size()) << where;
+        EXPECT_EQ(fused_out, rounds_out) << where;
+      }
+  }
 }
 
 TEST(Mapping, RankOutOfRangeThrows) {

@@ -1,10 +1,11 @@
-// setup() compiles and prewarms only for the executor that runs. The
-// fused-lane executor (point_to_point_pipelined, with or without a staging
-// budget, with or without an active FaultModel) never sends per-round
-// messages, so its setup plants only the fused lane payloads in the staging
-// pool and compiles no per-round plan; alltoallw gets the per-round plans
-// and payloads. Repeated setups on one communicator leave the steady-state
-// data path allocation-free.
+// setup() builds, compiles and prewarms only for the executor that runs.
+// The fused-lane executor (point_to_point_pipelined, with or without a
+// staging budget, with or without an active FaultModel) never sends
+// per-round messages, so its setup plants only the fused lane payloads in
+// the staging pool and compiles only the fused lanes; alltoallw gets the
+// per-round plans and payloads and compiles nothing else. Either way one
+// ddr.mapping.precompile span covers the compile. Repeated setups on one
+// communicator leave the steady-state data path allocation-free.
 
 #include <gtest/gtest.h>
 
@@ -45,6 +46,7 @@ struct SetupCounts {
   int rounds = 0;
   std::int64_t reserved = 0;        ///< mpi.staging.reserve bytes
   std::size_t precompiled = 0;      ///< mpi.datatype.precompile instants
+  std::size_t precompile_spans = 0; ///< ddr.mapping.precompile spans
   std::int64_t inter_bytes = 0;     ///< fused send lanes to other nodes
   std::int64_t intra_bytes = 0;     ///< fused send lanes to same-node peers
   std::int64_t intra_lanes = 0;
@@ -86,6 +88,8 @@ std::vector<SetupCounts> trace_setup(Backend backend,
         c.reserved = trace::total_bytes(ev, "mpi.staging.reserve");
         c.precompiled = trace::count_events(ev, "mpi.datatype.precompile",
                                             trace::Phase::instant);
+        c.precompile_spans = trace::count_events(
+            ev, "ddr.mapping.precompile", trace::Phase::begin);
         const ddr::DataMapping m =
             ddr::build_mapping(rd.global_layout(), r, sizeof(float));
         for (const ddr::PeerLane& l : m.fused_send) {
@@ -102,7 +106,8 @@ std::vector<SetupCounts> trace_setup(Backend backend,
         c.fused_types = m.fused_send.size() + m.fused_recv.size();
         for (const ddr::PeerLane& l : m.fused_recv)
           if (l.peer != r && comm.same_node(l.peer)) ++c.fused_types;
-        for (const ddr::RoundPlan& rp : m.rounds)
+        for (const ddr::RoundPlan& rp :
+             ddr::build_round_plans(rd.global_layout(), r, sizeof(float)))
           for (std::size_t q = 0; q < kRanks; ++q) {
             if (rp.sendcounts[q] > 0) {
               ++c.round_types;
@@ -134,6 +139,7 @@ TEST(SetupPrewarm, FusedExecutorsReserveOnlyTheirLanePayloads) {
       // Only the fused lanes were compiled: no per-round type.
       EXPECT_EQ(c.precompiled, c.fused_types)
           << "budget " << budget << " rank " << r;
+      EXPECT_EQ(c.precompile_spans, 1u) << "budget " << budget << " rank " << r;
     }
   }
 }
@@ -163,8 +169,10 @@ TEST(SetupPrewarm, PerRoundExecutorsKeepRoundPayloadsAndPlans) {
       const SetupCounts& c = counts[static_cast<std::size_t>(r)];
       const char* mode = fault != nullptr ? " under faults" : "";
       EXPECT_EQ(c.reserved, c.round_payloads) << mode << " rank " << r;
-      EXPECT_EQ(c.precompiled, c.fused_types + c.round_types)
-          << mode << " rank " << r;
+      // Only the per-round lanes were compiled: no fused lane, and no
+      // intra-node sender type.
+      EXPECT_EQ(c.precompiled, c.round_types) << mode << " rank " << r;
+      EXPECT_EQ(c.precompile_spans, 1u) << mode << " rank " << r;
     }
   }
 }

@@ -184,7 +184,8 @@ LaneTotals lane_totals(const ddr::LayoutSpec& spec, int ranks_per_node) {
       ++t.lanes[c];
       t.bytes[c] += lane.bytes;
     }
-    for (const ddr::RoundPlan& rp : m.rounds)
+    for (const ddr::RoundPlan& rp :
+         ddr::build_round_plans(spec.layout, r, spec.elem_size))
       for (std::size_t q = 0; q < rp.sendcounts.size(); ++q)
         if (rp.sendcounts[q] > 0 && static_cast<int>(q) != r)
           ++t.round_messages;
@@ -314,7 +315,8 @@ int run_validate(const ddr::LayoutSpec& spec) {
 /// run-compressed plan quads (descriptors stored == copy-train kernel calls
 /// per call — see Datatype::plan_quad_count). The trailing column is the
 /// pipelined backend's receive-window depth: how many per-peer lane receives
-/// it posts up front (every round stitched per peer) before any data moves.
+/// it posts up front (one lane per peer, every round included) before any
+/// data moves.
 /// After the table, each fused lane's locality class under a
 /// `ranks_per_node`-blocked topology, the lanes and bytes per class, and the
 /// pack kernel the runtime dispatch selected on this host.
@@ -343,7 +345,8 @@ int run_cost(const ddr::LayoutSpec& spec, int ranks_per_node) {
         ddr::build_mapping(layout, r, spec.elem_size);
     Cost plain, fused;
     std::int64_t depth = 0;
-    for (const ddr::RoundPlan& rp : m.rounds) {
+    for (const ddr::RoundPlan& rp :
+         ddr::build_round_plans(layout, r, spec.elem_size)) {
       for (std::size_t q = 0; q < rp.sendcounts.size(); ++q) {
         if (rp.sendcounts[q] <= 0) continue;
         const auto n = static_cast<std::int64_t>(rp.sendcounts[q]);
