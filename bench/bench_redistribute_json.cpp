@@ -850,17 +850,17 @@ MixedPoint run_mixed_point(int reps) {
                 rd.fused_lane_count(ddr::LaneClass::intra);
             if (r == 0) {
               mp.waves = rd.plan().waves;
-              std::vector<ddr::ExchangeLane> inter = ddr::inter_node_lanes(
-                  rd.global_layout(), sizeof(float), &net);
-              std::vector<ddr::ExchangeLane> all =
-                  ddr::inter_node_lanes(rd.global_layout(), sizeof(float));
+              std::vector<ddr::ExchangeLane> all;
+              (void)ddr::compute_stats(rd.global_layout(), sizeof(float), &all);
+              const ddr::Plan plan = ddr::Planner::decide(all, &net, mp.budget);
               mp.all_lane_waves = ddr::assign_waves(all, mp.budget);
               std::int64_t largest = 0;
-              for (const ddr::ExchangeLane& l : inter)
+              for (const ddr::ExchangeLane& l : plan.inter_lanes)
                 largest = std::max(largest, l.bytes);
               mp.peak_bound_bytes =
                   std::max(largest, static_cast<std::int64_t>(mp.budget)) +
-                  8 * static_cast<std::int64_t>(all.size() - inter.size());
+                  8 * static_cast<std::int64_t>(all.size() -
+                                                plan.inter_lanes.size());
             }
           }
           std::vector<float> src(rd.owned_bytes() / sizeof(float), 1.0f);

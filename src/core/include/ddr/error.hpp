@@ -5,6 +5,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace ddr {
 
@@ -15,8 +16,10 @@ class Error : public std::runtime_error {
   explicit Error(const std::string& what) : std::runtime_error(what) {}
 };
 
-inline void require(bool cond, const std::string& what) {
-  if (!cond) throw Error(what);
+/// Throws ddr::Error if `cond` is false. A literal message builds no
+/// std::string unless the check fails.
+inline void require(bool cond, std::string_view what) {
+  if (!cond) throw Error(std::string(what));
 }
 
 }  // namespace ddr

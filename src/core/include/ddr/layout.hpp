@@ -128,12 +128,18 @@ struct LayoutValidation {
 /// particular order. All boxes must have the same dimensionality.
 ///
 /// A sort-and-sweep: the boxes are swept in order of their start on the
-/// axis with the most distinct starts, a box leaves the active set once the
-/// sweep passes its end on that axis, and the active set is indexed by start
-/// on a second axis, so each box is tested only against active boxes that
-/// can reach it on both axes. On a regular grid of n boxes that is O(1)
-/// candidates per box in 2D and n^(1/3) in 3D, where an all-pairs scan
-/// makes n^2/2 tests in all.
+/// axis they stack in the most layers, a box leaves the active set once the
+/// sweep passes its end on that axis, and the active set is sorted by start
+/// on a second axis (the runner-up), so each box is tested only against
+/// boxes that can reach it on both axes. An axis's layer count is taken in
+/// O(n) as the boxes' bounding extent there times their count over their
+/// summed extents — on a grid, exactly its number of distinct starts. The
+/// boxes that share a start on the sweep axis form a group: each is also
+/// tested against the group's earlier members within reach on the index
+/// axis, and the group joins the active set in one merge. Any axis choice
+/// is exact; a good one keeps the candidates few. On a regular grid of n
+/// boxes that is O(1) candidates per box in 2D and n^(1/3) in 3D, where an
+/// all-pairs scan makes n^2/2 tests in all.
 void for_each_overlap(
     std::span<const Box> boxes,
     const std::function<void(std::size_t, std::size_t)>& visit);

@@ -92,6 +92,16 @@ struct MappingStats {
   std::int64_t transfer_count = 0;
 };
 
+/// One directed non-self lane of the exchange: everything rank `sender`
+/// sends rank `receiver`, all rounds fused (the unit a staging budget
+/// schedules). Derived identically on every rank from the global layout.
+struct ExchangeLane {
+  int sender = -1;
+  int receiver = -1;
+  std::int64_t bytes = 0;  ///< packed payload size of the lane
+  int wave = 0;            ///< fence group assigned by assign_waves
+};
+
 /// One peer's fused point-to-point lane: every transfer between this rank
 /// and `peer`, in join order, coalesced into a single struct-typed message.
 /// Cuts the p2p message count from rounds x peers to peers for multi-chunk
@@ -147,9 +157,13 @@ struct DataMapping {
 
 /// Computes schedule statistics from geometry alone — no datatypes are
 /// constructed, so this is usable at full paper scale (e.g. the 128 GB TIFF
-/// domain of Table III) without allocating any pixel data.
-[[nodiscard]] MappingStats compute_stats(const GlobalLayout& layout,
-                                         std::size_t elem_size);
+/// domain of Table III) without allocating any pixel data. When `lanes` is
+/// given, the same fold also lists every non-self pair that moves bytes, in
+/// (sender, receiver) order with its fused payload size (wave 0): the lanes
+/// Planner::decide() filters by node and schedules.
+[[nodiscard]] MappingStats compute_stats(
+    const GlobalLayout& layout, std::size_t elem_size,
+    std::vector<ExchangeLane>* lanes = nullptr);
 
 /// Every non-empty transfer of the layout, in (sender, receiver, round,
 /// needed-index) order (diagnostics and tests).

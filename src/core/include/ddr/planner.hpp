@@ -19,7 +19,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "ddr/layout.hpp"
+#include "ddr/mapping.hpp"
 #include "minimpi/sim.hpp"
 
 namespace ddr {
@@ -46,7 +46,7 @@ enum class Backend {
   /// moment they land (mpi::wait_any), so total latency approaches the max
   /// per-peer transfer time instead of rounds x round time. Under
   /// SetupOptions::peak_staging_bytes the inter-node lanes run as a
-  /// sequence of waves (assign_waves over inter_node_lanes), each closed by
+  /// sequence of waves (assign_waves over Plan::inter_lanes), each closed by
   /// a barrier, so the staging pool's peak stays within the budget — the
   /// sequenced, memory-bounded exchange of Rink et al. (arXiv:2112.01075).
   /// Under an active FaultModel every non-self lane moves as one payload a
@@ -73,28 +73,6 @@ enum class LaneClass { self, intra, inter };
 /// between sends would.
 inline constexpr std::int64_t kPostAllLaneBytes = 32 * 1024;
 
-/// One directed non-self lane of the exchange: everything rank `sender`
-/// sends rank `receiver`, all rounds fused (the unit a staging budget
-/// schedules). Derived identically on every rank from the global layout.
-struct ExchangeLane {
-  int sender = -1;
-  int receiver = -1;
-  std::int64_t bytes = 0;  ///< packed payload size of the lane
-  int wave = 0;            ///< fence group assigned by assign_waves
-};
-
-/// The directed non-self lanes of `layout` that cross nodes under `net`'s
-/// node map, in (sender, receiver) order with their packed payload sizes —
-/// the lanes the fused-lane executor stages, and so the ones a staging
-/// budget schedules (intra-node lanes move zero-copy). With net == nullptr
-/// every rank is its own node and every non-self lane is returned.
-/// Deterministic global knowledge; `world_ranks` maps communicator ranks to
-/// world ranks as in Planner::decide.
-[[nodiscard]] std::vector<ExchangeLane> inter_node_lanes(
-    const GlobalLayout& layout, std::size_t elem_size,
-    const mpi::NetworkModel* net = nullptr,
-    const std::vector<int>* world_ranks = nullptr);
-
 /// Partitions `lanes` into fenced waves whose per-wave payload total stays
 /// within `peak_staging_bytes` (0 = unlimited -> one wave). The budget is
 /// floored at the largest single lane — a lane is the smallest schedulable
@@ -109,7 +87,7 @@ struct PlanDecision {
   /// Always 0: every rank packs its own lanes on its own thread.
   static constexpr int pack_threads = 0;
   /// Wave count of the inter-node lanes under the budget (assign_waves over
-  /// inter_node_lanes; 1 when no budget is set or no inter lanes exist).
+  /// Plan::inter_lanes; 1 when no budget is set or no inter lanes exist).
   /// Intra-node lanes move zero-copy and never compete for the budget.
   int waves = 1;
   /// Completion discipline of the inter-node lanes, decided from one global
@@ -121,28 +99,38 @@ struct PlanDecision {
   bool post_all = true;
 };
 
+/// What the planner derives for one layout: the lowering and the lanes it
+/// schedules.
+struct Plan {
+  PlanDecision decision;
+  /// The lanes that cross nodes, in (sender, receiver) order, each with its
+  /// wave — the lanes the fused-lane executor stages, and so the ones a
+  /// staging budget schedules (intra-node lanes move zero-copy).
+  std::vector<ExchangeLane> inter_lanes;
+};
+
 /// Derives the fused-lane executor's lowering (see file comment).
 class Planner {
  public:
-  /// Derives the lowering for `layout`: a pure function of its arguments,
-  /// so every rank of a setup() — and ddrinfo --plan, offline — derives the
-  /// identical decision.
+  /// Derives the plan from `lanes`, compute_stats' lane list: keeps the
+  /// lanes that cross nodes under `net`'s node map, assigns their waves
+  /// (assign_waves) and picks their completion order. A pure function of
+  /// its arguments, so every rank of a setup() — and ddrinfo --plan,
+  /// offline — derives the identical plan.
   ///
   /// \param net                the run's NetworkModel (nullptr = every rank
-  ///                           is its own node, so all non-self lanes count
-  ///                           as inter-node)
+  ///                           is its own node, so every lane is inter-node)
   /// \param peak_staging_bytes staging budget (SetupOptions), 0 = unlimited
   /// \param world_ranks        world rank per COMMUNICATOR rank (for
   ///                           sub-communicators whose ranks are not world
   ///                           ranks — Redistributor derives it via
   ///                           Comm::world_rank). nullptr: comm ranks ARE
   ///                           world ranks.
-  [[nodiscard]] static PlanDecision decide(const GlobalLayout& layout,
-                                           std::size_t elem_size,
-                                           const mpi::NetworkModel* net,
-                                           std::size_t peak_staging_bytes,
-                                           const std::vector<int>* world_ranks =
-                                               nullptr);
+  [[nodiscard]] static Plan decide(const std::vector<ExchangeLane>& lanes,
+                                   const mpi::NetworkModel* net,
+                                   std::size_t peak_staging_bytes,
+                                   const std::vector<int>* world_ranks =
+                                       nullptr);
 };
 
 /// Human-readable backend name ("alltoallw", "point_to_point_pipelined",

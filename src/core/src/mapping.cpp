@@ -1,6 +1,7 @@
 #include "ddr/mapping.hpp"
 
 #include <algorithm>
+#include <array>
 #include <iterator>
 #include <string>
 
@@ -12,19 +13,20 @@ namespace ddr {
 namespace {
 
 /// Subarray datatype selecting `region` (global coordinates) out of the
-/// local array described by `chunk`. The chunk's [x, y, z] element order is
-/// x-fastest, which is Order::fortran for dims given fastest-first.
+/// local array described by `chunk`, of `elem` elements. The chunk's
+/// [x, y, z] element order is x-fastest, which is Order::fortran for dims
+/// given fastest-first.
 mpi::Datatype make_subarray(const Chunk& chunk, const Box& region,
-                            std::size_t elem_size) {
-  std::vector<int> sizes, subsizes, starts;
-  for (int d = 0; d < chunk.ndims; ++d) {
-    const auto k = static_cast<std::size_t>(d);
-    sizes.push_back(chunk.dims[k]);
-    subsizes.push_back(static_cast<int>(region.extent(d)));
-    starts.push_back(static_cast<int>(region.lo[k] - chunk.offsets[k]));
+                            const mpi::Datatype& elem) {
+  std::array<int, kMaxDims> subsizes{}, starts{};
+  const auto nd = static_cast<std::size_t>(chunk.ndims);
+  for (std::size_t k = 0; k < nd; ++k) {
+    subsizes[k] = static_cast<int>(region.extent(static_cast<int>(k)));
+    starts[k] = static_cast<int>(region.lo[k] - chunk.offsets[k]);
   }
-  return mpi::Datatype::subarray(sizes, subsizes, starts,
-                                 mpi::Datatype::bytes(elem_size),
+  return mpi::Datatype::subarray(std::span(chunk.dims.data(), nd),
+                                 std::span(subsizes.data(), nd),
+                                 std::span(starts.data(), nd), elem,
                                  mpi::Order::fortran);
 }
 
@@ -75,9 +77,9 @@ std::vector<std::ptrdiff_t> chunk_bases(const std::vector<Chunk>& chunks,
 
 /// Every transfer `sender` -> `receiver`, in join order, typed on one end:
 /// on the sender's owned chunks (`send_side`) or on the receiver's needed
-/// chunks. `bases` are that end's chunk_bases.
+/// chunks, in elements of `elem`. `bases` are that end's chunk_bases.
 std::vector<Piece> lane_pieces(const GlobalLayout& layout, int sender,
-                               int receiver, std::size_t elem_size,
+                               int receiver, const mpi::Datatype& elem,
                                bool send_side,
                                const std::vector<std::ptrdiff_t>& bases) {
   const std::vector<Chunk>& chunks =
@@ -85,12 +87,11 @@ std::vector<Piece> lane_pieces(const GlobalLayout& layout, int sender,
                 : layout.needed[static_cast<std::size_t>(receiver)];
   std::vector<Piece> pieces;
   for_each_transfer(
-      layout, sender, receiver, elem_size, [&](const Transfer& t) {
+      layout, sender, receiver, elem.size(), [&](const Transfer& t) {
         const auto k =
             static_cast<std::size_t>(send_side ? t.round : t.needed_index);
-        pieces.push_back({bases[k],
-                          make_subarray(chunks[k], t.region, elem_size),
-                          t.round});
+        pieces.push_back(
+            {bases[k], make_subarray(chunks[k], t.region, elem), t.round});
       });
   return pieces;
 }
@@ -99,10 +100,10 @@ std::vector<Piece> lane_pieces(const GlobalLayout& layout, int sender,
 /// lane_pieces), naming the other end as its peer; peer == -1 when the pair
 /// moves nothing.
 PeerLane fused_lane(const GlobalLayout& layout, int sender, int receiver,
-                    std::size_t elem_size, bool send_side,
+                    const mpi::Datatype& elem, bool send_side,
                     const std::vector<std::ptrdiff_t>& bases) {
   std::vector<Piece> pieces =
-      lane_pieces(layout, sender, receiver, elem_size, send_side, bases);
+      lane_pieces(layout, sender, receiver, elem, send_side, bases);
   if (pieces.empty()) return PeerLane{};
   auto [displ, type] = collapse(std::move(pieces));
   const auto bytes = static_cast<std::int64_t>(type.size());
@@ -112,11 +113,15 @@ PeerLane fused_lane(const GlobalLayout& layout, int sender, int receiver,
 /// Rejects a rank outside the layout, a zero element size, or a layout whose
 /// owned and needed sides list different rank counts.
 void check_args(const GlobalLayout& layout, int rank, std::size_t elem_size,
-                const std::string& what) {
-  require(rank >= 0 && rank < layout.nranks(), what + ": rank out of range");
-  require(elem_size > 0, what + ": element size must be positive");
-  require(layout.needed.size() == layout.owned.size(),
-          what + ": owned/needed rank counts differ");
+                const char* what) {
+  const char* defect = nullptr;
+  if (rank < 0 || rank >= layout.nranks())
+    defect = ": rank out of range";
+  else if (elem_size == 0)
+    defect = ": element size must be positive";
+  else if (layout.needed.size() != layout.owned.size())
+    defect = ": owned/needed rank counts differ";
+  if (defect != nullptr) throw Error(std::string(what) + defect);
 }
 
 }  // namespace
@@ -135,10 +140,11 @@ DataMapping build_mapping(const GlobalLayout& layout, int rank,
       chunk_bases(layout.owned[ri], elem_size, &m.owned_bytes);
   const std::vector<std::ptrdiff_t> needed_base =
       chunk_bases(layout.needed[ri], elem_size, &m.needed_bytes);
+  const mpi::Datatype elem = mpi::Datatype::bytes(elem_size);
   for (int q = 0; q < m.nranks; ++q) {
-    PeerLane send = fused_lane(layout, rank, q, elem_size, true, owned_base);
+    PeerLane send = fused_lane(layout, rank, q, elem, true, owned_base);
     if (send.peer >= 0) m.fused_send.push_back(std::move(send));
-    PeerLane recv = fused_lane(layout, q, rank, elem_size, false, needed_base);
+    PeerLane recv = fused_lane(layout, q, rank, elem, false, needed_base);
     if (recv.peer >= 0) m.fused_recv.push_back(std::move(recv));
   }
   return m;
@@ -159,12 +165,13 @@ std::vector<RoundPlan> build_round_plans(const GlobalLayout& layout, int rank,
       chunk_bases(layout.owned[ri], elem_size);
   const std::vector<std::ptrdiff_t> needed_base =
       chunk_bases(layout.needed[ri], elem_size);
+  const mpi::Datatype elem = mpi::Datatype::bytes(elem_size);
   for (int q = 0; q < layout.nranks(); ++q) {
     const auto qi = static_cast<std::size_t>(q);
     for (const bool send : {true, false}) {
       std::vector<Piece> pieces =
-          send ? lane_pieces(layout, rank, q, elem_size, true, owned_base)
-               : lane_pieces(layout, q, rank, elem_size, false, needed_base);
+          send ? lane_pieces(layout, rank, q, elem, true, owned_base)
+               : lane_pieces(layout, q, rank, elem, false, needed_base);
       // The join lists a lane's pieces round by round: cut it into one
       // collapsed lane per round.
       for (auto first = pieces.begin(); first != pieces.end();) {
@@ -190,12 +197,14 @@ PeerLane build_peer_send_lane(const GlobalLayout& layout, int sender,
   require(receiver >= 0 && receiver < layout.nranks(),
           "build_peer_send_lane: receiver out of range");
   return fused_lane(
-      layout, sender, receiver, elem_size, true,
+      layout, sender, receiver, mpi::Datatype::bytes(elem_size), true,
       chunk_bases(layout.owned[static_cast<std::size_t>(sender)], elem_size));
 }
 
-MappingStats compute_stats(const GlobalLayout& layout, std::size_t elem_size) {
+MappingStats compute_stats(const GlobalLayout& layout, std::size_t elem_size,
+                           std::vector<ExchangeLane>* lanes) {
   MappingStats s;
+  if (lanes != nullptr) lanes->clear();
   s.nranks = layout.nranks();
   s.rounds = layout.rounds();
 
@@ -221,6 +230,7 @@ MappingStats compute_stats(const GlobalLayout& layout, std::size_t elem_size) {
       } else {
         s.network_bytes += pair_bytes;
         ++send_peers;
+        if (lanes != nullptr) lanes->push_back({sender, recv, pair_bytes, 0});
       }
     }
     for (const std::int64_t b : sent_in_round)

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "ddr/mapping.hpp"
-
 namespace ddr {
 
 namespace {
@@ -26,24 +24,6 @@ const char* backend_name(Backend b) {
       return "automatic";
   }
   return "unknown";
-}
-
-std::vector<ExchangeLane> inter_node_lanes(
-    const GlobalLayout& layout, std::size_t elem_size,
-    const mpi::NetworkModel* net, const std::vector<int>* world_ranks) {
-  std::vector<ExchangeLane> lanes;
-  for (int s = 0; s < layout.nranks(); ++s)
-    for (int r = 0; r < layout.nranks(); ++r) {
-      if (s == r) continue;
-      if (net != nullptr && net->node_of(to_world(s, world_ranks)) ==
-                                net->node_of(to_world(r, world_ranks)))
-        continue;
-      std::int64_t bytes = 0;
-      for_each_transfer(layout, s, r, elem_size,
-                        [&](const Transfer& t) { bytes += t.bytes; });
-      if (bytes > 0) lanes.push_back({s, r, bytes, 0});
-    }
-  return lanes;
 }
 
 int assign_waves(std::vector<ExchangeLane>& lanes,
@@ -72,18 +52,22 @@ int assign_waves(std::vector<ExchangeLane>& lanes,
   return wave + 1;
 }
 
-PlanDecision Planner::decide(const GlobalLayout& layout, std::size_t elem_size,
-                             const mpi::NetworkModel* net,
-                             std::size_t peak_staging_bytes,
-                             const std::vector<int>* world_ranks) {
-  std::vector<ExchangeLane> lanes =
-      inter_node_lanes(layout, elem_size, net, world_ranks);
+Plan Planner::decide(const std::vector<ExchangeLane>& lanes,
+                     const mpi::NetworkModel* net,
+                     std::size_t peak_staging_bytes,
+                     const std::vector<int>* world_ranks) {
+  Plan p;
   std::int64_t largest = 0;
-  for (const ExchangeLane& l : lanes) largest = std::max(largest, l.bytes);
-  PlanDecision d;
-  d.post_all = largest < kPostAllLaneBytes;
-  d.waves = assign_waves(lanes, peak_staging_bytes);
-  return d;
+  for (const ExchangeLane& l : lanes) {
+    if (net != nullptr && net->node_of(to_world(l.sender, world_ranks)) ==
+                              net->node_of(to_world(l.receiver, world_ranks)))
+      continue;
+    p.inter_lanes.push_back(l);
+    largest = std::max(largest, l.bytes);
+  }
+  p.decision.post_all = largest < kPostAllLaneBytes;
+  p.decision.waves = assign_waves(p.inter_lanes, peak_staging_bytes);
+  return p;
 }
 
 }  // namespace ddr

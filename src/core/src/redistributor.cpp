@@ -81,12 +81,12 @@ GlobalLayout gather_layout(const mpi::Comm& comm, const char* what,
   std::vector<int> recvcounts, displs;
   int total = 0;
   for (std::size_t r = 0; r < p; ++r) {
-    require(hdrs[3 * r + 2] == hdrs[2],
-            std::string(what) + ": rank 0 declared " +
-                std::to_string(hdrs[2]) + "-byte elements but rank " +
-                std::to_string(r) + " declared " +
-                std::to_string(hdrs[3 * r + 2]) +
-                " — all ranks must agree on the element size");
+    if (hdrs[3 * r + 2] != hdrs[2])
+      throw Error(std::string(what) + ": rank 0 declared " +
+                  std::to_string(hdrs[2]) + "-byte elements but rank " +
+                  std::to_string(r) + " declared " +
+                  std::to_string(hdrs[3 * r + 2]) +
+                  " — all ranks must agree on the element size");
     recvcounts.push_back(hdrs[3 * r] + hdrs[3 * r + 1]);
     displs.push_back(total);
     total += recvcounts.back();
@@ -270,8 +270,8 @@ void Redistributor::setup(const OwnedLayout& owned, const NeededLayout& needed,
   }
   if (options.collective_error_agreement) {
     agree_preconditions(comm_, code);
-  } else {
-    require(code == kPrecondOk, precond_message(code, comm_.rank()));
+  } else if (code != kPrecondOk) {
+    throw Error(precond_message(code, comm_.rank()));
   }
 
   {
@@ -306,8 +306,9 @@ void Redistributor::setup(const OwnedLayout& owned, const NeededLayout& needed,
   {
     DDR_TRACE_SPAN(vspan, "ddr.setup.validate");
     const LayoutValidation v = validate_owned(layout_);
-    require(v.ok(), "setup: owned layout violates the DDR contract — " +
-                        v.detail);
+    if (!v.ok())
+      throw Error("setup: owned layout violates the DDR contract — " +
+                  v.detail);
   }
 
   finish_setup();
@@ -315,12 +316,14 @@ void Redistributor::setup(const OwnedLayout& owned, const NeededLayout& needed,
 
 void Redistributor::finish_setup() {
   // 6. Geometry -> the fused lanes (built for every backend:
-  // fused_lane_count() reports them) and the schedule statistics. Only
+  // fused_lane_count() reports them), the schedule statistics and, from the
+  // same fold, the exchange's non-self lanes the planner schedules. Only
   // alltoallw gets per-round plans: the fused-lane executor would leave
   // them unused, yet their payloads would cost every rank, since the
-  // communicator's pool and its best-fit scan are shared.
+  // communicator's pool is shared.
   mapping_ = build_mapping(layout_, comm_.rank(), elem_size_);
-  stats_ = compute_stats(layout_, elem_size_);
+  std::vector<ExchangeLane> lanes;
+  stats_ = compute_stats(layout_, elem_size_, &lanes);
   resolved_backend_ = options_.backend == Backend::automatic
                           ? Backend::point_to_point_pipelined
                           : options_.backend;
@@ -350,25 +353,27 @@ void Redistributor::finish_setup() {
     if (per_round || cls != LaneClass::intra) continue;
     PeerLane peer_lane =
         build_peer_send_lane(layout_, l.peer, mapping_.rank, elem_size_);
-    require(peer_lane.peer == mapping_.rank,
-            "setup: internal error — intra-node recv lane from rank " +
-                std::to_string(l.peer) + " has no matching send lane");
+    if (peer_lane.peer != mapping_.rank)
+      throw Error("setup: internal error — intra-node recv lane from rank " +
+                  std::to_string(l.peer) + " has no matching send lane");
     intra_recv_.push_back({l.peer, peer_lane.displ, std::move(peer_lane.type),
                            l.displ, l.type, l.bytes});
   }
 
   // 6c. Plan: the fused-lane executor's lowering, which Backend::automatic
-  // resolves to. Everything it depends on (the allgathered layout, the
-  // run-wide NetworkModel, the world-rank node mapping) is identical on
-  // every rank, so the waves and the completion order are identical on
-  // every rank with no extra communication.
+  // resolves to, over the lanes of the fold above. Everything it depends on
+  // (the allgathered layout, the run-wide NetworkModel, the world-rank node
+  // mapping) is identical on every rank, so the waves and the completion
+  // order are identical on every rank with no extra communication.
   std::vector<int> world_ranks(static_cast<std::size_t>(mapping_.nranks));
   for (int r = 0; r < mapping_.nranks; ++r)
     world_ranks[static_cast<std::size_t>(r)] = comm_.world_rank(r);
+  Plan plan;
   {
     DDR_TRACE_SPAN(dspan, "ddr.plan.decide");
-    plan_ = Planner::decide(layout_, elem_size_, comm_.network_model(),
-                            options_.peak_staging_bytes, &world_ranks);
+    plan = Planner::decide(lanes, comm_.network_model(),
+                           options_.peak_staging_bytes, &world_ranks);
+    plan_ = plan.decision;
     DDR_TRACE_INSTANT("ddr.plan.decision",
                       {.value = static_cast<std::int64_t>(resolved_backend_)});
   }
@@ -376,30 +381,24 @@ void Redistributor::finish_setup() {
   // 6d. Lowering table of the fused-lane executor: its inter-node lanes
   // grouped by wave, send lanes in the order they are posted — ascending
   // peer order under the post-all discipline, the shifted order under the
-  // pipeline (plan_.post_all). The waves come from the global inter-lane
-  // schedule under the staging budget (one wave without one), derived from
-  // the allgathered layout, so a lane moves in the same wave on its sender
-  // and receiver. Intra lanes move zero-copy outside the waves and never
-  // count against the budget.
+  // pipeline (plan_.post_all). The waves are the planner's global
+  // inter-lane schedule under the staging budget (one wave without one),
+  // derived from the allgathered layout, so a lane moves in the same wave on
+  // its sender and receiver. Intra lanes move zero-copy outside the waves
+  // and never count against the budget.
   send_waves_.clear();
   recv_waves_.clear();
   if (!per_round) {
     const auto p = static_cast<std::size_t>(mapping_.nranks);
     std::vector<int> send_wave(p, 0), recv_wave(p, 0);  // by peer
-    int nwaves = 1;
-    if (options_.peak_staging_bytes > 0) {
-      std::vector<ExchangeLane> lanes = inter_node_lanes(
-          layout_, elem_size_, comm_.network_model(), &world_ranks);
-      nwaves = assign_waves(lanes, options_.peak_staging_bytes);
-      for (const ExchangeLane& l : lanes) {
-        if (l.sender == mapping_.rank)
-          send_wave[static_cast<std::size_t>(l.receiver)] = l.wave;
-        if (l.receiver == mapping_.rank)
-          recv_wave[static_cast<std::size_t>(l.sender)] = l.wave;
-      }
+    for (const ExchangeLane& l : plan.inter_lanes) {
+      if (l.sender == mapping_.rank)
+        send_wave[static_cast<std::size_t>(l.receiver)] = l.wave;
+      if (l.receiver == mapping_.rank)
+        recv_wave[static_cast<std::size_t>(l.sender)] = l.wave;
     }
-    send_waves_.resize(static_cast<std::size_t>(nwaves));
-    recv_waves_.resize(static_cast<std::size_t>(nwaves));
+    send_waves_.resize(static_cast<std::size_t>(plan_.waves));
+    recv_waves_.resize(static_cast<std::size_t>(plan_.waves));
     // Classic shifted schedule: rank r posts its successor peer's lane
     // first, wrapping, so no single mailbox is hammered by every sender at
     // once (fused lanes are sorted by peer).
@@ -727,8 +726,8 @@ void Redistributor::redistribute(std::span<const std::byte> owned_data,
 
   if (options_.collective_error_agreement) {
     agree_preconditions(comm_, code);
-  } else {
-    require(code == kPrecondOk, precond_message(code, comm_.rank()));
+  } else if (code != kPrecondOk) {
+    throw Error(precond_message(code, comm_.rank()));
   }
 
   if (resolved_backend_ == Backend::alltoallw) {

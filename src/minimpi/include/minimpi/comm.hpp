@@ -108,6 +108,9 @@ struct StagingStats {
   /// (Comm::reserve_staging) are planted in the free list without ever being
   /// live, so they do not inflate it.
   std::uint64_t peak_live_bytes = 0;
+  /// Bytes of storage the pool holds in its free list (pledged or not):
+  /// what the communicator keeps allocated between operations.
+  std::uint64_t pooled_bytes = 0;
 };
 
 /// Waits for every request; returns their statuses in order.
@@ -336,10 +339,17 @@ class Comm {
   /// unique but their assignment order is scheduling-dependent.)
   [[nodiscard]] std::uint64_t trace_id() const;
 
-  /// Plants buffers of the given sizes in the staging pool, all live at
-  /// once, so a later operation whose peak concurrent payload set is covered
-  /// by `sizes` (across every rank calling this) never heap-allocates on the
-  /// data path. Callable from any rank; not collective.
+  /// Pledges buffers of the given sizes in the staging pool to this rank,
+  /// so a later operation whose peak concurrent payload set is covered by
+  /// `sizes` (across every rank calling this) never heap-allocates on the
+  /// data path. The call replaces this rank's earlier pledges; each size,
+  /// largest first, claims the best-fitting unpledged buffer, and only the
+  /// sizes no such buffer fits plant new storage. Another rank's pledges are
+  /// never claimed, so concurrent reservations add up to the union of their
+  /// sets, while a rank that reserves again and again keeps one set. Any
+  /// acquire may take a pledged buffer (the pledge leaves with it). Planting
+  /// stops at the pool's byte ceiling. Callable from any rank; not
+  /// collective.
   void reserve_staging(const std::vector<std::size_t>& sizes) const;
 
   /// Cooperative cancellation point for long non-blocking progress loops:

@@ -9,6 +9,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace mpi {
 
@@ -36,9 +37,10 @@ class Error : public std::runtime_error {
   ErrorClass cls_;
 };
 
-/// Throws mpi::Error with the given class if `cond` is false.
-inline void require(bool cond, ErrorClass cls, const std::string& what) {
-  if (!cond) throw Error(cls, what);
+/// Throws mpi::Error with the given class if `cond` is false. A literal
+/// message builds no std::string unless the check fails.
+inline void require(bool cond, ErrorClass cls, std::string_view what) {
+  if (!cond) throw Error(cls, std::string(what));
 }
 
 }  // namespace mpi

@@ -352,10 +352,11 @@ Status complete_recv(const CommImpl& impl, int my_rank, Message msg, void* buf,
   charge_recv(impl, my_rank, msg);
 
   const std::size_t capacity = count * type.size();
-  require(msg.payload.size() <= capacity, ErrorClass::truncate,
-          "recv: message (" + std::to_string(msg.payload.size()) +
-              " B) larger than receive buffer (" + std::to_string(capacity) +
-              " B)");
+  if (msg.payload.size() > capacity)
+    throw Error(ErrorClass::truncate,
+                "recv: message (" + std::to_string(msg.payload.size()) +
+                    " B) larger than receive buffer (" +
+                    std::to_string(capacity) + " B)");
   std::size_t elems = 0;
   if (type.size() > 0) {
     require(msg.payload.size() % type.size() == 0, ErrorClass::truncate,
@@ -395,9 +396,11 @@ std::vector<std::byte> pack_elements(const CommImpl& impl, const void* buf,
 int coll_tag(std::uint64_t seq) { return static_cast<int>(seq & 0x3fffffffu); }
 
 void check_rank(const CommImpl& impl, int r, const char* what) {
-  require(r >= 0 && r < impl.size, ErrorClass::invalid_rank,
-          std::string(what) + ": rank " + std::to_string(r) +
-              " outside communicator of size " + std::to_string(impl.size));
+  if (r < 0 || r >= impl.size)
+    throw Error(ErrorClass::invalid_rank,
+                std::string(what) + ": rank " + std::to_string(r) +
+                    " outside communicator of size " +
+                    std::to_string(impl.size));
 }
 
 }  // namespace
@@ -429,10 +432,11 @@ void Comm::send(const void* buf, std::size_t count, const Datatype& type,
   require(valid(), ErrorClass::invalid_comm, "send: invalid communicator");
   check_rank(*impl_, dest, "send");
   require(tag >= 0, ErrorClass::invalid_tag, "send: tag must be >= 0");
-  require(tag < tag_upper_bound, ErrorClass::invalid_tag,
-          "send: tag " + std::to_string(tag) +
-              " exceeds the runtime tag ceiling (tag_upper_bound = " +
-              std::to_string(tag_upper_bound) + ")");
+  if (tag >= tag_upper_bound)
+    throw Error(ErrorClass::invalid_tag,
+                "send: tag " + std::to_string(tag) +
+                    " exceeds the runtime tag ceiling (tag_upper_bound = " +
+                    std::to_string(tag_upper_bound) + ")");
   send_packed(*impl_, rank_, pack_elements(*impl_, buf, count, type), dest, tag,
               /*collective=*/false);
 }
@@ -970,10 +974,12 @@ void Comm::alltoallw(const void* sendbuf, std::span<const int> sendcounts,
   auto unpack_from = [&](int src, const std::byte* data, std::size_t bytes) {
     const auto k = static_cast<std::size_t>(src);
     const auto n = static_cast<std::size_t>(recvcounts[k]);
-    require(bytes == n * recvtypes[k].size(), ErrorClass::truncate,
-            "alltoallw: received " + std::to_string(bytes) +
-                " B but expected " + std::to_string(n * recvtypes[k].size()) +
-                " B from rank " + std::to_string(src));
+    if (bytes != n * recvtypes[k].size())
+      throw Error(ErrorClass::truncate,
+                  "alltoallw: received " + std::to_string(bytes) +
+                      " B but expected " +
+                      std::to_string(n * recvtypes[k].size()) +
+                      " B from rank " + std::to_string(src));
     if (n > 0 && bytes > 0) recvtypes[k].unpack(data, n, out + rdispls[k]);
   };
 
@@ -1492,7 +1498,8 @@ StagingStats Comm::staging_stats() const {
       impl_->staging.acquires.load(std::memory_order_relaxed),
       impl_->staging.heap_allocs.load(std::memory_order_relaxed),
       static_cast<std::uint64_t>(std::max<std::int64_t>(0, live)),
-      static_cast<std::uint64_t>(std::max<std::int64_t>(0, peak))};
+      static_cast<std::uint64_t>(std::max<std::int64_t>(0, peak)),
+      impl_->staging.pooled_bytes()};
 }
 
 void Comm::reset_staging_peak() const {
@@ -1517,21 +1524,12 @@ std::uint64_t Comm::trace_id() const {
 void Comm::reserve_staging(const std::vector<std::size_t>& sizes) const {
   require(valid(), ErrorClass::invalid_comm,
           "reserve_staging: invalid communicator");
-  // Purely additive: plant fresh storage rather than recycling through
-  // acquire(), so concurrent reservations from several ranks end up as the
-  // UNION of their working sets. (An acquire-then-release loop would let a
-  // later rank pop an earlier rank's just-released buffers, leaving the pool
-  // one working set short of the true all-ranks-in-flight peak.) The pool's
-  // byte budget bounds the overshoot of repeated reservations.
   std::int64_t total = 0;
   for (const std::size_t n : sizes) total += static_cast<std::int64_t>(n);
   DDR_TRACE_SPAN(tspan, "mpi.staging.reserve",
                  trace::Keys{.comm = static_cast<std::int64_t>(impl_->trace_id),
                              .bytes = total});
-  // deposit(), not release(): these buffers were never acquired, so they
-  // must not perturb the pool's live/peak-byte accounting (StagingStats).
-  for (const std::size_t n : sizes)
-    if (n > 0) impl_->staging.deposit(std::vector<std::byte>(n));
+  impl_->staging.reserve(rank_, sizes);
 }
 
 const NetworkModel* Comm::network_model() const {

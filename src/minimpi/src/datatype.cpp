@@ -449,6 +449,7 @@ Datatype Datatype::strukt(std::span<const int> blocklens,
           "struct: blocklens/displs/types must have equal length");
   auto n = std::make_shared<TypeNode>();
   n->kind = Kind::strukt;
+  n->blocks.reserve(nb);
   std::size_t size = 0, extent = 0;
   for (std::size_t i = 0; i < nb; ++i) {
     require(blocklens[i] >= 0, ErrorClass::invalid_datatype,

@@ -3,10 +3,12 @@
 /// \file impl.hpp
 /// Internal shared state of the minimpi runtime (not installed).
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -42,28 +44,33 @@ struct Mailbox {
 struct RankKilled {};
 
 /// Recycles staging buffers (message payloads, pack scratch) so the
-/// steady-state data path stops allocating: once the pool has seen each
-/// buffer size a few times, acquire() is a pop + resize into existing
+/// steady-state data path stops allocating: once the pool holds each
+/// buffer size, acquire() is a best-fit pick + resize into existing
 /// capacity. Counters expose the allocation behaviour to benches and CI
 /// (heap_allocs must stay flat across steady-state redistribute() calls).
+///
+/// Each free buffer may be pledged to the comm rank whose reserve() claimed
+/// it. A pledge keeps a buffer out of other ranks' reservations, so
+/// concurrent reservations add up to the union of their working sets; a
+/// rank's next reservation replaces its own pledges, so reservations that
+/// never run cannot pile up. acquire() ignores pledges (the pledge leaves
+/// with the buffer). Every lookup scans the free list, which holds one
+/// setup's working set per rank.
 struct BufferPool {
   /// Returns a buffer of exactly `bytes` size (contents unspecified).
-  /// Best-fit, so a small request never steals the capacity a concurrent
-  /// large request needs (first-fit let zero-padding control messages walk
-  /// off with data-sized buffers and forced the data path to reallocate).
+  /// Best-fit, pledged or not, so a small request never steals the capacity
+  /// a concurrent large request needs (first-fit let zero-padding control
+  /// messages walk off with data-sized buffers and forced the data path to
+  /// reallocate).
   std::vector<std::byte> acquire(std::size_t bytes) {
     if (bytes == 0) return {};  // a zero-size vector never touches the heap
     acquires.fetch_add(1, std::memory_order_relaxed);
     note_acquired(bytes);
     {
       std::lock_guard lk(m);
-      auto best = free.end();
-      for (auto it = free.begin(); it != free.end(); ++it) {
-        if (it->capacity() < bytes) continue;
-        if (best == free.end() || it->capacity() < best->capacity()) best = it;
-      }
+      const auto best = best_fit(bytes, /*unpledged_only=*/false);
       if (best != free.end()) {
-        std::vector<std::byte> buf = std::move(*best);
+        std::vector<std::byte> buf = std::move(best->buf);
         free.erase(best);
         retained_bytes -= buf.capacity();
         buf.resize(bytes);  // within capacity: no allocation
@@ -82,17 +89,17 @@ struct BufferPool {
     return std::vector<std::byte>(bytes);
   }
 
-  /// Returns a buffer's storage to the pool (size is irrelevant, capacity is
-  /// what gets reused). The pool is byte-budgeted, not count-capped: the
-  /// steady-state working set equals the peak number of in-flight payloads,
-  /// which scales with ranks x rounds, so any fixed buffer count would churn
-  /// (drop on release, reallocate next call) on larger exchanges.
+  /// Returns a buffer's storage to the pool, unpledged (size is irrelevant,
+  /// capacity is what gets reused). The pool is byte-budgeted, not
+  /// count-capped: the steady-state working set equals the peak number of
+  /// in-flight payloads, which scales with ranks x rounds, so any fixed
+  /// buffer count would churn (drop on release, reallocate next call) on
+  /// larger exchanges.
   void release(std::vector<std::byte>&& buf) {
     if (buf.capacity() == 0) return;
     // Live-byte accounting mirrors acquire(): a buffer handed out is "live"
     // until its storage comes back here. Clamped at zero so a buffer whose
-    // size changed in user hands (or was planted by deposit()) can never
-    // drive the counter negative.
+    // size changed in user hands can never drive the counter negative.
     const auto sz = static_cast<std::int64_t>(buf.size());
     std::int64_t live = live_bytes.load(std::memory_order_relaxed);
     while (!live_bytes.compare_exchange_weak(live, std::max<std::int64_t>(
@@ -105,26 +112,41 @@ struct BufferPool {
     std::lock_guard lk(m);
     if (retained_bytes + buf.capacity() > kMaxPooledBytes) return;
     retained_bytes += buf.capacity();
-    free.push_back(std::move(buf));
+    free.push_back({kUnpledged, std::move(buf)});
   }
 
-  /// Plants never-acquired storage in the pool (Comm::reserve_staging
-  /// prewarm). Unlike release(), a deposit never touches the live-byte
-  /// accounting: the buffer was never handed out, so it contributes to the
-  /// free list only.
-  void deposit(std::vector<std::byte>&& buf) {
-    if (buf.capacity() == 0) return;
-    buf.clear();
+  /// Comm::reserve_staging for comm rank `rank`: releases the rank's earlier
+  /// pledges, then pledges, largest size first, the best-fitting unpledged
+  /// buffer to each size, and plants new storage (capacity only, never
+  /// acquired, so the live-byte accounting is untouched) for the sizes no
+  /// unpledged buffer fits, within kMaxPooledBytes.
+  void reserve(int rank, std::vector<std::size_t> sizes) {
+    std::sort(sizes.begin(), sizes.end(), std::greater<>());
     std::lock_guard lk(m);
-    if (retained_bytes + buf.capacity() > kMaxPooledBytes) return;
-    retained_bytes += buf.capacity();
-    free.push_back(std::move(buf));
+    for (Pooled& p : free)
+      if (p.pledgee == rank) p.pledgee = kUnpledged;
+    for (const std::size_t n : sizes) {
+      if (n == 0) continue;
+      if (const auto best = best_fit(n, /*unpledged_only=*/true);
+          best != free.end()) {
+        best->pledgee = rank;
+        continue;
+      }
+      if (retained_bytes + n > kMaxPooledBytes) continue;
+      std::vector<std::byte> buf;
+      buf.reserve(n);
+      retained_bytes += buf.capacity();
+      free.push_back({rank, std::move(buf)});
+    }
+  }
+
+  /// Bytes of storage held in the free list (StagingStats::pooled_bytes).
+  [[nodiscard]] std::size_t pooled_bytes() {
+    std::lock_guard lk(m);
+    return retained_bytes;
   }
 
   static constexpr std::size_t kMaxPooledBytes = std::size_t{64} << 20;
-  std::mutex m;
-  std::vector<std::vector<std::byte>> free;
-  std::size_t retained_bytes = 0;  // guarded by m
   std::atomic<std::uint64_t> acquires{0};
   std::atomic<std::uint64_t> heap_allocs{0};
   /// Bytes currently handed out (acquired, not yet released) and the
@@ -135,6 +157,27 @@ struct BufferPool {
   std::atomic<std::int64_t> peak_live_bytes{0};
 
  private:
+  static constexpr int kUnpledged = -1;
+  /// A free buffer and the comm rank it is pledged to (kUnpledged: none).
+  struct Pooled {
+    int pledgee = kUnpledged;
+    std::vector<std::byte> buf;
+  };
+
+  /// The free buffer of smallest capacity >= `bytes` (free.end() if none),
+  /// among the unpledged ones only if `unpledged_only`. Caller holds m.
+  std::vector<Pooled>::iterator best_fit(std::size_t bytes,
+                                         bool unpledged_only) {
+    auto best = free.end();
+    for (auto it = free.begin(); it != free.end(); ++it) {
+      if (it->buf.capacity() < bytes) continue;
+      if (unpledged_only && it->pledgee != kUnpledged) continue;
+      if (best == free.end() || it->buf.capacity() < best->buf.capacity())
+        best = it;
+    }
+    return best;
+  }
+
   void note_acquired(std::size_t bytes) {
     const std::int64_t now =
         live_bytes.fetch_add(static_cast<std::int64_t>(bytes),
@@ -145,6 +188,10 @@ struct BufferPool {
                              peak, now, std::memory_order_relaxed)) {
     }
   }
+
+  std::mutex m;
+  std::vector<Pooled> free;        // guarded by m
+  std::size_t retained_bytes = 0;  // guarded by m: capacity in `free`
 };
 
 /// Whole-run shared state. One World per mpi::run().

@@ -151,20 +151,21 @@ std::int64_t lane_bytes(const std::vector<ddr::ExchangeLane>& lanes) {
 }
 
 TEST(PlannerGolden, Strided3dPicksPipelined) {
-  const ddr::GlobalLayout layout = strided3d_layout();
-  const ddr::PlanDecision d =
-      ddr::Planner::decide(layout, sizeof(float), nullptr, 0);
-  EXPECT_EQ(d.waves, 1);
+  std::vector<ddr::ExchangeLane> lanes;
+  (void)ddr::compute_stats(strided3d_layout(), sizeof(float), &lanes);
+  const ddr::Plan plan = ddr::Planner::decide(lanes, nullptr, 0);
+  EXPECT_EQ(plan.decision.waves, 1);
   // 64 KB lanes clear the 32 KB threshold: the pipeline completion order.
-  EXPECT_FALSE(d.post_all);
+  EXPECT_FALSE(plan.decision.post_all);
   // Without a NetworkModel every peer is a different node, so every
   // non-self byte rides an inter-node lane.
-  EXPECT_EQ(lane_bytes(ddr::inter_node_lanes(layout, sizeof(float))), 786432);
+  EXPECT_EQ(lane_bytes(plan.inter_lanes), 786432);
 }
 
 TEST(PlannerGolden, Rows2dPicksPostAllFusedLanes) {
-  const ddr::PlanDecision d =
-      ddr::Planner::decide(rows2d_layout(), sizeof(float), nullptr, 0);
+  std::vector<ddr::ExchangeLane> lanes;
+  (void)ddr::compute_stats(rows2d_layout(), sizeof(float), &lanes);
+  const ddr::PlanDecision d = ddr::Planner::decide(lanes, nullptr, 0).decision;
   EXPECT_TRUE(d.post_all);
   EXPECT_EQ(d.waves, 1);
 }
@@ -209,10 +210,13 @@ TEST(PlannerGolden, ResizeSlabLayoutIsDeterministic) {
                                  : ddr::OwnedLayout{});
     layout.needed.push_back(proposed[static_cast<std::size_t>(r)]);
   }
-  const ddr::PlanDecision a =
-      ddr::Planner::decide(layout, sizeof(float), nullptr, 0);
-  const ddr::PlanDecision b =
-      ddr::Planner::decide(layout, sizeof(float), nullptr, 0);
+  auto derive = [&layout] {
+    std::vector<ddr::ExchangeLane> lanes;
+    (void)ddr::compute_stats(layout, sizeof(float), &lanes);
+    return ddr::Planner::decide(lanes, nullptr, 0).decision;
+  };
+  const ddr::PlanDecision a = derive();
+  const ddr::PlanDecision b = derive();
   EXPECT_EQ(a.waves, b.waves);
   EXPECT_EQ(a.post_all, b.post_all);
 }
@@ -223,8 +227,10 @@ TEST(PlannerGolden, LinkModelSplitsIntraNodeBytes) {
   // traffic, not link traffic, so the inter lanes carry part of the
   // 786432 non-self bytes but not all of them.
   const simnet::LinkModel model = two_per_node_cooley();
-  const std::int64_t inter = lane_bytes(
-      ddr::inter_node_lanes(strided3d_layout(), sizeof(float), &model));
+  std::vector<ddr::ExchangeLane> lanes;
+  (void)ddr::compute_stats(strided3d_layout(), sizeof(float), &lanes);
+  const std::int64_t inter =
+      lane_bytes(ddr::Planner::decide(lanes, &model, 0).inter_lanes);
   EXPECT_GT(inter, 0);
   EXPECT_LT(inter, 786432);
 }
@@ -275,8 +281,9 @@ TEST(PlannerBudget, TightBudgetForcesCollective) {
   // 64 KB inter lanes fenced one per wave, and the measured peak within the
   // budget.
   const ddr::GlobalLayout layout = strided3d_layout();
-  EXPECT_EQ(ddr::Planner::decide(layout, sizeof(float), nullptr, 90000).waves,
-            12);
+  std::vector<ddr::ExchangeLane> lanes;
+  (void)ddr::compute_stats(layout, sizeof(float), &lanes);
+  EXPECT_EQ(ddr::Planner::decide(lanes, nullptr, 90000).decision.waves, 12);
   const RunResult got = run_backend(layout, Backend::automatic, 90000);
   for (const int w : got.waves) EXPECT_EQ(w, 12);
   EXPECT_LE(got.peak, 90000u);
@@ -324,11 +331,13 @@ TEST(PlannerProperty, CollectiveByteIdenticalToP2pUnderBudget) {
     for (const std::size_t elem : {sizeof(float), std::size_t{128}}) {
       const auto want =
           run_backend(layout, Backend::alltoallw, 0, nullptr, elem).out;
+      std::vector<ddr::ExchangeLane> lanes;
+      (void)ddr::compute_stats(layout, elem, &lanes);
       for (const mpi::NetworkModel* net :
            {static_cast<const mpi::NetworkModel*>(nullptr),
             static_cast<const mpi::NetworkModel*>(&cooley)}) {
-        std::vector<ddr::ExchangeLane> inter =
-            ddr::inter_node_lanes(layout, elem, net);
+        const std::vector<ddr::ExchangeLane> inter =
+            ddr::Planner::decide(lanes, net, 0).inter_lanes;
         std::int64_t inter_bytes = 0, largest = 0;
         for (const ddr::ExchangeLane& l : inter) {
           inter_bytes += l.bytes;
@@ -341,8 +350,7 @@ TEST(PlannerProperty, CollectiveByteIdenticalToP2pUnderBudget) {
         saw_post_all = saw_post_all || (post_all && !inter.empty());
         saw_pipeline = saw_pipeline || !post_all;
         const std::int64_t intra_lanes =
-            static_cast<std::int64_t>(
-                ddr::inter_node_lanes(layout, elem).size()) -
+            static_cast<std::int64_t>(lanes.size()) -
             static_cast<std::int64_t>(inter.size());
         // 1 B floors at the largest inter lane (one lane per wave); half the
         // inter traffic packs several lanes into each of a few waves.
@@ -507,19 +515,19 @@ TEST(PlannerWaves, ClassPlansUnderTwoRanksPerNode) {
   const ddr::GlobalLayout layout = strided3d_layout();
 
   // 8 inter lanes of 64 KB, three per 200000 B wave.
+  std::vector<ddr::ExchangeLane> lanes;
+  (void)ddr::compute_stats(layout, sizeof(float), &lanes);
   const LaneCensus two = lane_census(layout, &model, 200000);
   EXPECT_EQ(two.lanes, (std::array<int, 3>{4, 4, 8}));
   EXPECT_EQ(two.waves, 3);
-  EXPECT_EQ(ddr::Planner::decide(layout, sizeof(float), &model, 200000).waves,
-            3);
+  EXPECT_EQ(ddr::Planner::decide(lanes, &model, 200000).decision.waves, 3);
 
   // Without a NetworkModel every non-self peer is another node: no intra
   // lanes, and without a budget the inter lanes are one pipelined wave.
   const LaneCensus flat = lane_census(layout, nullptr, 0);
   EXPECT_EQ(flat.lanes, (std::array<int, 3>{4, 0, 12}));
   EXPECT_EQ(flat.waves, 1);
-  EXPECT_FALSE(
-      ddr::Planner::decide(layout, sizeof(float), nullptr, 0).post_all);
+  EXPECT_FALSE(ddr::Planner::decide(lanes, nullptr, 0).decision.post_all);
 }
 
 TEST(PlannerWaves, AutomaticUnderBudgetPicksWavedPipelined) {
@@ -570,10 +578,12 @@ TEST(PlannerWaves, CrossRankAgreementUnderTwoRanksPerNode) {
   // wave count and completion order — a divergent wave schedule would
   // deadlock the fenced execution. The decision is a pure function of the
   // allgathered layout, so every rank's plan() must equal, field by field,
-  // the offline decide() that ddrinfo --plan prints.
+  // the offline Planner::decide() that ddrinfo --plan prints.
   const simnet::LinkModel model = two_per_node_cooley();
   const ddr::GlobalLayout layout = strided3d_layout();
   const int nranks = layout.nranks();
+  std::vector<ddr::ExchangeLane> lanes;
+  (void)ddr::compute_stats(layout, sizeof(float), &lanes);
   mpi::RunOptions ropts;
   ropts.network = &model;
   for (const std::size_t budget : {std::size_t{200000}, std::size_t{0}}) {
@@ -592,7 +602,7 @@ TEST(PlannerWaves, CrossRankAgreementUnderTwoRanksPerNode) {
         },
         ropts);
     const ddr::PlanDecision want =
-        ddr::Planner::decide(layout, sizeof(float), &model, budget);
+        ddr::Planner::decide(lanes, &model, budget).decision;
     for (int r = 0; r < nranks; ++r) {
       SCOPED_TRACE("budget " + std::to_string(budget) + " rank " +
                    std::to_string(r));
@@ -617,6 +627,130 @@ TEST(PlannerProperty, AutomaticAgreesAcrossRanksOnStrided3d) {
         << "rank " << r;
   for (const int w : got.waves) EXPECT_EQ(w, 4);
   EXPECT_LE(got.peak, 200000u);
+}
+
+/// The schedule as the planner derived it before it read compute_stats'
+/// fold: its own pass over every pair's transfers, skipping self and
+/// same-node pairs, then greedy waves under the budget floored at the
+/// largest lane.
+struct OracleSchedule {
+  std::vector<ddr::ExchangeLane> lanes;
+  int waves = 1;
+  bool post_all = true;
+};
+
+OracleSchedule oracle_schedule(const ddr::GlobalLayout& layout,
+                               std::size_t elem, const mpi::NetworkModel* net,
+                               std::size_t budget) {
+  OracleSchedule o;
+  for (int s = 0; s < layout.nranks(); ++s)
+    for (int r = 0; r < layout.nranks(); ++r) {
+      if (s == r || (net != nullptr && net->node_of(s) == net->node_of(r)))
+        continue;
+      std::int64_t bytes = 0;
+      ddr::for_each_transfer(layout, s, r, elem,
+                             [&](const ddr::Transfer& t) { bytes += t.bytes; });
+      if (bytes > 0) o.lanes.push_back({s, r, bytes, 0});
+    }
+  std::int64_t largest = 0;
+  for (const ddr::ExchangeLane& l : o.lanes)
+    largest = std::max(largest, l.bytes);
+  o.post_all = largest < ddr::kPostAllLaneBytes;
+  if (o.lanes.empty() || budget == 0) return o;
+  const std::int64_t eff = std::max(largest, static_cast<std::int64_t>(budget));
+  std::int64_t acc = 0;
+  int wave = 0;
+  for (ddr::ExchangeLane& l : o.lanes) {
+    if (acc > 0 && acc + l.bytes > eff) {
+      ++wave;
+      acc = 0;
+    }
+    l.wave = wave;
+    acc += l.bytes;
+  }
+  o.waves = wave + 1;
+  return o;
+}
+
+bool same_lanes(const std::vector<ddr::ExchangeLane>& a,
+                const std::vector<ddr::ExchangeLane>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](const ddr::ExchangeLane& x, const ddr::ExchangeLane& y) {
+                      return x.sender == y.sender &&
+                             x.receiver == y.receiver && x.bytes == y.bytes &&
+                             x.wave == y.wave;
+                    });
+}
+
+TEST(PlannerProperty, FoldedLanesMatchThePairwiseOracle) {
+  // compute_stats' lane list is every non-self pair's summed transfers, and
+  // the planner fed from it (filtering it by node, then deciding) schedules
+  // exactly the lanes, waves and completion order of the pairwise oracle —
+  // on 300 seeded layouts, flat and under two and three ranks per node,
+  // with no budget, the one-lane floor and a mid budget.
+  simnet::LinkParams p2 = simnet::cooley_params();
+  p2.ranks_per_node = 2;
+  simnet::LinkParams p3 = p2;
+  p3.ranks_per_node = 3;
+  const simnet::LinkModel two(p2), three(p3);
+  std::mt19937 rng(20261021);
+  int multi_wave = 0, pipelined = 0, no_lanes = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    const int nranks = 1 + static_cast<int>(rng() % 8);
+    Box domain;
+    domain.ndims = 1 + trial % 3;
+    for (std::size_t k = 0; k < static_cast<std::size_t>(domain.ndims); ++k) {
+      domain.lo[k] = static_cast<int>(rng() % 5) - 2;
+      domain.hi[k] = domain.lo[k] + 1 + static_cast<int>(rng() % 40);
+    }
+    const auto boxes = random_partition(
+        domain, 1 + static_cast<int>(rng() % static_cast<unsigned>(4 * nranks)),
+        rng);
+    ddr::GlobalLayout layout;
+    layout.owned.resize(static_cast<std::size_t>(nranks));
+    layout.needed.resize(static_cast<std::size_t>(nranks));
+    for (const Box& b : boxes)
+      layout.owned[rng() % static_cast<unsigned>(nranks)].push_back(
+          box_to_chunk(b));
+    for (auto& need : layout.needed)
+      for (int n = 1 + static_cast<int>(rng() % 2); n > 0; --n)
+        need.push_back(box_to_chunk(random_subbox(domain, rng)));
+    const std::size_t elem = rng() % 2 == 0 ? sizeof(float) : 96;
+    const std::string where = "trial " + std::to_string(trial);
+
+    std::vector<ddr::ExchangeLane> lanes;
+    const ddr::MappingStats stats = ddr::compute_stats(layout, elem, &lanes);
+    EXPECT_EQ(lane_bytes(lanes), stats.network_bytes) << where;
+    const OracleSchedule flat = oracle_schedule(layout, elem, nullptr, 0);
+    ASSERT_TRUE(same_lanes(lanes, flat.lanes)) << where;
+    no_lanes += lanes.empty() ? 1 : 0;
+
+    for (const mpi::NetworkModel* net :
+         {static_cast<const mpi::NetworkModel*>(nullptr),
+          static_cast<const mpi::NetworkModel*>(&two),
+          static_cast<const mpi::NetworkModel*>(&three)}) {
+      const std::int64_t inter_bytes =
+          lane_bytes(oracle_schedule(layout, elem, net, 0).lanes);
+      const auto third =
+          static_cast<std::size_t>(std::max<std::int64_t>(1, inter_bytes / 3));
+      for (const std::size_t budget : {std::size_t{0}, std::size_t{1}, third}) {
+        const OracleSchedule want = oracle_schedule(layout, elem, net, budget);
+        const ddr::Plan plan = ddr::Planner::decide(lanes, net, budget);
+        const ddr::PlanDecision& got = plan.decision;
+        const std::string at = where + (net == nullptr ? " flat" : " nodes") +
+                               " budget " + std::to_string(budget);
+        EXPECT_TRUE(same_lanes(plan.inter_lanes, want.lanes)) << at;
+        EXPECT_EQ(got.waves, want.waves) << at;
+        EXPECT_EQ(got.post_all, want.post_all) << at;
+        multi_wave += got.waves > 1 ? 1 : 0;
+        pipelined += got.post_all ? 0 : 1;
+      }
+    }
+  }
+  // The layouts must reach every case the comparison is meant to cover.
+  EXPECT_GT(multi_wave, 300);
+  EXPECT_GT(pipelined, 30);
+  EXPECT_GT(no_lanes, 5);
 }
 
 }  // namespace

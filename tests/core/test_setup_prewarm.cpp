@@ -9,8 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <optional>
+#include <random>
 #include <span>
 #include <vector>
 
@@ -177,23 +179,50 @@ TEST(SetupPrewarm, PerRoundExecutorsKeepRoundPayloadsAndPlans) {
   }
 }
 
+/// The staging bytes one automatic setup() of `rd` reserves, summed over
+/// the communicator: every rank's non-self fused send lanes (no
+/// NetworkModel, so every one of them moves as a payload).
+std::uint64_t reserved_union(const mpi::Comm& comm,
+                             const ddr::Redistributor& rd) {
+  std::uint64_t mine = 0;
+  for (const ddr::PeerLane& l :
+       ddr::build_mapping(rd.global_layout(), comm.rank(), sizeof(float))
+           .fused_send)
+    if (l.peer != comm.rank()) mine += static_cast<std::uint64_t>(l.bytes);
+  std::uint64_t sum = 0;
+  comm.allreduce(&mine, &sum, 1, mpi::Datatype::of<std::uint64_t>(),
+                 mpi::Op::sum<std::uint64_t>());
+  return sum;
+}
+
 TEST(SetupPrewarm, RepeatedSetupsKeepSteadyStateAllocationFree) {
   // A dynamic layout sets up again on the same communicator whenever it
-  // changes; the pool those setups prewarm is shared by every rank.
+  // changes; the pool those setups prewarm is shared by every rank. Each
+  // rank's reservation replaces its previous one, so 50 setups that never
+  // run leave about one setup's staging pooled, not 50.
   mpi::run(kRanks, [](mpi::Comm& comm) {
     const int r = comm.rank();
     ddr::SetupOptions opt;
     opt.backend = Backend::automatic;
     std::optional<ddr::Redistributor> rd;
+    std::uint64_t one_setup = 0;
     for (int i = 0; i < 50; ++i) {
       rd.emplace(comm, sizeof(float));
       rd->setup(blocks_of(r), brick_of(r), opt);
+      if (i > 0) continue;
+      // One setup's staging footprint: its lane reservation and what its
+      // own metadata allgathers leave pooled.
+      comm.barrier();
+      one_setup = comm.staging_stats().pooled_bytes;
+      comm.barrier();
+      ASSERT_GE(one_setup, reserved_union(comm, *rd)) << "rank " << r;
     }
     std::vector<float> src(rd->owned_bytes() / sizeof(float), 1.0f);
     std::vector<float> dst(rd->needed_bytes() / sizeof(float));
     comm.barrier();
     const mpi::StagingStats s0 = comm.staging_stats();
     comm.barrier();
+    EXPECT_LE(s0.pooled_bytes, 2 * one_setup) << "rank " << r;
     for (int i = 0; i < 20; ++i)
       rd->redistribute(std::as_bytes(std::span<const float>(src)),
                        std::as_writable_bytes(std::span<float>(dst)));
@@ -201,6 +230,64 @@ TEST(SetupPrewarm, RepeatedSetupsKeepSteadyStateAllocationFree) {
     const mpi::StagingStats s1 = comm.staging_stats();
     EXPECT_GT(s1.acquires, s0.acquires);
     EXPECT_EQ(s1.heap_allocations, s0.heap_allocations) << "rank " << r;
+  });
+}
+
+TEST(SetupPrewarm, ChangingLayoutsKeepThePoolBounded) {
+  // 200 setups of a changing layout on one communicator — a 32^3 domain cut
+  // into blocks of a random edge and dealt at random, gathered into bricks
+  // or slabs — each followed by a checked redistribute(). Every reservation
+  // replaces its rank's last one and pledges what the pool already holds,
+  // so the pool stays within a few setups' worth of staging however many
+  // layouts go by.
+  constexpr int kSide = 32;
+  mpi::run(kRanks, [](mpi::Comm& comm) {
+    const int r = comm.rank();
+    // One seed on every rank: every rank draws the same deals.
+    std::mt19937 rng(20261021);
+    auto value = [](std::int64_t x, std::int64_t y, std::int64_t z) {
+      return static_cast<float>(x + kSide * (y + kSide * z));
+    };
+    auto cells = [](const Chunk& c, const auto& fn) {
+      for (int z = 0; z < c.dims[2]; ++z)
+        for (int y = 0; y < c.dims[1]; ++y)
+          for (int x = 0; x < c.dims[0]; ++x)
+            fn(x + c.offsets[0], y + c.offsets[1], z + c.offsets[2]);
+    };
+    ddr::Redistributor rd(comm, sizeof(float));
+    ddr::SetupOptions opt;
+    opt.backend = Backend::automatic;
+    std::uint64_t largest_union = 0;
+    for (int it = 0; it < 200; ++it) {
+      const int edge = 4 << (rng() % 3);
+      const int per = kSide / edge;
+      ddr::OwnedLayout own;
+      for (int b = 0; b < per * per * per; ++b)
+        if (static_cast<int>(rng() % kRanks) == r)
+          own.push_back(Chunk::d3(edge, edge, edge, b % per * edge,
+                                  b / per % per * edge, b / (per * per) * edge));
+      const Chunk need =
+          it % 2 == 0 ? Chunk::d3(16, 16, 32, r % 2 * 16, r / 2 * 16, 0)
+                      : Chunk::d3(32, 32, 8, 0, 0, 8 * r);
+      rd.setup(own, need, opt);
+      largest_union = std::max(largest_union, reserved_union(comm, rd));
+
+      std::vector<float> src;
+      for (const Chunk& c : own)
+        cells(c, [&](int x, int y, int z) { src.push_back(value(x, y, z)); });
+      std::vector<float> dst(static_cast<std::size_t>(need.volume()));
+      rd.redistribute(std::as_bytes(std::span<const float>(src)),
+                      std::as_writable_bytes(std::span<float>(dst)));
+      std::size_t i = 0;
+      bool exact = true;
+      cells(need, [&](int x, int y, int z) {
+        exact = exact && dst[i++] == value(x, y, z);
+      });
+      ASSERT_TRUE(exact) << "layout " << it << " rank " << r;
+    }
+    comm.barrier();
+    const mpi::StagingStats s = comm.staging_stats();
+    EXPECT_LE(s.pooled_bytes, 4 * largest_union) << "rank " << r;
   });
 }
 

@@ -2,12 +2,15 @@
 // library used before the sort-and-sweep, kept here as the oracle. On seeded
 // random 1D/2D/3D layouts — valid tilings, overlaps within one rank and
 // across ranks, duplicated chunks, holes, ranks that own nothing and
-// zero-extent chunks — both must report the same overlapping pairs, the
-// same exclusive/complete verdict and the same diagnosis.
+// zero-extent chunks, and layouts built to stress the sweep's groups — both
+// must report the same overlapping pairs, the same exclusive/complete
+// verdict and the same diagnosis.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cstdint>
 #include <random>
 #include <sstream>
 #include <utility>
@@ -175,6 +178,133 @@ TEST(ValidateSweep, MatchesAllPairsOracleOnRandomLayouts) {
   EXPECT_GT(valid, 1000);
   EXPECT_GT(zero_extent, 500);
   EXPECT_GT(idle_rank, 500);
+}
+
+/// Boxes that stress the sweep's groups, in a random `nd`-D domain: a grid
+/// of random pitch (every box of a layer shares its start on every axis),
+/// boxes spanning the whole domain on one axis (active across many groups),
+/// long thin boxes along every axis (so no choice of sweep or index axis
+/// keeps the candidates few), a stack of boxes sharing one corner,
+/// duplicates and zero-extent boxes. Each extra is drawn at random, so some
+/// layouts stay a plain tiling.
+std::vector<Box> stressed_boxes(int nd, std::mt19937& rng) {
+  Box domain;
+  domain.ndims = nd;
+  const int max_extent = nd == 1 ? 80 : nd == 2 ? 24 : 10;
+  for (std::size_t k = 0; k < static_cast<std::size_t>(nd); ++k) {
+    domain.lo[k] = uniform(rng, -3, 3);
+    domain.hi[k] = domain.lo[k] + uniform(rng, 2, max_extent);
+  }
+  std::array<int, ddr::kMaxDims> pitch{1, 1, 1};
+  for (int k = 0; k < nd; ++k)
+    pitch[static_cast<std::size_t>(k)] = uniform(rng, 1, 4);
+  std::vector<Box> boxes;
+  std::array<std::int64_t, ddr::kMaxDims> at = domain.lo;
+  while (true) {
+    Box b;
+    b.ndims = nd;
+    for (std::size_t k = 0; k < static_cast<std::size_t>(nd); ++k) {
+      b.lo[k] = at[k];
+      b.hi[k] = std::min(at[k] + pitch[k], domain.hi[k]);
+    }
+    boxes.push_back(b);
+    std::size_t k = 0;
+    for (; k < static_cast<std::size_t>(nd); ++k) {
+      at[k] += pitch[k];
+      if (at[k] < domain.hi[k]) break;
+      at[k] = domain.lo[k];
+    }
+    if (k == static_cast<std::size_t>(nd)) break;
+  }
+  const auto axis = [&] {
+    return static_cast<std::size_t>(uniform(rng, 0, nd - 1));
+  };
+  for (int n = uniform(rng, 0, 6) - 3; n > 0; --n) {  // spans one axis
+    Box b = ddr_test::random_subbox(domain, rng);
+    const std::size_t k = axis();
+    b.lo[k] = domain.lo[k];
+    b.hi[k] = domain.hi[k];
+    boxes.push_back(b);
+  }
+  if (uniform(rng, 0, 2) == 0) {  // long and thin along every axis
+    for (std::size_t k = 0; k < static_cast<std::size_t>(nd); ++k) {
+      Box b = ddr_test::random_subbox(domain, rng);
+      for (std::size_t j = 0; j < static_cast<std::size_t>(nd); ++j)
+        b.hi[j] = b.lo[j] + 1;
+      b.lo[k] = domain.lo[k];
+      b.hi[k] = domain.hi[k];
+      boxes.push_back(b);
+    }
+  }
+  if (uniform(rng, 0, 2) == 0) {  // a stack sharing one corner
+    const Box corner = ddr_test::random_subbox(domain, rng);
+    for (int n = uniform(rng, 2, 8); n > 0; --n) {
+      Box b = corner;
+      for (std::size_t k = 0; k < static_cast<std::size_t>(nd); ++k)
+        b.hi[k] = uniform(rng, static_cast<int>(b.lo[k]) + 1,
+                          static_cast<int>(domain.hi[k]));
+      boxes.push_back(b);
+    }
+  }
+  for (int n = uniform(rng, 0, 5) - 3; n > 0; --n)  // duplicates
+    boxes.push_back(boxes[static_cast<std::size_t>(
+        uniform(rng, 0, static_cast<int>(boxes.size()) - 1))]);
+  for (int n = uniform(rng, 0, 5) - 3; n > 0; --n) {  // zero extents
+    Box b = ddr_test::random_subbox(domain, rng);
+    const std::size_t k = axis();
+    b.hi[k] = b.lo[k];
+    boxes.push_back(b);
+  }
+  std::shuffle(boxes.begin(), boxes.end(), rng);
+  return boxes;
+}
+
+TEST(ValidateSweep, MatchesAllPairsOracleOnStressedGroups) {
+  // Groups of boxes that share a sweep start, boxes active across many
+  // groups and axes that no choice makes selective: the sweep must still
+  // report exactly the all-pairs overlaps, and validate_owned() exactly the
+  // oracle's verdict and first pair, in 1D, 2D and 3D.
+  std::mt19937 rng(20261021);
+  int overlapping = 0, valid = 0, big_groups = 0;
+  for (int nd = 1; nd <= 3; ++nd) {
+    for (int iter = 0; iter < 1500; ++iter) {
+      const std::vector<Box> boxes = stressed_boxes(nd, rng);
+      Pairs swept;
+      ddr::for_each_overlap(boxes, [&](std::size_t i, std::size_t j) {
+        swept.emplace_back(i, j);
+      });
+      std::sort(swept.begin(), swept.end());
+      ASSERT_EQ(swept, all_pairs_overlaps(boxes)) << nd << "D layout " << iter;
+
+      GlobalLayout layout;
+      const int nranks = uniform(rng, 1, 5);
+      layout.owned.resize(static_cast<std::size_t>(nranks));
+      layout.needed.resize(static_cast<std::size_t>(nranks));
+      for (const Box& b : boxes)
+        layout.owned[static_cast<std::size_t>(uniform(rng, 0, nranks - 1))]
+            .push_back(ddr_test::box_to_chunk(b));
+      const LayoutValidation got = ddr::validate_owned(layout);
+      const LayoutValidation want = all_pairs_validate(layout);
+      ASSERT_EQ(got.exclusive, want.exclusive) << nd << "D layout " << iter;
+      ASSERT_EQ(got.complete, want.complete) << nd << "D layout " << iter;
+      ASSERT_EQ(got.detail, want.detail) << nd << "D layout " << iter;
+      overlapping += want.exclusive ? 0 : 1;
+      valid += want.ok() ? 1 : 0;
+      // Boxes sharing one start on every axis fall in one group whatever
+      // the sweep axis.
+      std::vector<std::array<std::int64_t, ddr::kMaxDims>> starts;
+      for (const Box& b : boxes)
+        if (!b.empty()) starts.push_back(b.lo);
+      std::sort(starts.begin(), starts.end());
+      big_groups += std::adjacent_find(starts.begin(), starts.end()) !=
+                            starts.end()
+                        ? 1
+                        : 0;
+    }
+  }
+  EXPECT_GT(overlapping, 1500);
+  EXPECT_GT(valid, 500);
+  EXPECT_GT(big_groups, 1000);
 }
 
 TEST(ValidateSweep, LargeTilingVerdict) {

@@ -466,11 +466,12 @@ int run_plan(const ddr::LayoutSpec& spec, int ranks_per_node,
   const simnet::LinkModel lm(lp);
   const mpi::NetworkModel* net = ranks_per_node > 1 ? &lm : nullptr;
 
-  const ddr::PlanDecision d =
-      ddr::Planner::decide(layout, spec.elem_size, net, budget);
+  std::vector<ddr::ExchangeLane> lanes;
+  (void)ddr::compute_stats(layout, spec.elem_size, &lanes);
+  const ddr::Plan plan = ddr::Planner::decide(lanes, net, budget);
+  const ddr::PlanDecision& d = plan.decision;
   std::int64_t largest = 0;
-  for (const ddr::ExchangeLane& l :
-       ddr::inter_node_lanes(layout, spec.elem_size, net))
+  for (const ddr::ExchangeLane& l : plan.inter_lanes)
     largest = std::max(largest, l.bytes);
   const LaneTotals t = lane_totals(spec, ranks_per_node);
 
